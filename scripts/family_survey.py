@@ -25,7 +25,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--primes", default="2,3")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
     primes = tuple(int(tok) for tok in args.primes.split(","))
 
@@ -37,7 +36,7 @@ def main() -> int:
                 print(f"{n:>3} {p:>3} {family_size_formula(n, p):>6}   (skipped: family too large)")
                 continue
             started = time.perf_counter()
-            verdict = verify_no_common_splitting(n, p, jobs=args.jobs)
+            verdict = verify_no_common_splitting(n, p)
             elapsed = time.perf_counter() - started
             print(
                 f"{n:>3} {p:>3} {verdict.get('family_size'):>6} "

@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--scenario", metavar="FILE", help="scenario file with inputs")
     shared.add_argument("--format", choices=("json", "text"), default="text")
     shared.add_argument("--out", metavar="FILE", help="write the report here")
-    shared.add_argument("--jobs", type=int, default=1, help="worker threads")
     shared.add_argument(
         "--max-work", type=int, default=1 << 24, help="enumeration budget"
     )
@@ -161,7 +160,7 @@ def _dispatch(args: argparse.Namespace, scenario: Scenario | None) -> Verdict:
         return verify_value_groups(_need(args, scenario, "n"), _need(args, scenario, "p"))
     if task == "no-common-splitting":
         return verify_no_common_splitting(
-            _need(args, scenario, "n"), _need(args, scenario, "p"), jobs=args.jobs
+            _need(args, scenario, "n"), _need(args, scenario, "p")
         )
     if task == "counts":
         return verify_count_identities()

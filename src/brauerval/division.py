@@ -26,8 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import EngineError, UnsupportedConfiguration, ZeroElement
+from .errors import EngineError, NonContainment, UnsupportedConfiguration, ZeroElement
 from .lattices import Lattice, ValueVector
 from .symbols import SymbolSum, SymbolTerm, normal_form, symbol
 from .towers import (
@@ -206,18 +207,11 @@ def algebra_value_data(
     )
 
 
-def _class_key(base: Lattice, vec: ValueVector) -> tuple[Fraction, ...]:
-    return tuple(
-        c - Fraction(c.numerator // c.denominator) for c in base.rational_coords(vec)
-    )
-
-
 def class_representative(base: Lattice, vec: ValueVector) -> ValueVector:
     """Canonical representative of vec modulo base, inside the unit box."""
-    key = _class_key(base, vec)
     rep = ValueVector.zero(base.dim)
-    for c, b in zip(key, base.basis):
-        rep = rep + b.scale(c)
+    for c, b in zip(base.rational_coords(vec), base.basis):
+        rep = rep + b.scale(c - c.numerator // c.denominator)
     return rep
 
 
@@ -229,17 +223,26 @@ def independence_division(data: AlgebraValueData) -> Certificate:
     the graded algebra is a twisted group ring over the residue field,
     which has no zero divisors; the word is then division and totally
     ramified with the constructed value group.
+
+    A class modulo the base group is read as the base coordinates mod 1,
+    held as integers over one common denominator, so the box of
+    exponents 0 <= s, t < p is summed on integer tuples.  Composite
+    values can have order p^2, so the box need not be a subgroup; its
+    classes are collected one generator at a time, the set of partial
+    sums deduplicated after each.
     """
     p = data.degree
-    values = data.basis_values()
     if data.dim > MAX_CLASS_WORK:
         raise UnsupportedConfiguration("class enumeration exceeds the work bound")
-    seen: set[tuple[Fraction, ...]] = set()
-    for exps in itertools.product(range(p), repeat=len(values)):
-        vec = ValueVector.zero(data.depth)
-        for e, v in zip(exps, values):
-            vec = vec + v.scale(e)
-        seen.add(_class_key(data.base_group, vec))
+    coords = [data.base_group.rational_coords(v) for v in data.basis_values()]
+    den = lcm(*(c.denominator for row in coords for c in row))
+    seen = {(0,) * data.depth}
+    for row in coords:
+        step = [c.numerator * (den // c.denominator) for c in row]
+        multiples = [tuple(e * a % den for a in step) for e in range(p)]
+        seen = {
+            tuple((x + y) % den for x, y in zip(s, m)) for s in seen for m in multiples
+        }
     distinct = len(seen)
     status = CERTIFIED if distinct == data.dim else NOT_CERTIFIED
     return Certificate(
@@ -810,29 +813,62 @@ def chain_wrap(cert: Certificate) -> Certificate:
 
 
 def trace_zero_value_classes(
-    data: AlgebraValueData, window: Lattice | None = None
+    members: list[AlgebraValueData] | tuple[AlgebraValueData, ...],
+    window: Lattice | None = None,
 ) -> frozenset[ValueVector]:
-    """Value classes available to trace-zero elements of the word.
+    """Value classes available to trace-zero elements of every member.
 
     The reduced trace kills every basis monomial except the product of
-    the (p-1)-st powers of the Artin-Schreier generators, so the class
-    of that one monomial is withheld from the full set of monomial
-    classes (within the window, when one is given).
+    the (p-1)-st powers of the Artin-Schreier generators, so each member
+    withholds the class of that one monomial from its monomial classes.
+
+    Every natural generator value has order dividing p modulo the base
+    group, so the box of monomials x^s y^t with exponents below p
+    reaches every class of H_m = base + <natural values of member m>:
+    the monomial classes of m are exactly H_m/base.  The classes shared
+    by all members inside the window W are therefore
+    (W meet H_1 meet ... meet H_k)/base minus the members' excluded
+    classes, found from one lattice meet instead of one box per member.
+    That precondition and base <= W are checked first; the census raises
+    when either fails, since the meet would then differ from the boxes.
     """
-    p = data.degree
-    if data.dim > MAX_CLASS_WORK:
-        raise UnsupportedConfiguration("class enumeration exceeds the work bound")
-    values = data.natural_values()
-    classes: set[ValueVector] = set()
-    for exps in itertools.product(range(p), repeat=len(values)):
-        vec = ValueVector.zero(data.depth)
-        for e, v in zip(exps, values):
-            vec = vec + v.scale(e)
-        rep = class_representative(data.base_group, vec)
-        if window is None or window.contains(rep):
-            classes.add(rep)
-    classes.discard(excluded_trace_class(data))
-    return frozenset(classes)
+    if not members:
+        raise UnsupportedConfiguration("the class census needs at least one member")
+    base = members[0].base_group
+    if window is not None and not window.contains_lattice(base):
+        raise NonContainment("the window does not contain the base group")
+    groups: set[Lattice] = set()
+    excluded: set[ValueVector] = set()
+    for data in members:
+        if data.dim > MAX_CLASS_WORK:
+            raise UnsupportedConfiguration("class enumeration exceeds the work bound")
+        if data.base_group != base:
+            raise UnsupportedConfiguration("the members do not share one base group")
+        values = data.natural_values()
+        if any(data.degree % base.order_of_class(v) for v in values):
+            raise UnsupportedConfiguration(
+                "a natural value has order other than 1 or p modulo the base group"
+            )
+        groups.add(
+            Lattice.from_generators(base.dim, [*base.basis, *values], include_integers=False)
+        )
+        excluded.add(excluded_trace_class(data))
+    meet = window
+    for group in groups:
+        meet = group if meet is None else meet.intersect(group)
+    # both Hermite bases are lower triangular, so the box of diagonal
+    # ratios over the meet's basis covers every class of meet/base
+    ratios = [
+        (b[i] * meet.denominator) // (m[i] * base.denominator)
+        for i, (b, m) in enumerate(zip(base.rows, meet.rows))
+    ]
+    classes = set()
+    for coeffs in itertools.product(*(range(r) for r in ratios)):
+        vec = ValueVector.zero(base.dim)
+        for c, v in zip(coeffs, meet.basis):
+            vec = vec + v.scale(c)
+        classes.add(class_representative(base, vec))
+    return frozenset(classes - excluded)
 
 
 def excluded_trace_class(data: AlgebraValueData) -> ValueVector:

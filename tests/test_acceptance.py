@@ -166,12 +166,12 @@ def test_ac8_two_factor_pipelines():
 
 def test_ac9_determinism_and_negative_controls(tmp_path):
     outs = []
-    for tag, jobs in (("a", "1"), ("b", "1"), ("c", "3")):
+    for tag in ("a", "b", "c"):
         target = tmp_path / f"run-{tag}.json"
         code = cli_main(
             [
                 "no-common-splitting", "--n", "3", "--p", "2",
-                "--format", "json", "--jobs", jobs, "--out", str(target),
+                "--format", "json", "--out", str(target),
             ]
         )
         assert code == 0

@@ -128,19 +128,6 @@ class TestOutput:
         )
         assert first == second
 
-    def test_json_is_stable_across_job_counts(self, capsys):
-        _, serial, _ = run(
-            capsys,
-            "no-common-splitting", "--n", "3", "--p", "2",
-            "--format", "json", "--jobs", "1",
-        )
-        _, threaded, _ = run(
-            capsys,
-            "no-common-splitting", "--n", "3", "--p", "2",
-            "--format", "json", "--jobs", "3",
-        )
-        assert serial == threaded
-
     def test_text_report_carries_timing(self, capsys):
         _, out, _ = run(capsys, "lemma72", "--part", "2", "--p", "3")
         assert "timing:" in out

@@ -13,6 +13,8 @@ from brauerval.division import (
     CERTIFIED,
     NOT_CERTIFIED,
     REFUTED,
+    AlgebraValueData,
+    SymbolValueData,
     algebra_value_data,
     chain_division,
     class_representative,
@@ -24,10 +26,11 @@ from brauerval.division import (
     trace_profile,
     trace_zero_value_classes,
 )
-from brauerval.errors import UnsupportedConfiguration
+from brauerval.errors import NonContainment, UnsupportedConfiguration
 from brauerval.lattices import Lattice, ValueVector
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import FieldTower, FormalElement, GroundField
+from brauerval.verify import build_family, shared_value_window, standard_tower
 
 
 def tower(p: int, *variables: str, constants: tuple[str, ...] = ()) -> FieldTower:
@@ -76,6 +79,29 @@ def trace_zero_oracle(
 
 def as_key(classes: frozenset[ValueVector]) -> set[tuple[Fraction, ...]]:
     return {tuple(c % 1 for c in rep.coords) for rep in classes}
+
+
+def member_box_classes(
+    data: AlgebraValueData, window: Lattice | None = None
+) -> frozenset[ValueVector]:
+    """One member's trace-zero classes from its full monomial box.
+
+    Sums the natural values over every exponent tuple below p, keeps the
+    canonical representatives that lie in the window, and drops the
+    member's excluded class: the census as it was before the lattice meet.
+    """
+    p = data.degree
+    values = data.natural_values()
+    classes = set()
+    for exps in itertools.product(range(p), repeat=len(values)):
+        vec = ValueVector.zero(data.depth)
+        for e, v in zip(exps, values):
+            vec = vec + v.scale(e)
+        rep = class_representative(data.base_group, vec)
+        if window is None or window.contains(rep):
+            classes.add(rep)
+    classes.discard(excluded_trace_class(data))
+    return frozenset(classes)
 
 
 # ------------------------------------------------------------- value data
@@ -430,7 +456,7 @@ class TestTraceZeroClasses:
     def test_single_symbol_classes_frozen(self):
         t = tower(2, "a1", "a2")
         data = algebra_value_data(word(2, ({"a2": -1}, {"a1": 1})), t)
-        classes = trace_zero_value_classes(data)
+        classes = trace_zero_value_classes([data])
         assert as_key(classes) == {
             (Fraction(0), Fraction(0)),
             (Fraction(1, 2), Fraction(0)),
@@ -444,7 +470,7 @@ class TestTraceZeroClasses:
             word(2, ({"a3": -1}, {"a1": 1}), ({"a1": -1}, {"a2": 1})), t
         )
         pairs = [(f.as_value, f.root_value) for f in data.factors]
-        assert as_key(trace_zero_value_classes(data)) == trace_zero_oracle(pairs, 2)
+        assert as_key(trace_zero_value_classes([data])) == trace_zero_oracle(pairs, 2)
 
     def test_excluded_classes_32_frozen(self):
         t = tower(2, "a1", "a2", "a3")
@@ -465,15 +491,57 @@ class TestTraceZeroClasses:
     def test_common_classes_32_frozen(self):
         t = tower(2, "a1", "a2", "a3")
         window = Lattice.diagonal([Fraction(1, 2)] * 3)
-        common: frozenset[ValueVector] | None = None
-        for _, w in members_32():
-            data = algebra_value_data(w, t)
-            classes = trace_zero_value_classes(data, window)
-            common = classes if common is None else common & classes
+        members = [algebra_value_data(w, t) for _, w in members_32()]
+        common = trace_zero_value_classes(members, window)
         assert as_key(common) == {
             (Fraction(0), Fraction(0), Fraction(0)),
             (Fraction(1, 2), Fraction(0), Fraction(0)),
         }
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (4, 2), (3, 3)])
+    def test_meet_matches_member_boxes(self, n, p):
+        t = standard_tower(n, p)
+        window = shared_value_window(n, p)
+        members = [
+            algebra_value_data(m.word, t)
+            for m in build_family(n, p).members
+            if m.kind == "twist"
+        ]
+        expected = frozenset.intersection(
+            *(member_box_classes(data, window) for data in members)
+        )
+        assert trace_zero_value_classes(members, window) == expected
+
+    def test_order_p_squared_value_rejected(self):
+        p = 3
+        base = Lattice.integers(2)
+        slot1 = ValueVector.of(-1, 0)
+        factor = SymbolValueData(
+            term=symbol(p, mono(p, {"u": -1}), mono(p, {"w": 1})),
+            slot1_value=slot1,
+            slot2_value=ValueVector.of(0, 1),
+            as_value=slot1.scale(Fraction(1, p * p)),
+            root_value=ValueVector.of(0, Fraction(1, p)),
+            slot1_residual=False,
+            slot2_residual=False,
+        )
+        data = AlgebraValueData(
+            degree=p,
+            depth=2,
+            factors=(factor,),
+            pairs=(),
+            base_group=base,
+            value_group=Lattice.diagonal([Fraction(1, p * p), Fraction(1, p)]),
+        )
+        assert base.order_of_class(data.natural_values()[0]) == p * p
+        with pytest.raises(UnsupportedConfiguration, match="order"):
+            trace_zero_value_classes([data])
+
+    def test_window_must_contain_base(self):
+        t = tower(2, "a1", "a2")
+        data = algebra_value_data(word(2, ({"a2": -1}, {"a1": 1})), t)
+        with pytest.raises(NonContainment):
+            trace_zero_value_classes([data], Lattice.diagonal([2, 1]))
 
 
 # -------------------------------------------------------- trace invariants
@@ -553,4 +621,12 @@ def test_trace_zero_classes_match_oracle(case):
     except UnsupportedConfiguration:
         return
     pair_values = [(f.as_value, f.root_value) for f in data.factors]
-    assert as_key(trace_zero_value_classes(data)) == trace_zero_oracle(pair_values, p)
+    oracle = trace_zero_oracle(pair_values, p)
+    assert as_key(trace_zero_value_classes([data])) == oracle
+    window = Lattice.diagonal([Fraction(1, p)] * 2)
+    in_window = {key for key in oracle if all((c * p).denominator == 1 for c in key)}
+    assert as_key(trace_zero_value_classes([data], window)) == in_window
+    # natural values lie in (1/p)Z^2, so only a smaller window cuts classes
+    window = Lattice.diagonal([Fraction(1, p), 1])
+    in_window = {key for key in oracle if key[1] == 0}
+    assert as_key(trace_zero_value_classes([data], window)) == in_window

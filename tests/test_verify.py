@@ -165,9 +165,6 @@ class TestNoCommonSplitting:
         )
         assert v.get("window") == Lattice.diagonal([Fraction(1, 2)] * 3)
 
-    def test_jobs_do_not_change_the_verdict(self):
-        assert verify_no_common_splitting(3, 2, jobs=3) == verify_no_common_splitting(3, 2)
-
 
 class TestCountIdentities:
     def test_default_ranges(self):
