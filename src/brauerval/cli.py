@@ -3,7 +3,7 @@
 One subcommand per verification task; parameters come from flags or
 from a scenario file (flags win on conflict).  Exit status encodes the
 verdict: 0 Verified, 1 Refuted, 2 Inconclusive or NotCertified, 3 a
-problem with the input itself.
+problem with the input itself or with writing the report.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from .division import CERTIFIED, REFUTED as CERT_REFUTED, chain_division
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
 from .report import Report, emit_report
-from .scenario import Scenario, load_scenario
+from .scenario import TASKS, Scenario, load_scenario
 from .symbols import SymbolSum, check_rewrite_chain
 from .verify import (
     NOT_CERTIFIED,
@@ -31,20 +31,6 @@ from .verify import (
     verify_shift_lemma,
     verify_value_groups,
 )
-
-TASKS = (
-    "shift",
-    "value-groups",
-    "no-common-splitting",
-    "counts",
-    "char-not-p",
-    "prop71",
-    "lemma72",
-    "example73",
-    "chain-check",
-    "custom-scenario",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """Input problems are exit 3, not argparse's default exit 2."""
@@ -198,7 +184,10 @@ def run_task(args: argparse.Namespace) -> int:
     verdict = _dispatch(args, scenario)
     elapsed = time.perf_counter() - started
     report = Report(verdict, timing=elapsed)
-    rendered = emit_report(report, format=args.format, out=args.out)
+    try:
+        rendered = emit_report(report, format=args.format, out=args.out)
+    except OSError as err:
+        raise EngineError(f"cannot write report {args.out}: {err}") from err
     if args.out is None:
         sys.stdout.write(rendered)
     return verdict.exit_code

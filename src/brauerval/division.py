@@ -123,16 +123,7 @@ class AlgebraValueData:
 
     def basis_values(self) -> list[ValueVector]:
         """Values of the 2k monomial generators, composite-refined."""
-        p = self.degree
-        paired = {i for i, _ in self.pairs}
-        out = []
-        for i, f in enumerate(self.factors):
-            if i in paired:
-                out.append(f.slot1_value.scale(Fraction(1, p * p)))
-            else:
-                out.append(f.as_value)
-            out.append(f.root_value)
-        return out
+        return _refined_basis_values(self.factors, self.pairs, self.degree)
 
     def natural_values(self) -> list[ValueVector]:
         """Values of the plain x_i, y_i generators, no refinement."""
@@ -141,6 +132,25 @@ class AlgebraValueData:
             out.append(f.as_value)
             out.append(f.root_value)
         return out
+
+
+def _refined_basis_values(
+    factors: tuple[SymbolValueData, ...], pairs: tuple[tuple[int, int], ...], p: int
+) -> list[ValueVector]:
+    """v(x_i), v(y_i) per factor, with v(slot1_i)/p^2 for paired x_i.
+
+    A reciprocal pair (i, j) contributes x_i - 1/y_j, whose p-th power
+    is x_i, so its value v(slot1_i)/p^2 replaces v(x_i) = v(slot1_i)/p.
+    """
+    paired = {i for i, _ in pairs}
+    out = []
+    for i, f in enumerate(factors):
+        if i in paired:
+            out.append(f.slot1_value.scale(Fraction(1, p * p)))
+        else:
+            out.append(f.as_value)
+        out.append(f.root_value)
+    return out
 
 
 def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData:
@@ -183,14 +193,7 @@ def algebra_value_data(
                 pairs.append((i, j))
                 break
     p = tower.char
-    paired = {i for i, _ in pairs}
-    gens = []
-    for i, f in enumerate(factors):
-        if i in paired:
-            gens.append(f.slot1_value.scale(Fraction(1, p * p)))
-        else:
-            gens.append(f.as_value)
-        gens.append(f.root_value)
+    gens = _refined_basis_values(factors, tuple(pairs), p)
     base = spec.value_group()
     group = base.sum_with(
         Lattice.from_generators(

@@ -40,10 +40,6 @@ class UnsupportedConfiguration(EngineError):
     """The input is outside the fragment this engine can certify."""
 
 
-class NotDivisionCertified(EngineError):
-    """A construction step required a division certificate that is absent."""
-
-
 class ScenarioError(EngineError):
     """A scenario file failed to parse or validate.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -30,12 +29,6 @@ from .errors import (
 )
 
 FractionLike = Fraction | int
-
-
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 def _frac(x: FractionLike) -> Fraction:
@@ -90,10 +83,6 @@ class ValueVector:
         f = _frac(factor)
         return ValueVector(tuple(f * a for a in self.coords))
 
-    def mod1(self) -> ValueVector:
-        """Reduce every coordinate into [0, 1)."""
-        return ValueVector(tuple(a - (a.numerator // a.denominator) for a in self.coords))
-
     def _key(self) -> tuple[Fraction, ...]:
         # outermost coordinate is most significant
         return self.coords[::-1]
@@ -116,15 +105,6 @@ class ValueVector:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def lex_compare(a: ValueVector, b: ValueVector) -> Ordering:
-    """Compare two value vectors, most significant coordinate last."""
-    if a < b:
-        return Ordering.LESS
-    if a > b:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -354,19 +334,6 @@ def _invert_lower(rows: tuple[tuple[int, ...], ...], denominator: int) -> list[l
                 s -= b[i][j] * inv[j][col]
             inv[i][col] = s / b[i][i]
     return inv
-
-
-def lattice_canonicalize(dim: int, generators: list[ValueVector]) -> Lattice:
-    """Canonical form of the lattice generated by Z^dim and the generators."""
-    return Lattice.from_generators(dim, generators, include_integers=True)
-
-
-def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    return a.intersect(b)
-
-
-def lattice_index(sup: Lattice, sub: Lattice) -> int:
-    return sup.index_over(sub)
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:

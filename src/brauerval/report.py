@@ -107,8 +107,6 @@ def _text_payload_lines(payload: tuple, indent: str) -> list[str]:
 def _text_value(value: object) -> str:
     if isinstance(value, (tuple, list)):
         return "[" + ", ".join(_text_value(v) for v in value) + "]"
-    if isinstance(value, Lattice):
-        return str(value)
     return str(value)
 
 

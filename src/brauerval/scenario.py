@@ -43,6 +43,7 @@ from .towers import (
     GroundField,
     adjoin_artin_schreier,
     adjoin_pth_root,
+    is_prime,
 )
 
 TASKS = (
@@ -227,12 +228,6 @@ class _Parser:
             _fail(self.path, ln, 1, f"{key} wants an integer, got {rest.strip()!r}")
         return int(rest.strip())
 
-    def _directive_version(self, rest: str, ln: int) -> None:
-        value = self._int_value(rest, ln, "version")
-        if value != 1:
-            _fail(self.path, ln, 1, f"unsupported scenario version {value}")
-        self.version = value
-
     def _directive_task(self, rest: str, ln: int) -> None:
         name = rest.strip()
         if name not in TASKS:
@@ -386,7 +381,7 @@ class _Parser:
                 self._directive_task(rest, ln)
             elif key == "prime":
                 value = self._int_value(rest, ln, "prime")
-                if value < 2 or any(value % q == 0 for q in range(2, int(value**0.5) + 1)):
+                if not is_prime(value):
                     _fail(self.path, ln, len("prime ") + 1, f"{value} is not prime")
                 self.prime = value
             elif key in ("n", "p", "i", "part"):

@@ -27,9 +27,6 @@ from .towers import (
     reduce_generator_powers,
 )
 
-AS_SYMBOL = "artin-schreier"
-POWER_SYMBOL = "power"
-
 WITNESS_ROOT = "X"
 
 REWRITE_RULES = (
@@ -47,15 +44,12 @@ REWRITE_RULES = (
 class SymbolTerm:
     """One symbol [slot1, slot2) of the given degree (the prime p)."""
 
-    kind: str
     degree: int
     slot1: FormalElement
     slot2: FormalElement
 
     def __post_init__(self) -> None:
-        if self.kind not in (AS_SYMBOL, POWER_SYMBOL):
-            raise UnsupportedConfiguration(f"unknown symbol kind {self.kind!r}")
-        if self.kind == AS_SYMBOL and self.slot1.char != self.degree:
+        if self.slot1.char != self.degree:
             raise UnsupportedConfiguration(
                 "an Artin-Schreier symbol needs slot coefficients mod its degree"
             )
@@ -103,7 +97,7 @@ class SymbolSum:
 
 
 def symbol(p: int, slot1: FormalElement, slot2: FormalElement) -> SymbolTerm:
-    return SymbolTerm(AS_SYMBOL, p, slot1, slot2)
+    return SymbolTerm(p, slot1, slot2)
 
 
 def _slot2_monomial(term: SymbolTerm) -> tuple[tuple[str, int], ...]:
@@ -126,8 +120,6 @@ def normal_form(s: SymbolSum) -> SymbolSum:
     p = s.degree
     buckets: dict[str, FormalElement] = {}
     for term in s.terms:
-        if term.kind != AS_SYMBOL:
-            raise UnsupportedConfiguration("normal form is for Artin-Schreier sums")
         for name, exp in _slot2_monomial(term):
             prev = buckets.get(name, FormalElement.zero(p))
             buckets[name] = prev + term.slot1.scale(exp)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .errors import (
     AmbiguousValuation,
@@ -32,14 +32,12 @@ Monomial = tuple[tuple[str, int], ...]
 
 ARTIN_SCHREIER = "artin-schreier"
 PTH_ROOT = "pth-root"
-COMPOSITE = "composite"
 
-_KINDS = (ARTIN_SCHREIER, PTH_ROOT, COMPOSITE)
+_KINDS = (ARTIN_SCHREIER, PTH_ROOT)
 _JUSTIFICATIONS = (
     "ramified",
     "residue-laurent",
     "residue-generic",
-    "residue-declared",
     "hypothesis",
 )
 
@@ -178,6 +176,11 @@ class FormalElement:
         return " + ".join(parts)
 
 
+def is_prime(p: int) -> bool:
+    """Exact primality by trial division up to isqrt(p)."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 def artin_schreier_image(e: FormalElement) -> FormalElement:
     """The additive map x -> x^p - x, taken termwise via Frobenius."""
     return e.pow_p() - e
@@ -208,19 +211,17 @@ class ExtensionGenerator:
 
     kind artin-schreier: gen^p - gen = rhs
     kind pth-root:       gen^p = rhs
-    kind composite:      gen^(p^2) - gen^p = rhs, value = v(rhs) / p^2
 
-    justification records why the extension really has degree p (or p^2
-    for composite): a ramified value, a residue-level Laurent value, a
-    generic constant, a declared residue equation, or an explicit
-    hypothesis the caller takes responsibility for.
+    justification records why the extension really has degree p: a
+    ramified value, a residue-level Laurent value, a generic constant,
+    or an explicit hypothesis the caller takes responsibility for (only
+    a generator list built by hand carries one).
     """
 
     name: str
     kind: str
     rhs: FormalElement
     justification: str
-    residue_rhs: FormalElement | None = None
     note: str = ""
 
     def __post_init__(self) -> None:
@@ -279,9 +280,6 @@ class FieldTower:
     def spec(self, depth: int | None = None) -> ValuationSpec:
         return ValuationSpec(self, self.depth if depth is None else depth)
 
-    def element(self, names: dict[str, int], coeff: int = 1) -> FormalElement:
-        return FormalElement.monomial(self.char, names, coeff)
-
 
 @dataclass(frozen=True, slots=True)
 class ValuationSpec:
@@ -314,15 +312,6 @@ class ValuationSpec:
             return ValueVector.unit(self.depth, active.index(name))
         return ValueVector.zero(self.depth)
 
-    def generator_value(self, name: str) -> ValueVector:
-        return generator_value(self, name)
-
-    def value_of(self, element: FormalElement) -> ValueVector:
-        return value_of(element, self)
-
-    def residue_of(self, element: FormalElement) -> FormalElement:
-        return residue_of(element, self)
-
     def value_group(self) -> Lattice:
         gens = [
             generator_value(self, g.name)
@@ -353,8 +342,6 @@ def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
     below = FieldTower(tower.ground, tower.variables, tower.generators[:index])
     sub = ValuationSpec(below, spec.depth)
     v = value_of(gen.rhs, sub)
-    if gen.kind == COMPOSITE:
-        return v.scale(Fraction(1, p * p))
     if v.is_zero():
         return ValueVector.zero(spec.depth)
     if gen.kind == PTH_ROOT:
@@ -456,10 +443,9 @@ def residue_tower(spec: ValuationSpec) -> FieldTower:
     """The residue field of spec, rebuilt as a tower over the inner variables.
 
     Generators of value 0 survive with their rhs replaced by its residue
-    (or a declared one) and are re-certified against the partially built
-    residue tower; ramified generators disappear into the value group.
-    Hypotheses and declared residues pass through on the caller's
-    responsibility.
+    and are re-certified against the partially built residue tower;
+    ramified generators disappear into the value group.  Hypotheses pass
+    through on the caller's responsibility.
     """
     tower = spec.tower
     out = FieldTower(tower.ground, spec.inactive_variables)
@@ -467,16 +453,12 @@ def residue_tower(spec: ValuationSpec) -> FieldTower:
         if not generator_value(spec, g.name).is_zero():
             continue
         below = FieldTower(tower.ground, tower.variables, tower.generators[:i])
-        if g.residue_rhs is not None:
-            rhs_bar = g.residue_rhs
-            just = "residue-declared"
-        else:
-            rhs_bar = residue_of(g.rhs, ValuationSpec(below, spec.depth))
-            just = (
-                g.justification
-                if g.justification == "hypothesis"
-                else _residue_degree_p_justification(out, rhs_bar, g.kind)
-            )
+        rhs_bar = residue_of(g.rhs, ValuationSpec(below, spec.depth))
+        just = (
+            g.justification
+            if g.justification == "hypothesis"
+            else _residue_degree_p_justification(out, rhs_bar, g.kind)
+        )
         out = out.with_generator(
             ExtensionGenerator(g.name, g.kind, rhs_bar, just, note=g.note)
         )
@@ -518,8 +500,6 @@ def adjoin_artin_schreier(
     name: str,
     rhs: FormalElement,
     *,
-    declared_residue_rhs: FormalElement | None = None,
-    hypothesis: bool = False,
     note: str = "",
 ) -> FieldTower:
     """Adjoin x with x^p - x = rhs, certifying the degree as we go.
@@ -531,9 +511,6 @@ def adjoin_artin_schreier(
     rejected.
     """
     spec = tower.spec()
-    if hypothesis:
-        gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, "hypothesis", note=note)
-        return tower.with_generator(gen)
     v = value_of(rhs, spec)
     zero = ValueVector.zero(spec.depth)
     if v < zero:
@@ -544,12 +521,6 @@ def adjoin_artin_schreier(
         gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, "ramified", note=note)
         return tower.with_generator(gen)
     if v == zero:
-        if declared_residue_rhs is not None:
-            gen = ExtensionGenerator(
-                name, ARTIN_SCHREIER, rhs, "residue-declared",
-                residue_rhs=declared_residue_rhs, note=note,
-            )
-            return tower.with_generator(gen)
         rbar = residue_of(rhs, spec)
         just = _residue_degree_p_justification(spec.residue_tower(), rbar, ARTIN_SCHREIER)
         gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, just, note=note)
@@ -564,15 +535,11 @@ def adjoin_pth_root(
     name: str,
     rhs: FormalElement,
     *,
-    hypothesis: bool = False,
     note: str = "",
 ) -> FieldTower:
     """Adjoin y with y^p = rhs; degree p needs v(rhs) outside p * Gamma
     or a certified non-p-th-power residue."""
     spec = tower.spec()
-    if hypothesis:
-        gen = ExtensionGenerator(name, PTH_ROOT, rhs, "hypothesis", note=note)
-        return tower.with_generator(gen)
     v = value_of(rhs, spec)
     if not v.is_zero():
         if spec.value_group().scale(tower.char).contains(v):
@@ -585,54 +552,6 @@ def adjoin_pth_root(
     just = _residue_degree_p_justification(spec.residue_tower(), rbar, PTH_ROOT)
     gen = ExtensionGenerator(name, PTH_ROOT, rhs, just, note=note)
     return tower.with_generator(gen)
-
-
-def composite_from_reciprocal(
-    tower: FieldTower,
-    as_rhs: FormalElement,
-    root_rhs: FormalElement,
-    new_name: str,
-) -> FieldTower:
-    """Adjoin z with z^(p^2) - z^p = as_rhs, certified by a reciprocal pair.
-
-    When x^p - x = as_rhs and y^p = root_rhs with as_rhs * root_rhs = 1,
-    the element z = x - 1/y satisfies z^p = x^p - 1/y^p = x, hence the
-    composite equation above, with value v(as_rhs)/p^2.  x and y need
-    not (and in general cannot) live in a common valued field over the
-    tower; z is adjoined directly over it.
-    """
-    if not (as_rhs * root_rhs).is_one():
-        raise UnsupportedConfiguration(
-            "composite adjunction requires the right hand sides to multiply to 1"
-        )
-    gen = ExtensionGenerator(
-        new_name, COMPOSITE, as_rhs, "ramified",
-        note="difference of an Artin-Schreier generator and an inverse p-th root",
-    )
-    return tower.with_generator(gen)
-
-
-def artin_schreier_from_root(
-    tower: FieldTower,
-    as_rhs: FormalElement,
-    root_name: str,
-    new_name: str,
-) -> FieldTower:
-    """Adjoin t with t^p - t = 1/y over a tower containing y.
-
-    y must be a p-th root generator with rhs reciprocal to as_rhs; then
-    v(1/y) = v(as_rhs)/p and the ordinary ramified rule gives t value
-    v(as_rhs)/p^2, matching the composite construction.
-    """
-    y = tower.generator(root_name)
-    if y.kind != PTH_ROOT:
-        raise UnsupportedConfiguration(f"{root_name!r} is not a p-th root generator")
-    if not (as_rhs * y.rhs).is_one():
-        raise UnsupportedConfiguration(
-            "root adjunction requires the right hand sides to multiply to 1"
-        )
-    rhs = FormalElement.symbol(tower.char, root_name, -1)
-    return adjoin_artin_schreier(tower, new_name, rhs)
 
 
 def rebase_pth_root(
@@ -649,11 +568,7 @@ def rebase_pth_root(
     mapper = ElementMap(variable, new_name, tower.char)
     variables = tuple(new_name if v == variable else v for v in tower.variables)
     gens = tuple(
-        ExtensionGenerator(
-            g.name, g.kind, mapper(g.rhs), g.justification,
-            residue_rhs=None if g.residue_rhs is None else mapper(g.residue_rhs),
-            note=g.note,
-        )
+        ExtensionGenerator(g.name, g.kind, mapper(g.rhs), g.justification, note=g.note)
         for g in tower.generators
     )
     return FieldTower(tower.ground, variables, gens), mapper
@@ -675,8 +590,8 @@ def reduce_generator_powers(e: FormalElement, tower: FieldTower) -> FormalElemen
     """Rewrite generator powers x^k with k >= p through the defining relation.
 
     Artin-Schreier generators use x^p = x + rhs, p-th roots use
-    x^p = rhs.  Negative powers below -p have no monomial reduction and
-    are rejected, as are composite generators.
+    x^p = rhs.  Powers x^k with k <= -p have no monomial reduction and
+    are rejected.
     """
     p = tower.char
     gens = {g.name: g for g in tower.generators}
@@ -688,7 +603,7 @@ def reduce_generator_powers(e: FormalElement, tower: FieldTower) -> FormalElemen
                 g = gens.get(name)
                 if g is None:
                     continue
-                if exp <= -p or (g.kind == COMPOSITE and abs(exp) >= p):
+                if exp <= -p:
                     raise UnsupportedConfiguration(
                         f"power {name}^{exp} cannot be reduced to monomials"
                     )

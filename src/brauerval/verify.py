@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .division import (
     Certificate,
@@ -58,6 +57,7 @@ from .towers import (
     adjoin_artin_schreier,
     adjoin_pth_root,
     artin_schreier_image,
+    is_prime,
     rebase_pth_root,
     residue_of,
 )
@@ -120,7 +120,7 @@ def family_size_formula(n: int, p: int) -> int:
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    if not is_prime(p):
         raise UnsupportedConfiguration(f"{p} is not prime")
 
 

@@ -73,6 +73,14 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_unwritable_out_is_three(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "counts", "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot write report")
+        assert err.count("\n") == 1
+
 
 class TestParameters:
     def test_scenario_supplies_parameters(self, capsys):

@@ -29,7 +29,14 @@ from brauerval.division import (
 from brauerval.errors import NonContainment, UnsupportedConfiguration
 from brauerval.lattices import Lattice, ValueVector
 from brauerval.symbols import SymbolSum, symbol
-from brauerval.towers import FieldTower, FormalElement, GroundField
+from brauerval.towers import (
+    FieldTower,
+    FormalElement,
+    GroundField,
+    adjoin_artin_schreier,
+    adjoin_pth_root,
+    generator_value,
+)
 from brauerval.verify import build_family, shared_value_window, standard_tower
 
 
@@ -137,6 +144,22 @@ class TestValueData:
         )
         assert data.pairs == ((1, 0),)
         assert data.value_group == Lattice.diagonal([Fraction(1, 9), Fraction(1, 3)])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_composite_value_matches_tower_oracle(self, p):
+        # z = x_0 - 1/y_1 solves z^p - z = 1/y_1 with y_1^p = u, so the
+        # refined value of x_0 is that of t, t^p - t = y^-1, in F(y)
+        base = tower(p, "u", "w")
+        data = algebra_value_data(
+            word(p, ({"u": -1}, {"w": 1}), ({"w": -1}, {"u": 1})), base
+        )
+        assert data.pairs == ((0, 1), (1, 0))
+        ext = adjoin_pth_root(base, "y", mono(p, {"u": 1}))
+        ext = adjoin_artin_schreier(ext, "t", mono(p, {"y": -1}))
+        expected = generator_value(ext.spec(), "t")
+        assert expected == ValueVector.of(Fraction(-1, p * p), 0)
+        assert data.basis_values()[0] == expected
+        assert data.value_group == Lattice.from_generators(2, data.basis_values())
 
     def test_positive_slot1_rejected(self):
         t = tower(3, "u")

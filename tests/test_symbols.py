@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from brauerval.errors import UnsupportedConfiguration, ZeroElement
 from brauerval.lattices import Lattice, ValueVector
 from brauerval.symbols import (
-    POWER_SYMBOL,
     RewriteChain,
     RewriteStep,
     SymbolSum,
-    SymbolTerm,
     check_rewrite_chain,
     check_rewrite_step,
     normal_form,
@@ -85,10 +83,6 @@ def test_normal_form_input_validation():
     a = mono({"a": 1})
     with pytest.raises(UnsupportedConfiguration):
         normal_form(SymbolSum.of(sym(a, mono({"d": 1}) + mono({"c": 1}))))
-    with pytest.raises(UnsupportedConfiguration):
-        normal_form(
-            SymbolSum.of(SymbolTerm(POWER_SYMBOL, 3, mono({"a": 1}), mono({"d": 1})))
-        )
     with pytest.raises(ZeroElement):
         sym(a, FormalElement.zero(3))
     with pytest.raises(UnsupportedConfiguration):
