@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--max-work", type=int, default=1 << 24, help="enumeration budget"
     )
-    subs = parser.add_subparsers(dest="task", required=True, metavar="TASK")
+    subs = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
         subs.add_parser(task, parents=[shared])
     return parser

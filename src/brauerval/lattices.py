@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (
     DimensionMismatch,
@@ -244,27 +244,47 @@ class Lattice:
             det *= Fraction(self.rows[i][i], self.denominator)
         return det
 
-    def rational_coords(self, vec: ValueVector) -> tuple[Fraction, ...]:
-        """Coefficients of vec in the basis, solved from the last coordinate."""
+    def _scaled_coords(self, vec: ValueVector) -> tuple[list[int], int]:
+        """Integers a and m > 0 with a/m the coefficients of vec in the basis.
+
+        Back-substitution on the integer rows from the last coordinate;
+        m grows only when a pivot does not divide the running residual.
+        """
         if vec.dim != self.dim:
             raise DimensionMismatch(f"vector dimension {vec.dim}, lattice {self.dim}")
-        residual = [c for c in vec.coords]
-        coeffs = [Fraction(0)] * self.dim
+        m = 1
+        for c in vec.coords:
+            m = lcm(m, c.denominator)
+        # sum_i a_i * rows[i] == m * denominator * vec
+        residual = [c.numerator * (m // c.denominator) * self.denominator for c in vec.coords]
+        nums = [0] * self.dim
         for i in range(self.dim - 1, -1, -1):
-            c = residual[i] / Fraction(self.rows[i][i], self.denominator)
-            coeffs[i] = c
-            for j in range(i + 1):
-                residual[j] -= c * Fraction(self.rows[i][j], self.denominator)
-        return tuple(coeffs)
+            row = self.rows[i]
+            pivot = row[i]
+            grow = pivot // gcd(residual[i], pivot)
+            if grow > 1:
+                m *= grow
+                residual = [r * grow for r in residual]
+                nums = [a * grow for a in nums]
+            nums[i] = a = residual[i] // pivot
+            for j in range(i):
+                residual[j] -= a * row[j]
+        return nums, m
+
+    def rational_coords(self, vec: ValueVector) -> tuple[Fraction, ...]:
+        """Coefficients of vec in the basis, solved from the last coordinate."""
+        nums, m = self._scaled_coords(vec)
+        return tuple(Fraction(a, m) for a in nums)
 
     def coords_of(self, vec: ValueVector) -> tuple[int, ...]:
-        coords = self.rational_coords(vec)
-        if any(c.denominator != 1 for c in coords):
+        nums, m = self._scaled_coords(vec)
+        if any(a % m for a in nums):
             raise MembershipError(f"{vec} is not in the lattice")
-        return tuple(int(c) for c in coords)
+        return tuple(a // m for a in nums)
 
     def contains(self, vec: ValueVector) -> bool:
-        return all(c.denominator == 1 for c in self.rational_coords(vec))
+        nums, m = self._scaled_coords(vec)
+        return not any(a % m for a in nums)
 
     def contains_lattice(self, other: Lattice) -> bool:
         if other.dim != self.dim:
@@ -273,11 +293,8 @@ class Lattice:
 
     def order_of_class(self, vec: ValueVector) -> int:
         """Order of vec in Q^dim modulo this lattice (1 if vec lies in it)."""
-        coords = self.rational_coords(vec)
-        order = 1
-        for c in coords:
-            order = lcm(order, c.denominator)
-        return order
+        nums, m = self._scaled_coords(vec)
+        return m // gcd(m, *nums)
 
     def index_over(self, sub: Lattice) -> int:
         """[self : sub] for a full-rank sublattice, by determinant ratio."""
@@ -300,18 +317,20 @@ class Lattice:
     def sum_with(self, other: Lattice) -> Lattice:
         if other.dim != self.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
-        return Lattice.from_generators(
-            self.dim, list(self.basis) + list(other.basis), include_integers=False
-        )
+        den = lcm(self.denominator, other.denominator)
+        rows = [[x * den // lat.denominator for x in r] for lat in (self, other)
+                for r in lat.rows]
+        return Lattice._from_integer_rows(self.dim, den, rows)
 
     def dual(self) -> Lattice:
-        """{y : <x, y> in Z for all x in self}, via the inverse transpose."""
-        inv = _invert_lower(self.rows, self.denominator)
-        gens = [
-            ValueVector(tuple(inv[i][j] for i in range(self.dim)))
-            for j in range(self.dim)
-        ]
-        return Lattice.from_generators(self.dim, gens, include_integers=False)
+        """{y : <x, y> in Z for all x in self}: the columns of (rows/denominator)^-1."""
+        det = 1
+        for i in range(self.dim):
+            det *= self.rows[i][i]
+        cols = _scaled_inverse_columns(self.rows, det)
+        return Lattice._from_integer_rows(
+            self.dim, det, [[self.denominator * x for x in col] for col in cols]
+        )
 
     def intersect(self, other: Lattice) -> Lattice:
         return self.dual().sum_with(other.dual()).dual()
@@ -319,21 +338,6 @@ class Lattice:
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"(1/{self.denominator})[{body}]"
-
-
-def _invert_lower(rows: tuple[tuple[int, ...], ...], denominator: int) -> list[list[Fraction]]:
-    """Exact inverse of the basis matrix rows/denominator (lower triangular)."""
-    n = len(rows)
-    b = [[Fraction(rows[i][j], denominator) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        # forward substitution: row i of the inverse solves b @ x = e_col
-        for i in range(n):
-            s = Fraction(1 if i == col else 0)
-            for j in range(i):
-                s -= b[i][j] * inv[j][col]
-            inv[i][col] = s / b[i][i]
-    return inv
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -367,16 +371,43 @@ def modp_image_rank(vectors: list[ValueVector], lattice: Lattice, p: int) -> int
     return _rank_mod_p(coord_rows, p)
 
 
-def _divisors(q: int) -> list[int]:
-    return [d for d in range(1, q + 1) if q % d == 0]
+def _log_exact(q: int, p: int) -> int:
+    """The k with q == p**k; UnsupportedConfiguration if there is none."""
+    k = 0
+    while p > 1 and p**k < q:
+        k += 1
+    if p**k != q:
+        raise UnsupportedConfiguration(f"max_index {q} is not a power of {p}")
+    return k
 
 
-def _is_prime_power(q: int, p: int) -> bool:
-    if q == 1:
-        return True
-    while q % p == 0:
-        q //= p
-    return q == 1
+def overlattice_count(dim: int, p: int, q: int) -> int:
+    """Number of lattices Z^dim <= L <= (1/q)Z^dim with [L : Z^dim] | q.
+
+    Duality matches them with the sublattices of Z^dim of index p^j,
+    j <= log_p q, and there are [dim+j-1 choose j]_p of those (the zeta
+    function of Z^dim, Grunewald-Segal-Smith 1988).
+    """
+    total = 0
+    for j in range(_log_exact(q, p) + 1):
+        top = prod(p ** (dim + j - i) - 1 for i in range(1, j + 1))
+        total += top // prod(p**i - 1 for i in range(1, j + 1))
+    return total
+
+
+def _scaled_inverse_columns(rows: list[list[int]], q: int) -> list[list[int]]:
+    """Columns of X with rows @ X == q * I, rows lower triangular, exactly."""
+    n = len(rows)
+    cols = []
+    for c in range(n):
+        x = [0] * n
+        for i in range(c, n):
+            s = (q if i == c else 0) - sum(rows[i][k] * x[k] for k in range(c, i))
+            x[i], rem = divmod(s, rows[i][i])
+            if rem:
+                raise NonContainment(f"{q} * Z^{n} is not inside the sublattice")
+        cols.append(x)
+    return cols
 
 
 def enumerate_overlattices(
@@ -384,66 +415,32 @@ def enumerate_overlattices(
 ) -> list[Lattice]:
     """All lattices L with Z^dim <= L <= (1/q) Z^dim and [L : Z^dim] | q.
 
-    q = max_index must be a power of p.  Every candidate is produced
-    exactly once through its Hermite basis, so the output has no
-    duplicates; it is sorted by index, then by canonical form.  Raises
-    EnumerationBound if the raw candidate count would exceed bound.
+    q = max_index must be a power of p.  L is reached through its dual
+    S = L*, a sublattice of Z^dim of index p^j with j <= log_p q: S runs
+    over the lower Hermite forms with diagonal p^e (sum of e = j) and
+    entries below the diagonal p^e_c of column c in range(p^e_c), and L
+    is spanned by the columns of q * S^-1 over q.  Every form gives a
+    different valid L, so no candidate is rejected; the output is sorted
+    by index, then by canonical form.  Raises EnumerationBound, before
+    any lattice is built, if overlattice_count exceeds bound.
     """
     q = max_index
-    if q < 1 or not _is_prime_power(q, p):
-        raise UnsupportedConfiguration(f"max_index {q} is not a power of {p}")
-    divs = _divisors(q)
-    # scaled picture: M = q * L is an integer lattice with q Z^dim <= M,
-    # det(M) = q^dim / [L : Z^dim], so q^(dim-1) must divide det(M)
-    diag_tuples = [
-        diag
-        for diag in itertools.product(divs, repeat=dim)
-        if _product(diag) % q ** (dim - 1) == 0
-    ]
-    total = 0
-    for diag in diag_tuples:
-        count = 1
-        for i in range(dim):
-            for j in range(i):
-                count *= diag[j]
-        total += count
-        if total > bound:
-            raise EnumerationBound(f"candidate count exceeds bound {bound}")
-    found: list[Lattice] = []
-    for diag in diag_tuples:
-        off_ranges = [range(diag[j]) for i in range(dim) for j in range(i)]
-        for off in itertools.product(*off_ranges):
-            rows = [[0] * dim for _ in range(dim)]
-            k = 0
-            for i in range(dim):
-                for j in range(i):
-                    rows[i][j] = off[k]
-                    k += 1
-                rows[i][i] = diag[i]
-            if _contains_scaled_integers(rows, q):
-                found.append(Lattice._from_integer_rows(dim, q, rows))
-    zn = Lattice.integers(dim)
-    found.sort(key=lambda lat: (lat.index_over(zn), lat.denominator, lat.rows))
-    return found
-
-
-def _product(xs: tuple[int, ...]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def _contains_scaled_integers(rows: list[list[int]], q: int) -> bool:
-    """Whether q * e_i lies in the row span for every i (rows lower triangular)."""
-    n = len(rows)
-    for i in range(n):
-        target = [q if j == i else 0 for j in range(n)]
-        for col in range(n - 1, -1, -1):
-            if target[col] % rows[col][col] != 0:
-                return False
-            c = target[col] // rows[col][col]
-            if c:
-                for j in range(col + 1):
-                    target[j] -= c * rows[col][j]
-    return True
+    expected = overlattice_count(dim, p, q)
+    if expected > bound:
+        raise EnumerationBound(f"overlattice count {expected} exceeds bound {bound}")
+    k = _log_exact(q, p)
+    cells = [(i, c) for i in range(dim) for c in range(i)]
+    found: list[tuple[int, Lattice]] = []
+    for exps in itertools.product(range(k + 1), repeat=dim):
+        if sum(exps) > k:
+            continue
+        diag = [p**e for e in exps]
+        for off in itertools.product(*(range(diag[c]) for _, c in cells)):
+            rows = [[diag[i] if i == c else 0 for c in range(dim)] for i in range(dim)]
+            for (i, c), x in zip(cells, off):
+                rows[i][c] = x
+            cols = _scaled_inverse_columns(rows, q)
+            found.append((p ** sum(exps), Lattice._from_integer_rows(dim, q, cols)))
+    assert len(found) == expected
+    found.sort(key=lambda t: (t[0], t[1].denominator, t[1].rows))
+    return [lat for _, lat in found]

@@ -201,7 +201,7 @@ class GroundField:
     algebraically_closed: bool = False
 
     def __post_init__(self) -> None:
-        if self.characteristic < 2:
+        if not is_prime(self.characteristic):
             raise UnsupportedConfiguration("ground characteristic must be a prime p >= 2")
 
 

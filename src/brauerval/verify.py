@@ -390,6 +390,8 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     L/pL, so some pair has a nonvanishing wedge: two of the defining
     value classes stay independent.  Upper witness: over
     (1/p)Z^(n-1) x Z the rank drops to 1 and every wedge dies.
+    max_work bounds the closed-form overlattice count, checked before
+    the enumeration starts (EnumerationBound).
     """
     _require_prime(p)
     params = (("n", n), ("p", p))

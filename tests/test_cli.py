@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from brauerval.cli import main
+from brauerval.scenario import TASKS
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -80,6 +81,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: cannot write report")
         assert err.count("\n") == 1
+
+
+    def test_help_lists_every_task(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for task in TASKS:
+            assert task in out
 
 
 class TestParameters:

@@ -26,6 +26,7 @@ from brauerval.lattices import (
     ValueVector,
     enumerate_overlattices,
     modp_image_rank,
+    overlattice_count,
 )
 
 F = Fraction
@@ -84,6 +85,64 @@ def subgroup_count_oracle(dim: int, p: int, q: int) -> int:
                 if q % len(c) == 0:
                     subgroups.add(c)
     return sum(1 for s in subgroups if q % len(s) == 0)
+
+
+def brute_force_overlattices(dim: int, p: int, q: int) -> list[Lattice]:
+    """Every lattice Z^dim <= L <= (1/q)Z^dim with [L : Z^dim] | q, by filter.
+
+    Walks every lower Hermite form M of q*L (diagonal entries dividing q
+    whose product is a multiple of q^(dim-1), entries below each diagonal
+    reduced mod it) and keeps those with q*Z^dim inside M, sorted like
+    enumerate_overlattices.
+    """
+    divs = [d for d in range(1, q + 1) if q % d == 0]
+    found = []
+    for diag in itertools.product(divs, repeat=dim):
+        prod = 1
+        for d in diag:
+            prod *= d
+        if prod % q ** (dim - 1):
+            continue
+        cells = [(i, j) for i in range(dim) for j in range(i)]
+        for off in itertools.product(*(range(diag[j]) for _, j in cells)):
+            rows = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+            for (i, j), x in zip(cells, off):
+                rows[i][j] = x
+            if _contains_scaled_integers(rows, q):
+                found.append(Lattice._from_integer_rows(dim, q, rows))
+    zn = Lattice.integers(dim)
+    return sorted(found, key=lambda lat: (lat.index_over(zn), lat.denominator, lat.rows))
+
+
+def _contains_scaled_integers(rows: list[list[int]], q: int) -> bool:
+    """Whether q * e_i lies in the row span for every i (rows lower triangular)."""
+    n = len(rows)
+    for i in range(n):
+        target = [q if j == i else 0 for j in range(n)]
+        for col in range(n - 1, -1, -1):
+            if target[col] % rows[col][col] != 0:
+                return False
+            c = target[col] // rows[col][col]
+            if c:
+                for j in range(col + 1):
+                    target[j] -= c * rows[col][j]
+    return True
+
+
+def fraction_coords_oracle(lat: Lattice, vec: ValueVector) -> tuple[Fraction, ...]:
+    """Coefficients of vec in lat.basis by substitution on Fractions.
+
+    The basis is lower triangular, so the last coordinate of vec fixes
+    the last coefficient, and so on down to the first.
+    """
+    basis = lat.basis
+    residual = list(vec.coords)
+    coeffs = [F(0)] * lat.dim
+    for i in reversed(range(lat.dim)):
+        coeffs[i] = residual[i] / basis[i].coords[i]
+        for j in range(i + 1):
+            residual[j] -= coeffs[i] * basis[i].coords[j]
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------- value vectors
@@ -292,6 +351,61 @@ def test_order_of_class_is_minimal(lat, tup):
 # ------------------------------------------------------------ mod-p rank
 
 
+# mixed denominators up to 9, both signs
+coord_fraction = st.builds(
+    F, st.integers(min_value=-27, max_value=27), st.integers(min_value=1, max_value=9)
+)
+point5 = st.tuples(*[coord_fraction] * 5)
+scales5 = st.tuples(*[coord_fraction.filter(bool)] * 5)
+coeffs5 = st.tuples(*[st.integers(min_value=-5, max_value=5)] * 5)
+
+
+@st.composite
+def lattice_and_vector(draw):
+    """A lattice of dim 1-5, a vector, and its integer coefficients if known.
+
+    The lattice is spanned by scaled unit vectors plus up to two random
+    generators, so it need not contain Z^dim.  The vector is an integer
+    combination of the basis, possibly shifted off the lattice.
+    """
+    dim = draw(st.integers(min_value=1, max_value=5))
+    gens = [ValueVector.unit(dim, i).scale(s) for i, s in enumerate(draw(scales5)[:dim])]
+    gens += [ValueVector(c[:dim]) for c in draw(st.lists(point5, max_size=2))]
+    lat = Lattice.from_generators(dim, gens, include_integers=False)
+    coeffs = draw(coeffs5)[:dim]
+    vec = ValueVector.zero(dim)
+    for c, b in zip(coeffs, lat.basis):
+        vec = vec + b.scale(c)
+    if draw(st.booleans()):
+        return lat, vec, coeffs
+    return lat, vec + ValueVector(draw(point5)[:dim]), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_and_vector())
+def test_integer_coords_match_fraction_oracle(case):
+    lat, vec, coeffs = case
+    want = fraction_coords_oracle(lat, vec)
+    assert lat.rational_coords(vec) == want
+    inside = all(c.denominator == 1 for c in want)
+    assert lat.contains(vec) == inside
+    assert lat.order_of_class(vec) == lcm(*(c.denominator for c in want))
+    if inside:
+        assert lat.coords_of(vec) == tuple(int(c) for c in want)
+    else:
+        with pytest.raises(MembershipError):
+            lat.coords_of(vec)
+    if coeffs is not None:
+        assert lat.coords_of(vec) == coeffs
+
+
+def test_coords_reject_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        Lattice.integers(2).rational_coords(V(1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        Lattice.integers(2).contains(V(1))
+
+
 def test_modp_image_rank_examples():
     lat = Lattice.diagonal([F(1, 2), 1, 1])
     basis = [ValueVector.unit(3, i) for i in range(3)]
@@ -324,6 +438,7 @@ def test_enumerate_small_counts_match_oracle():
         got = enumerate_overlattices(dim, p, q)
         assert len(got) == frozen
         assert len(got) == subgroup_count_oracle(dim, p, q)
+        assert overlattice_count(dim, p, q) == frozen
 
 
 def test_enumerate_output_is_canonical_and_sorted():
@@ -347,3 +462,26 @@ def test_enumerate_trivial_and_errors():
         enumerate_overlattices(2, 2, 6)
     with pytest.raises(EnumerationBound):
         enumerate_overlattices(2, 2, 2, bound=3)
+
+
+@pytest.mark.parametrize(
+    "dim,p,q",
+    [(2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 3), (3, 2, 4), (4, 2, 4), (3, 5, 5)],
+)
+def test_enumerate_matches_brute_force(dim, p, q):
+    assert enumerate_overlattices(dim, p, q) == brute_force_overlattices(dim, p, q)
+
+
+def test_overlattice_count_closed_form():
+    for dim, p, q, count in [
+        (3, 2, 2, 8),
+        (3, 3, 3, 14),
+        (4, 2, 4, 171),
+        (4, 3, 9, 1251),
+        (5, 2, 8, 12494),
+        (5, 3, 27, 936904),
+    ]:
+        assert overlattice_count(dim, p, q) == count
+    assert overlattice_count(4, 2, 1) == 1
+    with pytest.raises(UnsupportedConfiguration):
+        overlattice_count(2, 2, 6)

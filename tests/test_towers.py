@@ -186,6 +186,13 @@ def test_tower_name_validation():
         tower3("u").generator("x")
 
 
+@pytest.mark.parametrize("characteristic", [4, 1, 0, 9])
+def test_ground_field_rejects_non_prime_characteristic(characteristic):
+    with pytest.raises(UnsupportedConfiguration):
+        GroundField(characteristic)
+    assert GroundField(5).characteristic == 5
+
+
 # ------------------------------------------------- adjunction and values
 
 

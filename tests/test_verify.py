@@ -201,6 +201,15 @@ class TestCharNotP:
         with pytest.raises(EnumerationBound):
             verify_char_not_p(4, 2, max_work=2)
 
+    def test_budget_is_checked_before_any_lattice_is_built(self, monkeypatch):
+        def refuse(cls, *args):
+            raise AssertionError("a lattice was built before the budget check")
+
+        monkeypatch.setattr(Lattice, "_from_integer_rows", classmethod(refuse))
+        # closed-form count at (5, 3) is 936,904 overlattices
+        with pytest.raises(EnumerationBound, match="936904"):
+            verify_char_not_p(5, 3, max_work=10**5)
+
 
 class TestProp71:
     @pytest.mark.parametrize("variant,p", [(1, 3), (1, 5), (2, 3), (2, 5)])
