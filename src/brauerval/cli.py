@@ -1,9 +1,10 @@
 """Command line front end.
 
-One subcommand per verification task; parameters come from flags or
-from a scenario file (flags win on conflict).  Exit status encodes the
-verdict: 0 Verified, 1 Refuted, 2 Inconclusive or NotCertified, 3 a
-problem with the input itself or with writing the report.
+The first argument names the verification task; parameters come from
+flags or from a scenario file (flags win on conflict).  Exit status
+encodes the verdict: 0 Verified, 1 Refuted, 2 Inconclusive or
+NotCertified, 3 a problem with the input itself or with writing the
+report.
 """
 
 from __future__ import annotations
@@ -41,25 +42,22 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="brauerval", description=__doc__)
-    shared = _Parser(add_help=False)
-    shared.add_argument("--n", type=int, help="tower depth")
-    shared.add_argument("--p", type=int, help="symbol degree, a prime")
-    shared.add_argument("--i", type=int, help="distinguished place for shift tasks")
-    shared.add_argument("--part", type=int, help="statement part or variant")
-    shared.add_argument("--scenario", metavar="FILE", help="scenario file with inputs")
-    shared.add_argument("--format", choices=("json", "text"), default="text")
-    shared.add_argument("--out", metavar="FILE", help="write the report here")
-    shared.add_argument(
+    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("--n", type=int, help="tower depth")
+    parser.add_argument("--p", type=int, help="symbol degree, a prime")
+    parser.add_argument("--i", type=int, help="distinguished place for shift tasks")
+    parser.add_argument("--part", type=int, help="statement part or variant")
+    parser.add_argument("--scenario", metavar="FILE", help="scenario file with inputs")
+    parser.add_argument("--format", choices=("json", "text"), default="text")
+    parser.add_argument("--out", metavar="FILE", help="write the report here")
+    parser.add_argument(
         "--max-work", type=int, default=1 << 24, help="enumeration budget"
     )
-    subs = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
-        subs.add_parser(task, parents=[shared])
     return parser
 
 
 def _param(args: argparse.Namespace, scenario: Scenario | None, key: str) -> int | None:
-    flag = getattr(args, "part" if key == "part" else key)
+    flag = getattr(args, key)
     if flag is not None:
         return flag
     if scenario is not None:
@@ -101,15 +99,15 @@ def _chain_check_verdict(scenario: Scenario) -> Verdict:
     return Verdict(
         task="chain-check",
         result=result,
-        parameters=(("p", scenario.prime), ("scenario", scenario.path)),
-        payload=(
-            ("chain_on", scenario.chain_on),
-            ("steps", tuple(s.rule for s in scenario.chain.steps)),
-            ("valid", valid),
-            ("proves_zero", proves),
-            ("remaining_terms", None if final is None else len(final.terms)),
-            ("reason", reason),
-        ),
+        parameters={"p": scenario.prime, "scenario": scenario.path},
+        payload={
+            "chain_on": scenario.chain_on,
+            "steps": tuple(s.rule for s in scenario.chain.steps),
+            "valid": valid,
+            "proves_zero": proves,
+            "remaining_terms": None if final is None else len(final.terms),
+            "reason": reason,
+        },
     )
 
 
@@ -125,13 +123,13 @@ def _custom_verdict(scenario: Scenario) -> Verdict:
     return Verdict(
         task="custom-scenario",
         result=result,
-        parameters=(("p", scenario.prime), ("scenario", scenario.path)),
-        payload=(
-            ("word", scenario.word),
-            ("factors", len(word.terms)),
-            ("hypothesis", scenario.hypothesis),
-            ("division_status", cert.status),
-        ),
+        parameters={"p": scenario.prime, "scenario": scenario.path},
+        payload={
+            "word": scenario.word,
+            "factors": len(word.terms),
+            "hypothesis": scenario.hypothesis,
+            "division_status": cert.status,
+        },
         certificates=(cert,),
     )
 
@@ -178,7 +176,7 @@ def run_task(args: argparse.Namespace) -> int:
         if scenario.task != args.task:
             raise ScenarioError(
                 f"{scenario.path}: scenario task {scenario.task!r} does not match"
-                f" subcommand {args.task!r}"
+                f" command line task {args.task!r}"
             )
     started = time.perf_counter()
     verdict = _dispatch(args, scenario)

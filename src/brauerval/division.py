@@ -24,7 +24,7 @@ composite generators of value v(a)/p^2 that refine the value group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -57,7 +57,7 @@ class Certificate:
 
     rule: str
     status: str
-    payload: tuple[tuple[str, object], ...] = ()
+    payload: dict[str, object] = field(default_factory=dict)
     children: tuple[Certificate, ...] = ()
 
     @property
@@ -65,10 +65,7 @@ class Certificate:
         return self.status == CERTIFIED
 
     def get(self, key: str) -> object:
-        for k, v in self.payload:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.payload[key]
 
     def find(self, rule: str) -> Certificate | None:
         if self.rule == rule:
@@ -108,14 +105,11 @@ class AlgebraValueData:
     pairs: tuple[tuple[int, int], ...]
     base_group: Lattice
     value_group: Lattice
+    ram_index: int
 
     @property
     def dim(self) -> int:
         return self.degree ** (2 * len(self.factors))
-
-    @property
-    def ram_index(self) -> int:
-        return self.value_group.index_over(self.base_group)
 
     @property
     def totally_ramified(self) -> bool:
@@ -207,6 +201,7 @@ def algebra_value_data(
         pairs=tuple(pairs),
         base_group=base,
         value_group=group,
+        ram_index=group.index_over(base),
     )
 
 
@@ -251,23 +246,19 @@ def independence_division(data: AlgebraValueData) -> Certificate:
     return Certificate(
         "value-independence",
         status,
-        payload=(
-            ("dimension", data.dim),
-            ("distinct_classes", distinct),
-            ("ramification_index", data.ram_index),
-            ("residue_degree", 1),
-            ("value_group", data.value_group),
-            ("totally_ramified", data.totally_ramified),
-        ),
+        payload={
+            "dimension": data.dim,
+            "distinct_classes": distinct,
+            "ramification_index": data.ram_index,
+            "residue_degree": 1,
+            "value_group": data.value_group,
+            "totally_ramified": data.totally_ramified,
+        },
     )
 
 
 def _fresh(tower: FieldTower, base: str) -> str:
-    taken = (
-        set(tower.ground.constants)
-        | set(tower.variables)
-        | {g.name for g in tower.generators}
-    )
+    taken = tower.names()
     name = base
     k = 0
     while name in taken:
@@ -290,13 +281,13 @@ def _residue_extension_certificate(
         return Certificate(
             "residue-extension",
             CERTIFIED,
-            payload=(("kind", kind), ("rhs", rhs), ("justification", just)),
+            payload={"kind": kind, "rhs": rhs, "justification": just},
         )
     except EngineError as err:
         return Certificate(
             "residue-extension",
             NOT_CERTIFIED,
-            payload=(("kind", kind), ("rhs", rhs), ("reason", str(err))),
+            payload={"kind": kind, "rhs": rhs, "reason": str(err)},
         )
 
 
@@ -318,19 +309,19 @@ def symbol_division(
         return Certificate(
             "symbol-division",
             REFUTED,
-            payload=(
-                ("route", "hensel-split"),
-                ("reason", "slot1 vanishes, the equation splits"),
-            ),
+            payload={
+                "route": "hensel-split",
+                "reason": "slot1 vanishes, the equation splits",
+            },
         )
     if value_of(term.slot1, spec) > ValueVector.zero(spec.depth):
         return Certificate(
             "symbol-division",
             REFUTED,
-            payload=(
-                ("route", "hensel-split"),
-                ("reason", "slot1 has positive value, the equation splits"),
-            ),
+            payload={
+                "route": "hensel-split",
+                "reason": "slot1 has positive value, the equation splits",
+            },
         )
     word = SymbolSum.of(term)
     data = algebra_value_data(word, tower, spec.depth)
@@ -341,12 +332,12 @@ def symbol_division(
         return Certificate(
             "symbol-division",
             child.status,
-            payload=(
-                ("route", "value-independence"),
-                ("value_group", data.value_group),
-                ("ramification_index", data.ram_index),
-                ("residue_degree", 1),
-            ),
+            payload={
+                "route": "value-independence",
+                "value_group": data.value_group,
+                "ramification_index": data.ram_index,
+                "residue_degree": 1,
+            },
             children=(child,),
         )
 
@@ -368,12 +359,12 @@ def symbol_division(
         return Certificate(
             "symbol-division",
             CERTIFIED if ok else NOT_CERTIFIED,
-            payload=(
-                ("route", "semiramified"),
-                ("value_group", ram_group),
-                ("ramification_index", e),
-                ("residue_degree", p),
-            ),
+            payload={
+                "route": "semiramified",
+                "value_group": ram_group,
+                "ramification_index": e,
+                "residue_degree": p,
+            },
             children=(res_cert,),
         )
 
@@ -389,10 +380,10 @@ def symbol_division(
         return Certificate(
             "symbol-division",
             REFUTED,
-            payload=(
-                ("route", "inertial"),
-                ("reason", "residue symbol has trivial class"),
-            ),
+            payload={
+                "route": "inertial",
+                "reason": "residue symbol has trivial class",
+            },
         )
     res_tower = spec.residue_tower()
     if res_tower.variables:
@@ -400,42 +391,42 @@ def symbol_division(
         return Certificate(
             "symbol-division",
             child.status,
-            payload=(
-                ("route", "inertial"),
-                ("value_group", data.base_group),
-                ("ramification_index", 1),
-                ("residue_degree", p * p),
-            ),
+            payload={
+                "route": "inertial",
+                "value_group": data.base_group,
+                "ramification_index": 1,
+                "residue_degree": p * p,
+            },
             children=(child,),
         )
     if residue_hypothesis == "division":
         return Certificate(
             "symbol-division",
             CERTIFIED,
-            payload=(
-                ("route", "inertial"),
-                ("value_group", data.base_group),
-                ("ramification_index", 1),
-                ("residue_degree", p * p),
-                ("hypothesis", "residue symbol assumed division"),
-            ),
+            payload={
+                "route": "inertial",
+                "value_group": data.base_group,
+                "ramification_index": 1,
+                "residue_degree": p * p,
+                "hypothesis": "residue symbol assumed division",
+            },
         )
     if residue_hypothesis == "split":
         return Certificate(
             "symbol-division",
             REFUTED,
-            payload=(
-                ("route", "inertial"),
-                ("hypothesis", "residue symbol assumed split"),
-            ),
+            payload={
+                "route": "inertial",
+                "hypothesis": "residue symbol assumed split",
+            },
         )
     return Certificate(
         "symbol-division",
         NOT_CERTIFIED,
-        payload=(
-            ("route", "inertial"),
-            ("reason", "no verdict available for the residue symbol"),
-        ),
+        payload={
+            "route": "inertial",
+            "reason": "no verdict available for the residue symbol",
+        },
     )
 
 
@@ -478,12 +469,12 @@ def _over_extension_certificate(
     about the extended symbol.
     """
     p = res_tower.char
-    payload: list[tuple[str, object]] = [
-        ("shape", "residue-symbol-over-extension"),
-        ("extension_kind", ext_kind),
-        ("extension_rhs", ext_rhs),
-        ("residue_symbol", residue_symbol),
-    ]
+    payload: dict[str, object] = {
+        "shape": "residue-symbol-over-extension",
+        "extension_kind": ext_kind,
+        "extension_rhs": ext_rhs,
+        "residue_symbol": residue_symbol,
+    }
     if res_tower.variables:
         res_spec = res_tower.spec()
         zero = ValueVector.zero(res_tower.depth)
@@ -497,15 +488,13 @@ def _over_extension_certificate(
                 algebra_w = trace_profile(res_tower, residue_symbol.slot1)
                 field_w = trace_profile(res_tower, ext_rhs)
                 if field_w.minimum < algebra_w.minimum:
-                    payload += [
-                        ("justification", "trace-value-obstruction"),
-                        ("algebra_trace_value", algebra_w.minimum),
-                        ("field_trace_value", field_w.minimum),
-                    ]
+                    payload["justification"] = "trace-value-obstruction"
+                    payload["algebra_trace_value"] = algebra_w.minimum
+                    payload["field_trace_value"] = field_w.minimum
                     return Certificate(
                         "residue-tensor",
                         CERTIFIED,
-                        payload=tuple(payload),
+                        payload=payload,
                         children=(ind,),
                     )
     ext_cert = _residue_extension_certificate(res_tower, ext_rhs, ext_kind)
@@ -513,22 +502,22 @@ def _over_extension_certificate(
         return Certificate(
             "residue-tensor",
             NOT_CERTIFIED,
-            payload=tuple(payload + [("reason", "extension is not certified degree p")]),
+            payload={**payload, "reason": "extension is not certified degree p"},
             children=(ext_cert,),
         )
     if residue_hypothesis == "division":
-        payload.append(("hypothesis", "extended residue symbol assumed division"))
+        payload["hypothesis"] = "extended residue symbol assumed division"
         return Certificate(
-            "residue-tensor", CERTIFIED, payload=tuple(payload), children=(ext_cert,)
+            "residue-tensor", CERTIFIED, payload=payload, children=(ext_cert,)
         )
     if residue_hypothesis == "split":
-        payload.append(("hypothesis", "extended residue symbol assumed split"))
+        payload["hypothesis"] = "extended residue symbol assumed split"
         return Certificate(
-            "residue-tensor", REFUTED, payload=tuple(payload), children=(ext_cert,)
+            "residue-tensor", REFUTED, payload=payload, children=(ext_cert,)
         )
-    payload.append(("reason", "no verdict available over the extension"))
+    payload["reason"] = "no verdict available over the extension"
     return Certificate(
-        "residue-tensor", NOT_CERTIFIED, payload=tuple(payload), children=(ext_cert,)
+        "residue-tensor", NOT_CERTIFIED, payload=payload, children=(ext_cert,)
     )
 
 
@@ -554,7 +543,7 @@ def residue_tensor_certificate(
     if d_residual is None:
         if not ef.slot1_residual and not ef.slot2_residual:
             return Certificate(
-                "residue-tensor", CERTIFIED, payload=(("shape", "both-trivial"),)
+                "residue-tensor", CERTIFIED, payload={"shape": "both-trivial"}
             )
         if ef.slot1_residual and ef.slot2_residual:
             rbar = symbol(p, residue_of(e_term.slot1, spec), residue_of(e_term.slot2, spec))
@@ -562,7 +551,7 @@ def residue_tensor_certificate(
             return Certificate(
                 "residue-tensor",
                 child.status,
-                payload=(("shape", "residue-symbol"),),
+                payload={"shape": "residue-symbol"},
                 children=(child,),
             )
         if ef.slot1_residual:
@@ -576,7 +565,7 @@ def residue_tensor_certificate(
         return Certificate(
             "residue-tensor",
             child.status,
-            payload=(("shape", "residue-field"),),
+            payload={"shape": "residue-field"},
             children=(child,),
         )
 
@@ -587,7 +576,7 @@ def residue_tensor_certificate(
         return Certificate(
             "residue-tensor",
             child.status,
-            payload=(("shape", "residue-field"),),
+            payload={"shape": "residue-field"},
             children=(child,),
         )
 
@@ -597,7 +586,7 @@ def residue_tensor_certificate(
             return Certificate(
                 "residue-tensor",
                 NOT_CERTIFIED,
-                payload=(("reason", "residues are not reciprocal"),),
+                payload={"reason": "residues are not reciprocal"},
             )
         res_spec = res_tower.spec()
         v = value_of(e_rbar, res_spec)
@@ -606,11 +595,11 @@ def residue_tensor_certificate(
         return Certificate(
             "residue-tensor",
             CERTIFIED if ok else NOT_CERTIFIED,
-            payload=(
-                ("shape", "composite-field"),
-                ("composite_value", v.scale(Fraction(1, p * p))),
-                ("class_order", order),
-            ),
+            payload={
+                "shape": "composite-field",
+                "composite_value": v.scale(Fraction(1, p * p)),
+                "class_order": order,
+            },
         )
 
     if ef.slot1_residual and ef.slot2_residual:
@@ -626,18 +615,18 @@ def residue_tensor_certificate(
                 return Certificate(
                     "residue-tensor",
                     NOT_CERTIFIED,
-                    payload=(("reason", "shift did not reduce the rebased slot"),),
+                    payload={"reason": "shift did not reduce the rebased slot"},
                 )
             slot2 = mapper(residue_of(e_term.slot2, spec))
             child = symbol_division(symbol(p, shifted, slot2), rebased)
             return Certificate(
                 "residue-tensor",
                 child.status,
-                payload=(
-                    ("shape", "rebase-shift-independence"),
-                    ("rebased_variable", variable),
-                    ("shift_witness", shift_witness),
-                ),
+                payload={
+                    "shape": "rebase-shift-independence",
+                    "rebased_variable": variable,
+                    "shift_witness": shift_witness,
+                },
                 children=(child,),
             )
         residue_symbol = symbol(p, e_rbar1, residue_of(e_term.slot2, spec))
@@ -648,7 +637,7 @@ def residue_tensor_certificate(
     return Certificate(
         "residue-tensor",
         NOT_CERTIFIED,
-        payload=(("reason", "unsupported residue shape"),),
+        payload={"reason": "unsupported residue shape"},
     )
 
 
@@ -676,12 +665,12 @@ def morandi_step(
         return Certificate(
             "peel",
             NOT_CERTIFIED,
-            payload=(
-                ("depth", depth),
-                ("reason", "more than one residual slot on the left factor"),
-            ),
+            payload={
+                "depth": depth,
+                "reason": "more than one residual slot on the left factor",
+            },
         )
-    conditions: list[tuple[str, bool]] = [("left-division", d_division.ok)]
+    conditions = {"left-division": d_division.ok}
     children: list[Certificate] = []
 
     if residual:
@@ -694,33 +683,33 @@ def morandi_step(
         f_d = 1
         d_residual = None
     defectless = d_data.ram_index * f_d == d_data.dim
-    conditions.append(("left-defectless", defectless))
+    conditions["left-defectless"] = defectless
 
     e_cert = symbol_division(e_term, tower, depth, residue_hypothesis)
     children.append(e_cert)
-    conditions.append(("right-division", e_cert.ok))
+    conditions["right-division"] = e_cert.ok
 
     meet = d_data.value_group.intersect(e_data.value_group)
     disjoint = meet == d_data.base_group
-    conditions.append(("value-groups-meet-in-base", disjoint))
+    conditions["value-groups-meet-in-base"] = disjoint
 
     r_cert = residue_tensor_certificate(spec, d_residual, e_data, residue_hypothesis)
     children.append(r_cert)
-    conditions.append(("residue-tensor-division", r_cert.ok))
+    conditions["residue-tensor-division"] = r_cert.ok
 
-    ok = all(flag for _, flag in conditions)
+    ok = all(conditions.values())
     return Certificate(
         "peel",
         CERTIFIED if ok else NOT_CERTIFIED,
-        payload=(
-            ("depth", depth),
-            ("conditions", tuple(conditions)),
-            ("left_value_group", d_data.value_group),
-            ("left_ramification_index", d_data.ram_index),
-            ("left_residue_degree", f_d),
-            ("left_dimension", d_data.dim),
-            ("right_value_group", e_data.value_group),
-        ),
+        payload={
+            "depth": depth,
+            "conditions": conditions,
+            "left_value_group": d_data.value_group,
+            "left_ramification_index": d_data.ram_index,
+            "left_residue_degree": f_d,
+            "left_dimension": d_data.dim,
+            "right_value_group": e_data.value_group,
+        },
         children=tuple(children),
     )
 
@@ -766,7 +755,7 @@ def chain_division(
         return Certificate(
             "chain",
             d_cert.status,
-            payload=(("reason", "left part failed"),),
+            payload={"reason": "left part failed"},
             children=(d_cert,),
         )
     try:
@@ -775,30 +764,30 @@ def chain_division(
         return Certificate(
             "chain",
             NOT_CERTIFIED,
-            payload=(("reason", str(err)),),
+            payload={"reason": str(err)},
             children=(d_cert,),
         )
-    attempts: list[tuple[str, object]] = []
+    attempts: dict[str, object] = {}
     for depth in depths:
         try:
             cert = morandi_step(
                 tower, depth, d_word, e_term, d_cert, residue_hypothesis
             )
         except EngineError as err:
-            attempts.append((f"depth-{depth}", str(err)))
+            attempts[f"depth-{depth}"] = str(err)
             continue
         if cert.ok:
             return Certificate(
                 "chain",
                 CERTIFIED,
-                payload=(("peel_depth", depth), ("factors", len(word.terms))),
+                payload={"peel_depth": depth, "factors": len(word.terms)},
                 children=(cert, d_cert),
             )
-        attempts.append((f"depth-{depth}", cert))
+        attempts[f"depth-{depth}"] = cert
     return Certificate(
         "chain",
         NOT_CERTIFIED,
-        payload=tuple(attempts) or (("reason", "no candidate valuation"),),
+        payload=attempts or {"reason": "no candidate valuation"},
         children=(d_cert,),
     )
 
@@ -807,7 +796,7 @@ def chain_wrap(cert: Certificate) -> Certificate:
     return Certificate(
         "chain",
         cert.status,
-        payload=(("factors", 1),),
+        payload={"factors": 1},
         children=(cert,),
     )
 

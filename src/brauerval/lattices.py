@@ -305,15 +305,6 @@ class Lattice:
             raise NonContainment("determinant ratio is not an integer")
         return int(ratio)
 
-    def scale(self, factor: FractionLike) -> Lattice:
-        """The lattice of all factor * x for x in self."""
-        f = _frac(factor)
-        if f == 0:
-            raise UnsupportedConfiguration("cannot scale a lattice by zero")
-        return Lattice.from_generators(
-            self.dim, [v.scale(f) for v in self.basis], include_integers=False
-        )
-
     def sum_with(self, other: Lattice) -> Lattice:
         if other.dim != self.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")

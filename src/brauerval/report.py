@@ -16,7 +16,7 @@ from typing import Any
 from .division import Certificate
 from .lattices import Lattice, ValueVector
 from .symbols import SymbolSum, SymbolTerm
-from .towers import FieldTower, FormalElement
+from .towers import FormalElement
 from .verify import Verdict
 
 SCHEMA = "brauerval.report/1"
@@ -27,17 +27,6 @@ ENGINE_VERSION = "0.1.0"
 class Report:
     verdict: Verdict
     timing: float | None = None
-
-
-def _is_payload(value: object) -> bool:
-    return (
-        isinstance(value, tuple)
-        and len(value) > 0
-        and all(
-            isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
-            for item in value
-        )
-    )
 
 
 def encode(value: object) -> Any:
@@ -56,21 +45,13 @@ def encode(value: object) -> Any:
         return {
             "rule": value.rule,
             "status": value.status,
-            "payload": encode(value.payload) if value.payload else {},
+            "payload": encode(value.payload),
             "children": [encode(c) for c in value.children],
         }
-    if isinstance(value, FieldTower):
-        return {
-            "characteristic": value.char,
-            "constants": sorted(value.ground.constants),
-            "variables": list(value.variables),
-            "generators": [f"{g.name} = {g.kind}({g.rhs})" for g in value.generators],
-        }
-    if _is_payload(value):
-        return {k: encode(v) for k, v in value}
-    if isinstance(value, (tuple, list, frozenset, set)):
-        items = sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
-        return [encode(v) for v in items]
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 
@@ -80,10 +61,10 @@ def report_dict(report: Report) -> dict[str, Any]:
         "schema": SCHEMA,
         "engine_version": ENGINE_VERSION,
         "task": v.task,
-        "parameters": encode(v.parameters) if v.parameters else {},
+        "parameters": encode(v.parameters),
         "result": v.result,
         "exit_code": v.exit_code,
-        "payload": encode(v.payload) if v.payload else {},
+        "payload": encode(v.payload),
         "certificates": [encode(c) for c in v.certificates],
         "timing": None,
     }
@@ -93,10 +74,10 @@ def render_json(report: Report) -> str:
     return json.dumps(report_dict(report), indent=2) + "\n"
 
 
-def _text_payload_lines(payload: tuple, indent: str) -> list[str]:
+def _text_payload_lines(payload: dict[str, object], indent: str) -> list[str]:
     lines = []
-    for key, value in payload:
-        if _is_payload(value):
+    for key, value in payload.items():
+        if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.extend(_text_payload_lines(value, indent + "  "))
         else:
@@ -114,7 +95,7 @@ def _certificate_lines(cert: Certificate, indent: str) -> list[str]:
     head = f"{indent}{cert.rule}: {cert.status}"
     summary = ", ".join(
         f"{k}={_text_value(v)}"
-        for k, v in cert.payload
+        for k, v in cert.payload.items()
         if isinstance(v, (str, int, bool, Fraction, ValueVector)) or v is None
     )
     if summary:
@@ -129,9 +110,8 @@ def render_text(report: Report) -> str:
     v = report.verdict
     lines = [f"task: {v.task}"]
     if v.parameters:
-        lines.append(
-            "parameters: " + " ".join(f"{k}={_text_value(x)}" for k, x in v.parameters)
-        )
+        params = " ".join(f"{k}={_text_value(x)}" for k, x in v.parameters.items())
+        lines.append(f"parameters: {params}")
     lines.append(f"result: {v.result}")
     if v.payload:
         lines.append("payload:")

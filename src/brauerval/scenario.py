@@ -71,9 +71,9 @@ class Scenario:
     task: str
     path: str
     prime: int | None = None
-    params: tuple[tuple[str, int], ...] = ()
+    params: dict[str, int] = field(default_factory=dict)
     tower: FieldTower | None = None
-    algebras: tuple[tuple[str, SymbolSum], ...] = ()
+    algebras: dict[str, SymbolSum] = field(default_factory=dict)
     word: tuple[str, ...] = ()
     hypothesis: str | None = None
     chain: RewriteChain | None = None
@@ -81,16 +81,13 @@ class Scenario:
     expect: str | None = None
 
     def param(self, key: str) -> int | None:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return None
+        return self.params.get(key)
 
     def algebra(self, name: str) -> SymbolSum:
-        for k, v in self.algebras:
-            if k == name:
-                return v
-        raise ScenarioError(f"{self.path}: no algebra named {name!r}")
+        try:
+            return self.algebras[name]
+        except KeyError:
+            raise ScenarioError(f"{self.path}: no algebra named {name!r}") from None
 
 
 def _fail(path: str, ln: int, col: int, msg: str) -> None:
@@ -213,13 +210,7 @@ class _Parser:
 
     def _check_names(self, element: FormalElement, ln: int, col: int, extra=()) -> None:
         tower = self._need_tower(ln)
-        known = (
-            set(tower.ground.constants)
-            | set(tower.variables)
-            | {g.name for g in tower.generators}
-            | set(extra)
-        )
-        bad = element.names() - known
+        bad = element.names() - tower.names() - set(extra)
         if bad:
             _fail(self.path, ln, col, f"unknown names {sorted(bad)}")
 
@@ -430,9 +421,9 @@ class _Parser:
             task=self.task,
             path=self.path,
             prime=self.prime,
-            params=tuple(sorted(self.params.items())),
+            params=self.params,
             tower=self.tower,
-            algebras=tuple(self.algebras.items()),
+            algebras=self.algebras,
             word=self.word,
             hypothesis=self.hypothesis,
             chain=chain,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedConfiguration, ZeroElement
-from .lattices import Lattice, ValueVector
+from .lattices import Lattice, ValueVector, _rank_mod_p
 from .towers import (
     PTH_ROOT,
     FieldTower,
@@ -258,30 +258,6 @@ def _exponent_vector(e: FormalElement, names: list[str]) -> list[int]:
     return [lookup.get(n, 0) for n in names]
 
 
-def _in_fp_span(vec: list[int], basis: list[list[int]], p: int) -> bool:
-    """Whether vec lies in the F_p span of the basis rows."""
-    rows = [list(r) for r in basis]
-    width = len(vec)
-    target = [x % p for x in vec]
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = pow(rows[row][col], -1, p)
-        rows[row] = [(x * inv) % p for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[row])]
-        if target[col] % p:
-            f = target[col]
-            target = [(x - f * y) % p for x, y in zip(target, rows[row])]
-        row += 1
-    return all(x % p == 0 for x in target)
-
-
 def check_rewrite_step(step: RewriteStep, tower: FieldTower) -> None:
     """Raise unless the step is a certified Brauer class identity."""
     p = tower.char
@@ -357,7 +333,7 @@ def check_rewrite_step(step: RewriteStep, tower: FieldTower) -> None:
         )
         vec = _exponent_vector(removed, names)
         basis = [_exponent_vector(r, names) for r in root_rhs]
-        if not _in_fp_span(vec, basis, p):
+        if _rank_mod_p(basis + [vec], p) != _rank_mod_p(basis, p):
             raise UnsupportedConfiguration(
                 "removed factor is not a p-th power times declared roots"
             )
@@ -391,13 +367,7 @@ def check_rewrite_step(step: RewriteStep, tower: FieldTower) -> None:
 def _require_witness_names(
     witness: FormalElement, tower: FieldTower, allow_root: bool = False
 ) -> None:
-    known = (
-        set(tower.ground.constants)
-        | set(tower.variables)
-        | {g.name for g in tower.generators}
-    )
-    if allow_root:
-        known.add(WITNESS_ROOT)
+    known = tower.names() | ({WITNESS_ROOT} if allow_root else set())
     bad = witness.names() - known
     if bad:
         raise UnsupportedConfiguration(

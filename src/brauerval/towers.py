@@ -268,6 +268,14 @@ class FieldTower:
     def depth(self) -> int:
         return len(self.variables)
 
+    def names(self) -> frozenset[str]:
+        """Every name the tower defines: constants, variables, generators."""
+        return (
+            self.ground.constants
+            | frozenset(self.variables)
+            | frozenset(g.name for g in self.generators)
+        )
+
     def generator(self, name: str) -> ExtensionGenerator:
         for g in self.generators:
             if g.name == name:
@@ -324,6 +332,10 @@ class ValuationSpec:
     def residue_tower(self) -> FieldTower:
         return residue_tower(self)
 
+    def in_p_value_group(self, v: ValueVector) -> bool:
+        """Whether v lies in p times the value group."""
+        return self.value_group().contains(v.scale(Fraction(1, self.tower.char)))
+
 
 def _generator_lookup(spec: ValuationSpec) -> dict[str, ExtensionGenerator]:
     return {g.name: g for g in spec.tower.generators}
@@ -351,7 +363,7 @@ def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
         raise UnsupportedConfiguration(
             f"generator {name!r} has positive rhs value under this valuation"
         )
-    if sub.value_group().scale(p).contains(v):
+    if sub.in_p_value_group(v):
         raise UnsupportedConfiguration(
             f"generator {name!r} has rhs value in p times the base value group"
         )
@@ -470,20 +482,14 @@ def _residue_degree_p_justification(
 ) -> str:
     """Why x with the given residual equation generates a degree-p extension."""
     spec = tower.spec()
-    p = tower.char
-    if kind == ARTIN_SCHREIER:
-        try:
-            v = value_of(rhs, spec)
-        except AmbiguousValuation:
-            v = None
-        if v is not None and v < ValueVector.zero(spec.depth) and not spec.value_group().scale(p).contains(v):
-            return "residue-laurent"
-    if kind == PTH_ROOT:
-        try:
-            v = value_of(rhs, spec)
-        except AmbiguousValuation:
-            v = None
-        if v is not None and not v.is_zero() and not spec.value_group().scale(p).contains(v):
+    zero = ValueVector.zero(spec.depth)
+    try:
+        v = value_of(rhs, spec)
+    except AmbiguousValuation:
+        v = None
+    if v is not None:
+        ramified = v < zero if kind == ARTIN_SCHREIER else v != zero
+        if ramified and not spec.in_p_value_group(v):
             return "residue-laurent"
     constants = tower.ground.constants
     names = rhs.names()
@@ -514,7 +520,7 @@ def adjoin_artin_schreier(
     v = value_of(rhs, spec)
     zero = ValueVector.zero(spec.depth)
     if v < zero:
-        if spec.value_group().scale(tower.char).contains(v):
+        if spec.in_p_value_group(v):
             raise UnsupportedConfiguration(
                 f"value of rhs for {name!r} lies in p times the value group"
             )
@@ -542,7 +548,7 @@ def adjoin_pth_root(
     spec = tower.spec()
     v = value_of(rhs, spec)
     if not v.is_zero():
-        if spec.value_group().scale(tower.char).contains(v):
+        if spec.in_p_value_group(v):
             raise UnsupportedConfiguration(
                 f"value of rhs for {name!r} lies in p times the value group"
             )

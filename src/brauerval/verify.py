@@ -22,7 +22,7 @@ The checks fall into three groups:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .division import (
@@ -76,15 +76,12 @@ class Verdict:
 
     task: str
     result: str
-    parameters: tuple[tuple[str, object], ...] = ()
-    payload: tuple[tuple[str, object], ...] = ()
+    parameters: dict[str, object] = field(default_factory=dict)
+    payload: dict[str, object] = field(default_factory=dict)
     certificates: tuple[Certificate, ...] = ()
 
     def get(self, key: str) -> object:
-        for k, v in self.payload:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.payload[key]
 
     @property
     def exit_code(self) -> int:
@@ -209,7 +206,7 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
     n = 2 the single symbol must be totally ramified of index p^2.
     """
     _require_prime(p)
-    params = (("n", n), ("p", p), ("i", i))
+    params = {"n": n, "p": p, "i": i}
     if n == 2 and i != 1:
         raise UnsupportedConfiguration("n = 2 has only the i = 1 member")
     tower = standard_tower(n, p)
@@ -217,13 +214,13 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
     cert = chain_division(word, tower)
     if not cert.ok:
         result = REFUTED if cert.status == CERT_REFUTED else NOT_CERTIFIED
-        return Verdict("shift", result, params, (("word", word),), (cert,))
+        return Verdict("shift", result, params, {"word": word}, (cert,))
     if n == 2:
-        payload = (
-            ("word", word),
-            ("ramification_index", cert.children[0].get("ramification_index")),
-            ("expected_ramification", p * p),
-        )
+        payload = {
+            "word": word,
+            "ramification_index": cert.children[0].get("ramification_index"),
+            "expected_ramification": p * p,
+        }
         ok = cert.children[0].get("ramification_index") == p * p
         return Verdict("shift", VERIFIED if ok else REFUTED, params, payload, (cert,))
     peel = cert.find("peel")
@@ -231,14 +228,14 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
     left_ram = peel.get("left_ramification_index")
     left_deg = peel.get("left_residue_degree")
     ok = left_ram == p ** (2 * n - 5) and left_deg == p
-    payload = (
-        ("word", word),
-        ("peel_depth", cert.get("peel_depth")),
-        ("left_ramification_index", left_ram),
-        ("expected_ramification", p ** (2 * n - 5)),
-        ("left_residue_degree", left_deg),
-        ("residue_shape", tensor.get("shape") if tensor else None),
-    )
+    payload = {
+        "word": word,
+        "peel_depth": cert.get("peel_depth"),
+        "left_ramification_index": left_ram,
+        "expected_ramification": p ** (2 * n - 5),
+        "left_residue_degree": left_deg,
+        "residue_shape": tensor.get("shape") if tensor else None,
+    }
     return Verdict("shift", VERIFIED if ok else REFUTED, params, payload, (cert,))
 
 
@@ -259,8 +256,8 @@ def verify_value_groups(n: int, p: int) -> Verdict:
     """
     _require_prime(p)
     tower = standard_tower(n, p)
-    params = (("n", n), ("p", p))
-    rows: list[tuple[str, object]] = []
+    params = {"n": n, "p": p}
+    rows: dict[str, object] = {}
     ok = True
     groups = []
     for i in range(1, n):
@@ -273,18 +270,18 @@ def verify_value_groups(n: int, p: int) -> Verdict:
         )
         ok = ok and match
         groups.append(data.value_group)
-        rows.append((f"A{i}", (data.value_group, expected, match)))
+        rows[f"A{i}"] = (data.value_group, expected, match)
     meet = groups[0]
     for g in groups[1:]:
         meet = meet.intersect(g)
     expected_meet = Lattice.diagonal([Fraction(1, p)] * n)
     meet_ok = meet == expected_meet
-    payload = (
-        ("members", tuple(rows)),
-        ("intersection", meet),
-        ("expected_intersection", expected_meet),
-        ("index_each", p ** (2 * n - 2)),
-    )
+    payload = {
+        "members": rows,
+        "intersection": meet,
+        "expected_intersection": expected_meet,
+        "index_each": p ** (2 * n - 2),
+    }
     result = VERIFIED if ok and meet_ok else REFUTED
     return Verdict("value-groups", result, params, payload)
 
@@ -314,12 +311,12 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     follows and the verdict is Inconclusive.
     """
     _require_prime(p)
-    params = (("n", n), ("p", p))
+    params = {"n": n, "p": p}
     family = build_family(n, p)
     tower = standard_tower(n, p)
 
     certs = [chain_division(m.word, tower) for m in family.members]
-    statuses = tuple((m.name, c.status) for m, c in zip(family.members, certs))
+    statuses = {m.name: c.status for m, c in zip(family.members, certs)}
     all_division = all(c.ok for c in certs)
 
     window = shared_value_window(n, p)
@@ -333,16 +330,16 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     needed = p ** (n - 1) - 1
     predicted = p ** (n - 2)
 
-    payload = (
-        ("family_size", family.size),
-        ("family_size_formula", family_size_formula(n, p)),
-        ("member_status", statuses),
-        ("window", window),
-        ("allowed_classes", tuple(sorted(allowed))),
-        ("allowed_count", count),
-        ("predicted_count", predicted),
-        ("needed_for_common_field", needed),
-    )
+    payload = {
+        "family_size": family.size,
+        "family_size_formula": family_size_formula(n, p),
+        "member_status": statuses,
+        "window": window,
+        "allowed_classes": tuple(sorted(allowed)),
+        "allowed_count": count,
+        "predicted_count": predicted,
+        "needed_for_common_field": needed,
+    }
     if not (all_division and window_ok):
         return Verdict("no-common-splitting", NOT_CERTIFIED, params, payload)
     if count < needed:
@@ -370,12 +367,12 @@ def verify_count_identities(
             rows.append(((n, p), lhs, identity, strict))
     expected_failures = [(2, 2)] if 2 in n_range and 2 in p_range else []
     ok = identities_ok and strict_failures == expected_failures
-    payload = (
-        ("rows", tuple(rows)),
-        ("strict_failures", tuple(strict_failures)),
-        ("expected_failures", tuple(expected_failures)),
-    )
-    params = (("n_range", tuple(n_range)), ("p_range", tuple(p_range)))
+    payload = {
+        "rows": tuple(rows),
+        "strict_failures": tuple(strict_failures),
+        "expected_failures": tuple(expected_failures),
+    }
+    params = {"n_range": tuple(n_range), "p_range": tuple(p_range)}
     return Verdict("counts", VERIFIED if ok else REFUTED, params, payload)
 
 
@@ -394,7 +391,7 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     the enumeration starts (EnumerationBound).
     """
     _require_prime(p)
-    params = (("n", n), ("p", p))
+    params = {"n": n, "p": p}
     if n < 2:
         raise UnsupportedConfiguration("need at least two Laurent variables")
     q = p ** (n - 2)
@@ -426,15 +423,15 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
         for l in range(k + 1, n)
     )
     ok = not failures and upper_rank <= 1 and upper_wedges_vanish
-    payload = (
-        ("lattice_count", len(lattices)),
-        ("max_index", q),
-        ("min_unit_rank", min_rank),
-        ("wedge_witnesses", tuple(witnesses)),
-        ("upper_witness", upper),
-        ("upper_unit_rank", upper_rank),
-        ("upper_wedges_vanish", upper_wedges_vanish),
-    )
+    payload = {
+        "lattice_count": len(lattices),
+        "max_index": q,
+        "min_unit_rank": min_rank,
+        "wedge_witnesses": tuple(witnesses),
+        "upper_witness": upper,
+        "upper_unit_rank": upper_rank,
+        "upper_wedges_vanish": upper_wedges_vanish,
+    }
     return Verdict("char-not-p", VERIFIED if ok else REFUTED, params, payload)
 
 
@@ -486,16 +483,16 @@ def verify_prop71(variant: int, p: int) -> Verdict:
     split_tensor = split_leg.find("residue-tensor")
     split_ok = split_tensor is not None and split_tensor.status == CERT_REFUTED
     ok = nf_ok and d_cert.ok and division_leg.ok and split_ok
-    payload = (
-        ("normal_form_identity", nf_ok),
-        ("left_factor", SymbolSum.of(d_term)),
-        ("right_factor", SymbolSum.of(e_term)),
-        ("extension_kind", split_tensor.get("extension_kind") if split_tensor else None),
-        ("extension_rhs", split_tensor.get("extension_rhs") if split_tensor else None),
-        ("division_toggle", division_leg.status),
-        ("split_toggle", split_tensor.status if split_tensor else None),
-    )
-    params = (("variant", variant), ("p", p))
+    payload = {
+        "normal_form_identity": nf_ok,
+        "left_factor": SymbolSum.of(d_term),
+        "right_factor": SymbolSum.of(e_term),
+        "extension_kind": split_tensor.get("extension_kind") if split_tensor else None,
+        "extension_rhs": split_tensor.get("extension_rhs") if split_tensor else None,
+        "division_toggle": division_leg.status,
+        "split_toggle": split_tensor.status if split_tensor else None,
+    }
+    params = {"variant": variant, "p": p}
     certs = (d_cert, division_leg, split_leg)
     return Verdict("prop71", VERIFIED if ok else NOT_CERTIFIED, params, payload, certs)
 
@@ -514,7 +511,7 @@ def verify_lemma72(part: int, p: int) -> Verdict:
     if part not in (1, 2):
         raise UnsupportedConfiguration(f"part must be 1 or 2, got {part}")
     tower = FieldTower(GroundField(p), ("d", "c"))
-    params = (("part", part), ("p", p))
+    params = {"part": part, "p": p}
     cinv = FormalElement.symbol(p, "c", -1)
     dinv = FormalElement.symbol(p, "d", -1)
     if part == 1:
@@ -533,14 +530,14 @@ def verify_lemma72(part: int, p: int) -> Verdict:
             and field_w.minimum == field_w.closed_form == expected_field
             and obstruction
         )
-        payload = (
-            ("algebra_trace_value", algebra_w.minimum),
-            ("algebra_trace_closed_form", algebra_w.closed_form),
-            ("field_trace_value", field_w.minimum),
-            ("field_trace_closed_form", field_w.closed_form),
-            ("subfield_obstruction", obstruction),
-            ("conclusion", "NotSubfield" if obstruction else None),
-        )
+        payload = {
+            "algebra_trace_value": algebra_w.minimum,
+            "algebra_trace_closed_form": algebra_w.closed_form,
+            "field_trace_value": field_w.minimum,
+            "field_trace_closed_form": field_w.closed_form,
+            "subfield_obstruction": obstruction,
+            "conclusion": "NotSubfield" if obstruction else None,
+        }
         return Verdict(
             "lemma72", VERIFIED if ok else NOT_CERTIFIED, params, payload, (ind,)
         )
@@ -552,15 +549,15 @@ def verify_lemma72(part: int, p: int) -> Verdict:
     shift_ok = shifted == FormalElement.symbol(p, root, -1)
     cert = symbol_division(symbol(p, shifted, mapper(FormalElement.symbol(p, "c"))), rebased)
     ok = shift_ok and cert.ok
-    payload = (
-        ("rebased_variable", "d"),
-        ("root_name", root),
-        ("shift_witness", witness),
-        ("shifted_slot", shifted),
-        ("division_route", cert.get("route") if cert.ok else None),
-        ("value_group", cert.get("value_group") if cert.ok else None),
-        ("conclusion", "NotSubfield" if ok else None),
-    )
+    payload = {
+        "rebased_variable": "d",
+        "root_name": root,
+        "shift_witness": witness,
+        "shifted_slot": shifted,
+        "division_route": cert.get("route") if cert.ok else None,
+        "value_group": cert.get("value_group") if cert.ok else None,
+        "conclusion": "NotSubfield" if ok else None,
+    }
     return Verdict(
         "lemma72", VERIFIED if ok else NOT_CERTIFIED, params, payload, (cert,)
     )
@@ -636,7 +633,7 @@ def _refuting_peel(
     d_term: SymbolTerm,
     e_term: SymbolTerm,
     chain: RewriteChain,
-) -> tuple[bool, Certificate, tuple[tuple[str, object], ...]]:
+) -> tuple[bool, Certificate, dict[str, object]]:
     """Peel where the extended residue symbol provably vanishes.
 
     Every structural peel condition must hold, the residue tensor must
@@ -647,7 +644,7 @@ def _refuting_peel(
     """
     d_cert = symbol_division(d_term, tower, 1)
     peel = morandi_step(tower, 1, SymbolSum.of(d_term), e_term, d_cert, "split")
-    conditions = dict(peel.get("conditions"))
+    conditions = peel.get("conditions")
     tensor = peel.find("residue-tensor")
     structural = all(
         flag for name, flag in conditions.items() if name != "residue-tensor-division"
@@ -669,13 +666,13 @@ def _refuting_peel(
     except UnsupportedConfiguration:
         proves = False
     ok = d_cert.ok and structural and shape_ok and ext_ok and start_ok and proves
-    detail = (
-        ("structural_conditions", structural),
-        ("chain_extension_matches", ext_ok),
-        ("chain_start_matches", start_ok),
-        ("chain_proves_zero", proves),
-        ("chain_steps", tuple(step.rule for step in chain.steps)),
-    )
+    detail = {
+        "structural_conditions": structural,
+        "chain_extension_matches": ext_ok,
+        "chain_start_matches": start_ok,
+        "chain_proves_zero": proves,
+        "chain_steps": tuple(step.rule for step in chain.steps),
+    }
     return ok, peel, detail
 
 
@@ -694,7 +691,7 @@ def verify_example73(part: int, p: int) -> Verdict:
     if part not in (1, 2):
         raise UnsupportedConfiguration(f"part must be 1 or 2, got {part}")
     tower = FieldTower(GroundField(p), ("d", "c", "t"))
-    params = (("part", part), ("p", p))
+    params = {"part": part, "p": p}
     cinv = FormalElement.symbol(p, "c", -1)
     dinv = FormalElement.symbol(p, "d", -1)
     t = FormalElement.symbol(p, "t")
@@ -734,18 +731,18 @@ def verify_example73(part: int, p: int) -> Verdict:
     obstruction = division_nf and d_cert.ok and division_peel.ok
     non_division = split_nf and split_ok
     ok = obstruction and scalar_nf and non_division
-    payload = (
-        ("left_right_division", division_peel.status),
-        ("division_decomposition", division_nf),
-        ("division_residue_shape", division_tensor.get("shape") if division_tensor else None),
-        ("scalar_relation", scalar_nf),
-        ("scalar_factor", 2),
-        ("split_decomposition", split_nf),
-        ("tensor_non_division", non_division),
-        *split_detail,
-        ("pair_first_third", "NoCommonMaximalSubfield" if obstruction else None),
-        ("pair_second_third", "NoCommonMaximalSubfield" if ok else None),
-    )
+    payload = {
+        "left_right_division": division_peel.status,
+        "division_decomposition": division_nf,
+        "division_residue_shape": division_tensor.get("shape") if division_tensor else None,
+        "scalar_relation": scalar_nf,
+        "scalar_factor": 2,
+        "split_decomposition": split_nf,
+        "tensor_non_division": non_division,
+        **split_detail,
+        "pair_first_third": "NoCommonMaximalSubfield" if obstruction else None,
+        "pair_second_third": "NoCommonMaximalSubfield" if ok else None,
+    }
     certs = (d_cert, division_peel, split_peel)
     return Verdict(
         "example73", VERIFIED if ok else NOT_CERTIFIED, params, payload, certs

@@ -63,7 +63,7 @@ def test_ac2_value_groups():
         elapsed = time.perf_counter() - started
         worst = max(worst, elapsed)
         assert verdict.result == "Verified", (n, p)
-        for name, (group, expected, match) in verdict.get("members"):
+        for name, (group, expected, match) in verdict.get("members").items():
             assert match, (n, p, name)
             assert group == expected
         assert verdict.get("index_each") == p ** (2 * n - 2)

@@ -442,7 +442,7 @@ class TestPeeling:
         d_cert = chain_division(d_word, t)
         step = morandi_step(t, 2, d_word, e, d_cert)
         assert step.ok
-        names = [name for name, _ in step.get("conditions")]
+        names = list(step.get("conditions"))
         assert names == [
             "left-division",
             "left-defectless",
@@ -555,6 +555,7 @@ class TestTraceZeroClasses:
             pairs=(),
             base_group=base,
             value_group=Lattice.diagonal([Fraction(1, p * p), Fraction(1, p)]),
+            ram_index=p**3,
         )
         assert base.order_of_class(data.natural_values()[0]) == p * p
         with pytest.raises(UnsupportedConfiguration, match="order"):

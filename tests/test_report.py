@@ -39,9 +39,15 @@ class TestEncode:
         enc = encode(Lattice.diagonal([Fraction(1, 2), Fraction(1, 3)]))
         assert enc == {"denominator": 6, "rows": [[3, 0], [0, 2]]}
 
-    def test_string_keyed_pair_tuples_become_objects(self):
+    def test_dicts_become_objects_in_insertion_order(self):
+        enc = encode({"beta": (1, 2), "alpha": {"z": 1, "a": 2}})
+        assert enc == {"beta": [1, 2], "alpha": {"z": 1, "a": 2}}
+        assert list(enc) == ["beta", "alpha"]
+        assert list(enc["alpha"]) == ["z", "a"]
+
+    def test_string_keyed_pair_tuples_stay_lists(self):
         enc = encode((("alpha", 1), ("beta", (1, 2))))
-        assert enc == {"alpha": 1, "beta": [1, 2]}
+        assert enc == [["alpha", 1], ["beta", [1, 2]]]
 
     def test_other_tuples_stay_lists(self):
         assert encode(((1, "a"), (2, "b"))) == [[1, "a"], [2, "b"]]

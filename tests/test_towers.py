@@ -287,6 +287,14 @@ def test_residue_tower_recertifies_surviving_generators():
     assert generator_value(res.spec(), "y") == V(F(1, 3))
 
 
+def test_residue_artin_schreier_of_positive_value_is_not_recertified():
+    # x^p - x = u splits over k((u)) by Hensel's lemma, so a positive
+    # residual value certifies a p-th root but never an Artin-Schreier root
+    gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": 1}), "ramified")
+    with pytest.raises(UnsupportedConfiguration, match="degree p"):
+        tower3("u", "w", gens=(gx,)).spec(1).residue_tower()
+
+
 def test_rebase_pth_root():
     t = adjoin_artin_schreier(
         tower3("u", "w"), "g", mono(3, {"u": -1, "w": -1})
