@@ -5,7 +5,9 @@ Usage: python3 scripts/run_corpus.py [DIR]
 
 Runs each file through the CLI in-process with --format json, checks
 the reported result against the scenario's `expect` line, and prints
-one line per file.  Exits 1 on any mismatch.
+one line per file.  An unreadable scenario, a run that writes no
+report and a report whose exit code differs from the one the CLI
+returned are mismatches too.  Exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -19,19 +21,29 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from brauerval.cli import main as cli_main
+from brauerval.errors import ScenarioError
 from brauerval.scenario import load_scenario
 
 
 def replay(path: pathlib.Path) -> tuple[bool, str, str, float]:
-    scenario = load_scenario(str(path))
+    try:
+        scenario = load_scenario(str(path))
+    except ScenarioError as err:
+        return False, "a readable scenario", f"error: {err}", 0.0
     expected = scenario.expect or "Verified"
     with tempfile.NamedTemporaryFile(suffix=".json", mode="r") as out:
         started = time.perf_counter()
-        cli_main(
+        code = cli_main(
             [scenario.task, "--scenario", str(path), "--format", "json", "--out", out.name]
         )
         elapsed = time.perf_counter() - started
-        got = json.load(open(out.name))["result"]
+        text = out.read()
+    if not text:
+        return False, expected, f"exit {code}, no report", elapsed
+    report = json.loads(text)
+    got = report["result"]
+    if code != report["exit_code"]:
+        return False, expected, f"{got}, exit {code} != {report['exit_code']}", elapsed
     return got == expected, expected, got, elapsed
 
 

@@ -20,7 +20,7 @@ from .division import (
     trace_zero_value_classes,
 )
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
-from .lattices import Lattice, ValueVector, enumerate_overlattices, modp_image_rank
+from .lattices import Lattice, ValueVector, enumerate_overlattices
 from .report import Report, emit_report, render_json, render_text
 from .scenario import Scenario, load_scenario, parse_scenario
 from .symbols import (
@@ -86,7 +86,6 @@ __all__ = [
     "family_size_formula",
     "independence_division",
     "load_scenario",
-    "modp_image_rank",
     "morandi_step",
     "norm_element_oracle",
     "normal_form",

@@ -4,7 +4,8 @@ The first argument names the verification task; parameters come from
 flags or from a scenario file (flags win on conflict).  Exit status
 encodes the verdict: 0 Verified, 1 Refuted, 2 Inconclusive or
 NotCertified, 3 a problem with the input itself or with writing the
-report.
+report, 4 an internal error (a failed assertion or any other
+unexpected exception), with no report written.
 """
 
 from __future__ import annotations
@@ -198,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, EngineError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -206,11 +206,17 @@ def algebra_value_data(
 
 
 def class_representative(base: Lattice, vec: ValueVector) -> ValueVector:
-    """Canonical representative of vec modulo base, inside the unit box."""
-    rep = ValueVector.zero(base.dim)
-    for c, b in zip(base.rational_coords(vec), base.basis):
-        rep = rep + b.scale(c - c.numerator // c.denominator)
-    return rep
+    """Canonical representative of vec modulo base, inside the unit box.
+
+    With vec = sum (a_i/m) b_i over the basis b_i = rows[i]/denominator,
+    the representative keeps each coefficient mod 1: sum (a_i % m) b_i / m.
+    """
+    nums, m = base.scaled_coords(vec)
+    den = m * base.denominator
+    return ValueVector(tuple(
+        Fraction(sum((a % m) * row[j] for a, row in zip(nums, base.rows)), den)
+        for j in range(base.dim)
+    ))
 
 
 def independence_division(data: AlgebraValueData) -> Certificate:
@@ -222,7 +228,8 @@ def independence_division(data: AlgebraValueData) -> Certificate:
     which has no zero divisors; the word is then division and totally
     ramified with the constructed value group.
 
-    A class modulo the base group is read as the base coordinates mod 1,
+    A class modulo the base group is read as the base coordinates a/m
+    mod 1, from integer back-substitution (Lattice.scaled_coords) and
     held as integers over one common denominator, so the box of
     exponents 0 <= s, t < p is summed on integer tuples.  Composite
     values can have order p^2, so the box need not be a subgroup; its
@@ -232,11 +239,11 @@ def independence_division(data: AlgebraValueData) -> Certificate:
     p = data.degree
     if data.dim > MAX_CLASS_WORK:
         raise UnsupportedConfiguration("class enumeration exceeds the work bound")
-    coords = [data.base_group.rational_coords(v) for v in data.basis_values()]
-    den = lcm(*(c.denominator for row in coords for c in row))
+    coords = [data.base_group.scaled_coords(v) for v in data.basis_values()]
+    den = lcm(*(m for _, m in coords))
     seen = {(0,) * data.depth}
-    for row in coords:
-        step = [c.numerator * (den // c.denominator) for c in row]
+    for nums, m in coords:
+        step = [a * (den // m) for a in nums]
         multiples = [tuple(e * a % den for a in step) for e in range(p)]
         seen = {
             tuple((x + y) % den for x, y in zip(s, m)) for s in seen for m in multiples

@@ -4,8 +4,8 @@ Value groups of the algebras we certify are finitely generated subgroups
 of Q^n that contain Z^n.  This module gives them a canonical form (a
 lower triangular Hermite basis over a minimal common denominator) plus
 the handful of operations the verification layer needs: intersection,
-index, duals, mod-p image ranks and exhaustive enumeration of the
-overlattices of Z^n of bounded exponent.
+index, duals and exhaustive enumeration of the overlattices of Z^n of
+bounded exponent.
 
 Coordinates are ordered innermost first.  The valuation on an iterated
 Laurent series field compares the *outermost* variable first, so the
@@ -238,13 +238,7 @@ class Lattice:
             ValueVector(tuple(Fraction(x, d) for x in row)) for row in self.rows
         )
 
-    def determinant(self) -> Fraction:
-        det = Fraction(1)
-        for i in range(self.dim):
-            det *= Fraction(self.rows[i][i], self.denominator)
-        return det
-
-    def _scaled_coords(self, vec: ValueVector) -> tuple[list[int], int]:
+    def scaled_coords(self, vec: ValueVector) -> tuple[list[int], int]:
         """Integers a and m > 0 with a/m the coefficients of vec in the basis.
 
         Back-substitution on the integer rows from the last coordinate;
@@ -271,39 +265,36 @@ class Lattice:
                 residual[j] -= a * row[j]
         return nums, m
 
-    def rational_coords(self, vec: ValueVector) -> tuple[Fraction, ...]:
-        """Coefficients of vec in the basis, solved from the last coordinate."""
-        nums, m = self._scaled_coords(vec)
-        return tuple(Fraction(a, m) for a in nums)
-
     def coords_of(self, vec: ValueVector) -> tuple[int, ...]:
-        nums, m = self._scaled_coords(vec)
+        nums, m = self.scaled_coords(vec)
         if any(a % m for a in nums):
             raise MembershipError(f"{vec} is not in the lattice")
         return tuple(a // m for a in nums)
 
     def contains(self, vec: ValueVector) -> bool:
-        nums, m = self._scaled_coords(vec)
+        nums, m = self.scaled_coords(vec)
         return not any(a % m for a in nums)
 
     def contains_lattice(self, other: Lattice) -> bool:
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
-        return all(self.contains(v) for v in other.basis)
+        return self.sum_with(other) == self
 
     def order_of_class(self, vec: ValueVector) -> int:
         """Order of vec in Q^dim modulo this lattice (1 if vec lies in it)."""
-        nums, m = self._scaled_coords(vec)
+        nums, m = self.scaled_coords(vec)
         return m // gcd(m, *nums)
 
     def index_over(self, sub: Lattice) -> int:
-        """[self : sub] for a full-rank sublattice, by determinant ratio."""
+        """[self : sub] for a full-rank sublattice, by the ratio of the diagonals."""
         if not self.contains_lattice(sub):
             raise NonContainment("index requested over a non-sublattice")
-        ratio = sub.determinant() / self.determinant()
-        if ratio.denominator != 1:
-            raise NonContainment("determinant ratio is not an integer")
-        return int(ratio)
+        n = self.dim
+        index, rem = divmod(
+            prod(sub.rows[i][i] for i in range(n)) * self.denominator**n,
+            prod(self.rows[i][i] for i in range(n)) * sub.denominator**n,
+        )
+        if rem:
+            raise NonContainment("diagonal ratio is not an integer")
+        return index
 
     def sum_with(self, other: Lattice) -> Lattice:
         if other.dim != self.dim:
@@ -315,9 +306,7 @@ class Lattice:
 
     def dual(self) -> Lattice:
         """{y : <x, y> in Z for all x in self}: the columns of (rows/denominator)^-1."""
-        det = 1
-        for i in range(self.dim):
-            det *= self.rows[i][i]
+        det = prod(self.rows[i][i] for i in range(self.dim))
         cols = _scaled_inverse_columns(self.rows, det)
         return Lattice._from_integer_rows(
             self.dim, det, [[self.denominator * x for x in col] for col in cols]
@@ -352,14 +341,6 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
         if row == len(mat):
             break
     return rank
-
-
-def modp_image_rank(vectors: list[ValueVector], lattice: Lattice, p: int) -> int:
-    """Rank over F_p of the images of the vectors in lattice / p * lattice."""
-    if not vectors:
-        return 0
-    coord_rows = [list(lattice.coords_of(v)) for v in vectors]
-    return _rank_mod_p(coord_rows, p)
 
 
 def _log_exact(q: int, p: int) -> int:

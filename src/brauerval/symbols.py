@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedConfiguration, ZeroElement
-from .lattices import Lattice, ValueVector, _rank_mod_p
+from .lattices import _rank_mod_p
 from .towers import (
     PTH_ROOT,
     FieldTower,
@@ -139,27 +139,6 @@ def scalar_power(s: SymbolSum, k: int) -> SymbolSum:
         if not t.slot1.scale(k).is_zero()
     )
     return SymbolSum(s.degree, terms)
-
-
-def wedge_class(
-    v1: ValueVector, v2: ValueVector, lattice: Lattice, p: int
-) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Coefficients of the wedge of two lattice vectors mod p.
-
-    Both vectors must lie in the lattice; the result lists the nonzero
-    coefficients of v1 ^ v2 in the basis e_k ^ e_l (k < l) of the
-    exterior square of lattice / p * lattice.  Empty means the images
-    are dependent mod p.
-    """
-    a = [c % p for c in lattice.coords_of(v1)]
-    b = [c % p for c in lattice.coords_of(v2)]
-    out = []
-    for k in range(len(a)):
-        for l in range(k + 1, len(a)):
-            c = (a[k] * b[l] - a[l] * b[k]) % p
-            if c:
-                out.append(((k, l), c))
-    return tuple(out)
 
 
 # ------------------------------------------------------------- rewriting

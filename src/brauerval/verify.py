@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .division import (
     Certificate,
@@ -38,7 +39,7 @@ from .division import (
 from .division import CERTIFIED as CERT_OK
 from .division import REFUTED as CERT_REFUTED
 from .errors import UnsupportedConfiguration
-from .lattices import Lattice, ValueVector, enumerate_overlattices, modp_image_rank
+from .lattices import Lattice, ValueVector, _rank_mod_p, enumerate_overlattices
 from .symbols import (
     RewriteChain,
     RewriteStep,
@@ -48,7 +49,6 @@ from .symbols import (
     normal_form,
     scalar_power,
     symbol,
-    wedge_class,
 )
 from .towers import (
     FieldTower,
@@ -379,6 +379,23 @@ def verify_count_identities(
 # ------------------------------------------------------------- lattices
 
 
+def _dual_rows(lat: Lattice) -> tuple[tuple[int, ...], ...]:
+    """Integer Hermite rows of S = L*, which lies in Z^n because Z^n lies in L."""
+    dual = lat.dual()
+    assert dual.denominator == 1, f"Z^{lat.dim} is not inside {lat}"
+    return dual.rows
+
+
+def _first_independent_pair(
+    s: tuple[tuple[int, ...], ...], p: int
+) -> tuple[int, int] | None:
+    """First (k, l), numbered from 1, whose columns of s are independent mod p."""
+    for k, l in itertools.combinations(range(len(s)), 2):
+        if _rank_mod_p([[row[k], row[l]] for row in s], p) == 2:
+            return (k + 1, l + 1)
+    return None
+
+
 def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     """Pigeonhole over every admissible over-lattice, plus the upper witness.
 
@@ -387,7 +404,12 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     L/pL, so some pair has a nonvanishing wedge: two of the defining
     value classes stay independent.  Upper witness: over
     (1/p)Z^(n-1) x Z the rank drops to 1 and every wedge dies.
-    max_work bounds the closed-form overlattice count, checked before
+
+    The rank, the first witness pair and the index [L : Z^n] are all
+    read off the integer Hermite rows of S = L*: in the basis of L dual
+    to those rows, e_k has coordinates column k of S, and rank and
+    pairwise independence mod p survive a change of basis.  max_work
+    bounds the closed-form overlattice count, checked before
     the enumeration starts (EnumerationBound).
     """
     _require_prime(p)
@@ -396,32 +418,22 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
         raise UnsupportedConfiguration("need at least two Laurent variables")
     q = p ** (n - 2)
     lattices = enumerate_overlattices(n, p, q, bound=max_work)
-    units = [ValueVector.unit(n, k) for k in range(n)]
     min_rank = None
     failures = []
     witnesses = []
     for lat in lattices:
-        rank = modp_image_rank(units, lat, p)
+        s = _dual_rows(lat)
+        rank = _rank_mod_p(s, p)
         min_rank = rank if min_rank is None else min(min_rank, rank)
-        pair = None
-        for k in range(n):
-            for l in range(k + 1, n):
-                if wedge_class(units[k], units[l], lat, p):
-                    pair = (k + 1, l + 1)
-                    break
-            if pair:
-                break
+        pair = _first_independent_pair(s, p)
         if rank < 2 or pair is None:
             failures.append(lat)
         else:
-            witnesses.append((lat.index_over(Lattice.integers(n)), pair))
+            witnesses.append((prod(s[i][i] for i in range(n)), pair))
     upper = Lattice.diagonal([Fraction(1, p)] * (n - 1) + [Fraction(1)])
-    upper_rank = modp_image_rank(units, upper, p)
-    upper_wedges_vanish = all(
-        not wedge_class(units[k], units[l], upper, p)
-        for k in range(n)
-        for l in range(k + 1, n)
-    )
+    s = _dual_rows(upper)
+    upper_rank = _rank_mod_p(s, p)
+    upper_wedges_vanish = _first_independent_pair(s, p) is None
     ok = not failures and upper_rank <= 1 and upper_wedges_vanish
     payload = {
         "lattice_count": len(lattices),

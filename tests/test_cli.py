@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from brauerval import cli
 from brauerval.cli import main
 from brauerval.scenario import TASKS
 
@@ -82,6 +83,15 @@ class TestExitCodes:
         assert err.startswith("error: cannot write report")
         assert err.count("\n") == 1
 
+    def test_internal_error_is_four(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("enumerated 3 lattices, expected 4")
+
+        monkeypatch.setattr(cli, "verify_char_not_p", broken)
+        code, out, err = run(capsys, "char-not-p", "--n", "3", "--p", "2")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: AssertionError: enumerated 3 lattices, expected 4\n"
 
     def test_help_lists_every_task(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +24,8 @@ from brauerval.errors import (
 from brauerval.lattices import (
     Lattice,
     ValueVector,
+    _rank_mod_p,
     enumerate_overlattices,
-    modp_image_rank,
     overlattice_count,
 )
 
@@ -263,9 +263,14 @@ def test_index_examples():
         zn.index_over(lat)
 
 
-def test_determinant():
-    lat = Lattice.diagonal([F(1, 2), F(1, 4)])
-    assert lat.determinant() == F(1, 8)
+def test_index_over_fractional_lattices():
+    # both denominators above 1, so the diagonal ratio needs both scales
+    assert Lattice.diagonal([F(1, 4), F(1, 2)]).index_over(Lattice.diagonal([F(1, 2), 1])) == 4
+    half = Lattice.from_generators(2, [V(F(1, 2), F(1, 2))])
+    assert Lattice.diagonal([F(1, 4), F(1, 4)]).index_over(half) == 8
+    # equal covolumes, yet neither contains the other
+    with pytest.raises(NonContainment):
+        Lattice.diagonal([F(1, 2), 1]).index_over(Lattice.diagonal([1, F(1, 2)]))
 
 
 # --------------------------------------------------- duals, intersections
@@ -320,6 +325,17 @@ def test_intersection_properties_dim3(a, b):
     assert meet.contains_lattice(Lattice.integers(3))
     assert b.intersect(a) == meet
     assert a.intersect(a) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(overlattices(3), overlattices(3))
+def test_containment_and_index_match_fraction_oracles(a, b):
+    def covolume(lat):
+        return prod(F(lat.rows[i][i], lat.denominator) for i in range(lat.dim))
+
+    assert a.contains_lattice(b) == all(a.contains(v) for v in b.basis)
+    meet = a.intersect(b)
+    assert a.index_over(meet) == covolume(meet) / covolume(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,7 +402,8 @@ def lattice_and_vector(draw):
 def test_integer_coords_match_fraction_oracle(case):
     lat, vec, coeffs = case
     want = fraction_coords_oracle(lat, vec)
-    assert lat.rational_coords(vec) == want
+    nums, m = lat.scaled_coords(vec)
+    assert tuple(F(a, m) for a in nums) == want
     inside = all(c.denominator == 1 for c in want)
     assert lat.contains(vec) == inside
     assert lat.order_of_class(vec) == lcm(*(c.denominator for c in want))
@@ -401,26 +418,23 @@ def test_integer_coords_match_fraction_oracle(case):
 
 def test_coords_reject_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        Lattice.integers(2).rational_coords(V(1, 2, 3))
+        Lattice.integers(2).scaled_coords(V(1, 2, 3))
     with pytest.raises(DimensionMismatch):
         Lattice.integers(2).contains(V(1))
 
 
-def test_modp_image_rank_examples():
-    lat = Lattice.diagonal([F(1, 2), 1, 1])
-    basis = [ValueVector.unit(3, i) for i in range(3)]
-    # e_0 = 2 * (1/2 e_0) dies mod 2, the other two survive
-    assert modp_image_rank(basis, lat, 2) == 2
-    assert modp_image_rank(basis, Lattice.integers(3), 2) == 3
-    assert modp_image_rank(basis, Lattice.diagonal([F(1, 2), F(1, 2), F(1, 2)]), 2) == 0
-    assert modp_image_rank([], lat, 2) == 0
-    half = Lattice.from_generators(2, [V(F(1, 2), F(1, 2))])
-    assert modp_image_rank([V(1, 0), V(0, 1)], half, 2) == 1
-
-
-def test_modp_image_rank_requires_membership():
-    with pytest.raises(MembershipError):
-        modp_image_rank([V(F(1, 2), 0)], Lattice.integers(2), 2)
+def test_unit_rank_reads_off_the_dual():
+    """For Z^n <= L, the rank of the e_k in L/pL is rank(L* mod p)."""
+    for lat, rank in [
+        # e_0 = 2 * (1/2 e_0) dies mod 2, the other two survive
+        (Lattice.diagonal([F(1, 2), 1, 1]), 2),
+        (Lattice.integers(3), 3),
+        (Lattice.diagonal([F(1, 2), F(1, 2), F(1, 2)]), 0),
+        (Lattice.from_generators(2, [V(F(1, 2), F(1, 2))]), 1),
+    ]:
+        units = [lat.coords_of(ValueVector.unit(lat.dim, k)) for k in range(lat.dim)]
+        assert _rank_mod_p(units, 2) == rank
+        assert _rank_mod_p(lat.dual().rows, 2) == rank
 
 
 # ------------------------------------------------------------ enumeration

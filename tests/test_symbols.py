@@ -1,15 +1,12 @@
-"""Normal forms, scalar multiples, wedges, and certified rewrite chains."""
+"""Normal forms, scalar multiples, and certified rewrite chains."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerval.errors import UnsupportedConfiguration, ZeroElement
-from brauerval.lattices import Lattice, ValueVector
 from brauerval.symbols import (
     RewriteChain,
     RewriteStep,
@@ -19,7 +16,6 @@ from brauerval.symbols import (
     normal_form,
     scalar_power,
     symbol,
-    wedge_class,
 )
 from brauerval.towers import (
     FieldTower,
@@ -29,9 +25,6 @@ from brauerval.towers import (
     adjoin_pth_root,
     reduce_generator_powers,
 )
-
-F = Fraction
-V = ValueVector.of
 
 
 def mono(names, coeff=1, char=3):
@@ -123,33 +116,6 @@ def test_scalar_power_matches_repeated_sum(s):
     assert normal_form(scalar_power(s, 2)) == normal_form(s + s)
     assert scalar_power(s, 3).is_zero_sum()
     assert normal_form(scalar_power(s, -1) + s).is_zero_sum()
-
-
-# ----------------------------------------------------------------- wedge
-
-
-def test_wedge_class_examples():
-    z2 = Lattice.integers(2)
-    assert wedge_class(V(1, 0), V(0, 1), z2, 2) == (((0, 1), 1),)
-    assert wedge_class(V(0, 1), V(1, 0), z2, 2) == (((0, 1), 1),)
-    assert wedge_class(V(1, 1), V(1, 1), z2, 3) == ()
-    # images dependent once the lattice absorbs a p-th of both
-    lat = Lattice.diagonal([F(1, 3), F(1, 3), 1])
-    assert wedge_class(V(1, 0, 0), V(0, 1, 0), lat, 3) == ()
-    assert wedge_class(V(1, 0, 0), V(0, 0, 1), Lattice.integers(3), 3) == (
-        ((0, 2), 1),
-    )
-
-
-def test_wedge_antisymmetry():
-    lat = Lattice.integers(3)
-    a, b = V(1, 2, 0), V(0, 1, 1)
-    fwd = dict(wedge_class(a, b, lat, 5))
-    bwd = dict(wedge_class(b, a, lat, 5))
-    assert set(fwd) == set(bwd)
-    for k, c in fwd.items():
-        assert (c + bwd[k]) % 5 == 0
-    assert wedge_class(a, a, lat, 5) == ()
 
 
 # -------------------------------------------------------- rewrite chains

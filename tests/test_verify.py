@@ -10,7 +10,7 @@ import pytest
 
 import brauerval.verify as verify_mod
 from brauerval.errors import EnumerationBound, UnsupportedConfiguration
-from brauerval.lattices import Lattice, ValueVector
+from brauerval.lattices import Lattice, ValueVector, enumerate_overlattices
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import FormalElement
 from brauerval.verify import (
@@ -43,6 +43,52 @@ def brute_family_size(n: int, p: int) -> int:
         if d[-2:] != (0,) * 2
     )
     return (n - 2) + twists
+
+
+def char_not_p_oracle(n: int, p: int) -> dict:
+    """The char-not-p payload read on the Lattice side, by brute force.
+
+    Each e_k is written in the Hermite basis of L and reduced mod p.  The
+    rank is log_p of the size of their F_p-span, counted over every
+    combination; the witness pair is the first (k, l) with a 2x2 minor
+    that is nonzero mod p; the index is [L : Z^n].
+    """
+    units = [ValueVector.unit(n, k) for k in range(n)]
+    zn = Lattice.integers(n)
+
+    def read(lat: Lattice) -> tuple[int, tuple[int, int] | None]:
+        coords = [[c % p for c in lat.coords_of(e)] for e in units]
+        span = {
+            tuple(sum(a * row[j] for a, row in zip(comb, coords)) % p for j in range(n))
+            for comb in itertools.product(range(p), repeat=n)
+        }
+        rank = next(r for r in range(n + 1) if p**r == len(span))
+        pair = next(
+            (
+                (k + 1, l + 1)
+                for k, l in itertools.combinations(range(n), 2)
+                if any(
+                    (coords[k][i] * coords[l][j] - coords[k][j] * coords[l][i]) % p
+                    for i, j in itertools.combinations(range(n), 2)
+                )
+            ),
+            None,
+        )
+        return rank, pair
+
+    ranks, witnesses = [], []
+    for lat in enumerate_overlattices(n, p, p ** (n - 2)):
+        rank, pair = read(lat)
+        ranks.append(rank)
+        if rank >= 2 and pair is not None:
+            witnesses.append((lat.index_over(zn), pair))
+    upper_rank, upper_pair = read(Lattice.diagonal([Fraction(1, p)] * (n - 1) + [1]))
+    return {
+        "min_unit_rank": min(ranks),
+        "wedge_witnesses": tuple(witnesses),
+        "upper_unit_rank": upper_rank,
+        "upper_wedges_vanish": upper_pair is None,
+    }
 
 
 class TestFamily:
@@ -194,6 +240,12 @@ class TestCharNotP:
         assert v.get("min_unit_rank") >= 2
         assert v.get("upper_unit_rank") <= 1
         assert v.get("upper_wedges_vanish")
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
+    def test_matches_lattice_side_oracle(self, n, p):
+        v = verify_char_not_p(n, p)
+        want = char_not_p_oracle(n, p)
+        assert {key: v.get(key) for key in want} == want
 
     def test_enumeration_bound_propagates(self):
         with pytest.raises(EnumerationBound):
