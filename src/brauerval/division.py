@@ -311,7 +311,6 @@ def symbol_division(
     it is the caller's stated assumption and is recorded as such.
     """
     spec = tower.spec(tower.depth if depth is None else depth)
-    p = tower.char
     if term.slot1.is_zero():
         return Certificate(
             "symbol-division",
@@ -330,9 +329,17 @@ def symbol_division(
                 "reason": "slot1 has positive value, the equation splits",
             },
         )
-    word = SymbolSum.of(term)
-    data = algebra_value_data(word, tower, spec.depth)
+    data = algebra_value_data(SymbolSum.of(term), tower, spec.depth)
+    return _symbol_division_route(data, spec, residue_hypothesis)
+
+
+def _symbol_division_route(
+    data: AlgebraValueData, spec: ValuationSpec, residue_hypothesis: str | None
+) -> Certificate:
+    """symbol_division past its hensel-split guards, on the symbol's value data."""
+    p = data.degree
     f = data.factors[0]
+    term = f.term
 
     if not f.slot1_residual and not f.slot2_residual:
         child = independence_division(data)
@@ -692,7 +699,7 @@ def morandi_step(
     defectless = d_data.ram_index * f_d == d_data.dim
     conditions["left-defectless"] = defectless
 
-    e_cert = symbol_division(e_term, tower, depth, residue_hypothesis)
+    e_cert = _symbol_division_route(e_data, spec, residue_hypothesis)
     children.append(e_cert)
     conditions["right-division"] = e_cert.ok
 

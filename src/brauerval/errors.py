@@ -20,10 +20,6 @@ class NonContainment(EngineError):
     """An index or quotient was requested for lattices without containment."""
 
 
-class MembershipError(EngineError):
-    """A vector expected to lie in a lattice does not."""
-
-
 class EnumerationBound(EngineError):
     """An enumeration would exceed the configured work bound."""
 

@@ -23,7 +23,6 @@ from math import gcd, lcm, prod
 from .errors import (
     DimensionMismatch,
     EnumerationBound,
-    MembershipError,
     NonContainment,
     UnsupportedConfiguration,
 )
@@ -265,12 +264,6 @@ class Lattice:
                 residual[j] -= a * row[j]
         return nums, m
 
-    def coords_of(self, vec: ValueVector) -> tuple[int, ...]:
-        nums, m = self.scaled_coords(vec)
-        if any(a % m for a in nums):
-            raise MembershipError(f"{vec} is not in the lattice")
-        return tuple(a // m for a in nums)
-
     def contains(self, vec: ValueVector) -> bool:
         nums, m = self.scaled_coords(vec)
         return not any(a % m for a in nums)
@@ -367,7 +360,7 @@ def overlattice_count(dim: int, p: int, q: int) -> int:
     return total
 
 
-def _scaled_inverse_columns(rows: list[list[int]], q: int) -> list[list[int]]:
+def _scaled_inverse_columns(rows: tuple[tuple[int, ...], ...], q: int) -> list[list[int]]:
     """Columns of X with rows @ X == q * I, rows lower triangular, exactly."""
     n = len(rows)
     cols = []
@@ -384,7 +377,7 @@ def _scaled_inverse_columns(rows: list[list[int]], q: int) -> list[list[int]]:
 
 def enumerate_overlattices(
     dim: int, p: int, max_index: int, bound: int = 1 << 24
-) -> list[Lattice]:
+) -> list[tuple[Lattice, tuple[tuple[int, ...], ...]]]:
     """All lattices L with Z^dim <= L <= (1/q) Z^dim and [L : Z^dim] | q.
 
     q = max_index must be a power of p.  L is reached through its dual
@@ -392,27 +385,34 @@ def enumerate_overlattices(
     over the lower Hermite forms with diagonal p^e (sum of e = j) and
     entries below the diagonal p^e_c of column c in range(p^e_c), and L
     is spanned by the columns of q * S^-1 over q.  Every form gives a
-    different valid L, so no candidate is rejected; the output is sorted
-    by index, then by canonical form.  Raises EnumerationBound, before
-    any lattice is built, if overlattice_count exceeds bound.
+    different valid L, so no candidate is rejected.  Each L comes paired
+    with the integer Hermite rows of its S, which equal L.dual().rows;
+    the pairs are sorted by index p^j, then by the canonical form of L.
+    Raises EnumerationBound, before any lattice is built, if
+    overlattice_count exceeds bound.
     """
     q = max_index
     expected = overlattice_count(dim, p, q)
     if expected > bound:
         raise EnumerationBound(f"overlattice count {expected} exceeds bound {bound}")
     k = _log_exact(q, p)
-    cells = [(i, c) for i in range(dim) for c in range(i)]
-    found: list[tuple[int, Lattice]] = []
-    for exps in itertools.product(range(k + 1), repeat=dim):
-        if sum(exps) > k:
-            continue
-        diag = [p**e for e in exps]
-        for off in itertools.product(*(range(diag[c]) for _, c in cells)):
-            rows = [[diag[i] if i == c else 0 for c in range(dim)] for i in range(dim)]
-            for (i, c), x in zip(cells, off):
-                rows[i][c] = x
-            cols = _scaled_inverse_columns(rows, q)
-            found.append((p ** sum(exps), Lattice._from_integer_rows(dim, q, cols)))
+    found: list[tuple[Lattice, tuple[tuple[int, ...], ...]]] = []
+    for j in range(k + 1):
+        bucket = []
+        for exps in itertools.product(range(j + 1), repeat=dim):
+            if sum(exps) != j:
+                continue
+            diag = [p**e for e in exps]
+            # row i's possible tuples, built once so the forms share them
+            row_choices = [
+                [off + (diag[i],) + (0,) * (dim - 1 - i)
+                 for off in itertools.product(*(range(diag[c]) for c in range(i)))]
+                for i in range(dim)
+            ]
+            for s in itertools.product(*row_choices):
+                cols = _scaled_inverse_columns(s, q)
+                bucket.append((Lattice._from_integer_rows(dim, q, cols), s))
+        bucket.sort(key=lambda t: (t[0].denominator, t[0].rows))
+        found += bucket
     assert len(found) == expected
-    found.sort(key=lambda t: (t[0], t[1].denominator, t[1].rows))
-    return [lat for _, lat in found]
+    return found

@@ -174,13 +174,6 @@ class RewriteChain:
     start: SymbolSum
     steps: tuple[RewriteStep, ...]
 
-    @property
-    def final(self) -> SymbolSum:
-        return self.steps[-1].after if self.steps else self.start
-
-    def proves_zero(self) -> bool:
-        return self.final.is_zero_sum()
-
 
 def _require_context_fixed(step: RewriteStep, removed: bool) -> SymbolTerm:
     """Other terms must match in order; returns the rewritten term."""

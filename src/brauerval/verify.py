@@ -379,13 +379,6 @@ def verify_count_identities(
 # ------------------------------------------------------------- lattices
 
 
-def _dual_rows(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    """Integer Hermite rows of S = L*, which lies in Z^n because Z^n lies in L."""
-    dual = lat.dual()
-    assert dual.denominator == 1, f"Z^{lat.dim} is not inside {lat}"
-    return dual.rows
-
-
 def _first_independent_pair(
     s: tuple[tuple[int, ...], ...], p: int
 ) -> tuple[int, int] | None:
@@ -406,11 +399,15 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     (1/p)Z^(n-1) x Z the rank drops to 1 and every wedge dies.
 
     The rank, the first witness pair and the index [L : Z^n] are all
-    read off the integer Hermite rows of S = L*: in the basis of L dual
-    to those rows, e_k has coordinates column k of S, and rank and
-    pairwise independence mod p survive a change of basis.  max_work
-    bounds the closed-form overlattice count, checked before
-    the enumeration starts (EnumerationBound).
+    read off the integer Hermite rows of S = L*, which the enumerator
+    hands out with each L: in the basis of L dual to those rows, e_k has
+    coordinates column k of S, and rank and pairwise independence mod p
+    survive a change of basis.  Each form must also meet the Smith-form
+    bound rank(S mod p) >= n - j, where p^j = [L : Z^n] = [Z^n : S] (at
+    most j elementary divisors of S are divisible by p); a form below it
+    means a wrong enumerator and fails an assertion.  max_work bounds
+    the closed-form overlattice count, checked before the enumeration
+    starts (EnumerationBound).
     """
     _require_prime(p)
     params = {"n": n, "p": p}
@@ -419,22 +416,23 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     q = p ** (n - 2)
     lattices = enumerate_overlattices(n, p, q, bound=max_work)
     min_rank = None
-    failures = []
+    all_witnessed = True
     witnesses = []
-    for lat in lattices:
-        s = _dual_rows(lat)
+    for _, s in lattices:
+        index = prod(s[i][i] for i in range(n))
         rank = _rank_mod_p(s, p)
+        assert p ** (n - rank) <= index, f"rank {rank} mod {p} breaks the Smith bound at {s}"
         min_rank = rank if min_rank is None else min(min_rank, rank)
         pair = _first_independent_pair(s, p)
         if rank < 2 or pair is None:
-            failures.append(lat)
+            all_witnessed = False
         else:
-            witnesses.append((prod(s[i][i] for i in range(n)), pair))
+            witnesses.append((index, pair))
     upper = Lattice.diagonal([Fraction(1, p)] * (n - 1) + [Fraction(1)])
-    s = _dual_rows(upper)
+    s = upper.dual().rows
     upper_rank = _rank_mod_p(s, p)
     upper_wedges_vanish = _first_independent_pair(s, p) is None
-    ok = not failures and upper_rank <= 1 and upper_wedges_vanish
+    ok = all_witnessed and upper_rank <= 1 and upper_wedges_vanish
     payload = {
         "lattice_count": len(lattices),
         "max_index": q,

@@ -163,7 +163,6 @@ def test_full_chain_slot1_split_norm_shift():
     )
     chain = RewriteChain(ell, start, steps)
     assert check_rewrite_chain(chain).is_zero_sum()
-    assert chain.proves_zero()
 
 
 def test_full_chain_self_slot_and_declared_root():

@@ -57,7 +57,11 @@ def char_not_p_oracle(n: int, p: int) -> dict:
     zn = Lattice.integers(n)
 
     def read(lat: Lattice) -> tuple[int, tuple[int, int] | None]:
-        coords = [[c % p for c in lat.coords_of(e)] for e in units]
+        coords = []
+        for e in units:
+            nums, m = lat.scaled_coords(e)
+            assert not any(a % m for a in nums), f"{e} is not in {lat}"
+            coords.append([a // m % p for a in nums])
         span = {
             tuple(sum(a * row[j] for a, row in zip(comb, coords)) % p for j in range(n))
             for comb in itertools.product(range(p), repeat=n)
@@ -77,7 +81,7 @@ def char_not_p_oracle(n: int, p: int) -> dict:
         return rank, pair
 
     ranks, witnesses = [], []
-    for lat in enumerate_overlattices(n, p, p ** (n - 2)):
+    for lat, _ in enumerate_overlattices(n, p, p ** (n - 2)):
         rank, pair = read(lat)
         ranks.append(rank)
         if rank >= 2 and pair is not None:
