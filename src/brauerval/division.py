@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .errors import EngineError, NonContainment, UnsupportedConfiguration, ZeroElement
@@ -105,15 +104,15 @@ class AlgebraValueData:
     pairs: tuple[tuple[int, int], ...]
     base_group: Lattice
     value_group: Lattice
-    ram_index: int
 
     @property
     def dim(self) -> int:
         return self.degree ** (2 * len(self.factors))
 
     @property
-    def totally_ramified(self) -> bool:
-        return self.ram_index == self.dim
+    def ram_index(self) -> int:
+        """[value_group : base_group], recomputed on every read."""
+        return self.value_group.index_over(self.base_group)
 
     def basis_values(self) -> list[ValueVector]:
         """Values of the 2k monomial generators, composite-refined."""
@@ -121,11 +120,7 @@ class AlgebraValueData:
 
     def natural_values(self) -> list[ValueVector]:
         """Values of the plain x_i, y_i generators, no refinement."""
-        out = []
-        for f in self.factors:
-            out.append(f.as_value)
-            out.append(f.root_value)
-        return out
+        return [v for f in self.factors for v in (f.as_value, f.root_value)]
 
 
 def _refined_basis_values(
@@ -139,30 +134,28 @@ def _refined_basis_values(
     paired = {i for i, _ in pairs}
     out = []
     for i, f in enumerate(factors):
-        if i in paired:
-            out.append(f.slot1_value.scale(Fraction(1, p * p)))
-        else:
-            out.append(f.as_value)
-        out.append(f.root_value)
+        out += [f.slot1_value / (p * p) if i in paired else f.as_value, f.root_value]
     return out
 
 
-def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData:
+def _symbol_value_data(
+    term: SymbolTerm, spec: ValuationSpec, va: ValueVector
+) -> SymbolValueData:
+    """Value data of one symbol, given va = value_of(term.slot1, spec)."""
     p = spec.tower.char
     zero = ValueVector.zero(spec.depth)
-    va = value_of(term.slot1, spec)
     vb = value_of(term.slot2, spec)
     if va > zero:
         raise UnsupportedConfiguration(
             "slot1 has positive value, the symbol splits at this valuation"
         )
-    as_value = va.scale(Fraction(1, p)) if va < zero else zero
+    as_value = va / p if va < zero else zero
     return SymbolValueData(
         term=term,
         slot1_value=va,
         slot2_value=vb,
         as_value=as_value,
-        root_value=vb.scale(Fraction(1, p)),
+        root_value=vb / p,
         slot1_residual=va == zero,
         slot2_residual=vb == zero,
     )
@@ -174,7 +167,15 @@ def algebra_value_data(
     if not word.terms:
         raise ZeroElement("an empty tensor word has no value data")
     spec = tower.spec(tower.depth if depth is None else depth)
-    factors = tuple(_symbol_value_data(t, spec) for t in word.terms)
+    factors = tuple(
+        _symbol_value_data(t, spec, value_of(t.slot1, spec)) for t in word.terms
+    )
+    return _word_value_data(spec, factors)
+
+
+def _word_value_data(
+    spec: ValuationSpec, factors: tuple[SymbolValueData, ...]
+) -> AlgebraValueData:
     zero = ValueVector.zero(spec.depth)
     pairs: list[tuple[int, int]] = []
     for i, fi in enumerate(factors):
@@ -186,23 +187,24 @@ def algebra_value_data(
             if (fi.term.slot1 * fj.term.slot2).is_one():
                 pairs.append((i, j))
                 break
-    p = tower.char
-    gens = _refined_basis_values(factors, tuple(pairs), p)
+    p = spec.tower.char
     base = spec.value_group()
-    group = base.sum_with(
-        Lattice.from_generators(
-            spec.depth, [g for g in gens if not g.is_zero()], include_integers=True
-        )
-    )
     return AlgebraValueData(
         degree=p,
         depth=spec.depth,
         factors=factors,
         pairs=tuple(pairs),
         base_group=base,
-        value_group=group,
-        ram_index=group.index_over(base),
+        value_group=_extend(base, _refined_basis_values(factors, tuple(pairs), p)),
     )
+
+
+def _extend(base: Lattice, values: list[ValueVector]) -> Lattice:
+    """base + <values> by one Hermite form, or base itself if all values vanish."""
+    values = [v for v in values if not v.is_zero()]
+    if not values:
+        return base
+    return Lattice.from_generators(base.dim, [*base.basis, *values], include_integers=False)
 
 
 def class_representative(base: Lattice, vec: ValueVector) -> ValueVector:
@@ -212,11 +214,11 @@ def class_representative(base: Lattice, vec: ValueVector) -> ValueVector:
     the representative keeps each coefficient mod 1: sum (a_i % m) b_i / m.
     """
     nums, m = base.scaled_coords(vec)
-    den = m * base.denominator
-    return ValueVector(tuple(
-        Fraction(sum((a % m) * row[j] for a, row in zip(nums, base.rows)), den)
-        for j in range(base.dim)
-    ))
+    reduced = [a % m for a in nums]
+    return ValueVector.canonical(
+        [sum(a * row[j] for a, row in zip(reduced, base.rows)) for j in range(base.dim)],
+        m * base.denominator,
+    )
 
 
 def independence_division(data: AlgebraValueData) -> Certificate:
@@ -250,16 +252,17 @@ def independence_division(data: AlgebraValueData) -> Certificate:
         }
     distinct = len(seen)
     status = CERTIFIED if distinct == data.dim else NOT_CERTIFIED
+    e = data.ram_index
     return Certificate(
         "value-independence",
         status,
         payload={
             "dimension": data.dim,
             "distinct_classes": distinct,
-            "ramification_index": data.ram_index,
+            "ramification_index": e,
             "residue_degree": 1,
             "value_group": data.value_group,
-            "totally_ramified": data.totally_ramified,
+            "totally_ramified": e == data.dim,
         },
     )
 
@@ -320,7 +323,8 @@ def symbol_division(
                 "reason": "slot1 vanishes, the equation splits",
             },
         )
-    if value_of(term.slot1, spec) > ValueVector.zero(spec.depth):
+    va = value_of(term.slot1, spec)
+    if va > ValueVector.zero(spec.depth):
         return Certificate(
             "symbol-division",
             REFUTED,
@@ -329,7 +333,7 @@ def symbol_division(
                 "reason": "slot1 has positive value, the equation splits",
             },
         )
-    data = algebra_value_data(SymbolSum.of(term), tower, spec.depth)
+    data = _word_value_data(spec, (_symbol_value_data(term, spec, va),))
     return _symbol_division_route(data, spec, residue_hypothesis)
 
 
@@ -349,7 +353,7 @@ def _symbol_division_route(
             payload={
                 "route": "value-independence",
                 "value_group": data.value_group,
-                "ramification_index": data.ram_index,
+                "ramification_index": child.get("ramification_index"),
                 "residue_degree": 1,
             },
             children=(child,),
@@ -365,9 +369,7 @@ def _symbol_division_route(
             ramified_value = f.as_value
             rbar = residue_of(term.slot2, spec)
             res_cert = _residue_extension_certificate(res_tower, rbar, "pth-root")
-        ram_group = data.base_group.sum_with(
-            Lattice.from_generators(spec.depth, [ramified_value], include_integers=True)
-        )
+        ram_group = _extend(data.base_group, [ramified_value])
         e = ram_group.index_over(data.base_group)
         ok = e == p and res_cert.ok
         return Certificate(
@@ -494,11 +496,11 @@ def _over_extension_certificate(
         zero = ValueVector.zero(res_tower.depth)
         v_ext = value_of(ext_rhs, res_spec)
         v_slot1 = value_of(residue_symbol.slot1, res_spec)
-        field_order = res_spec.value_group().order_of_class(v_ext.scale(Fraction(1, p)))
+        field_order = res_spec.value_group().order_of_class(v_ext / p)
         if v_ext < zero and v_slot1 < zero and field_order == p:
             data = algebra_value_data(SymbolSum.of(residue_symbol), res_tower)
             ind = independence_division(data)
-            if ind.ok and data.totally_ramified:
+            if ind.ok and ind.get("totally_ramified"):
                 algebra_w = trace_profile(res_tower, residue_symbol.slot1)
                 field_w = trace_profile(res_tower, ext_rhs)
                 if field_w.minimum < algebra_w.minimum:
@@ -604,14 +606,14 @@ def residue_tensor_certificate(
             )
         res_spec = res_tower.spec()
         v = value_of(e_rbar, res_spec)
-        order = res_spec.value_group().order_of_class(v.scale(Fraction(1, p * p)))
+        order = res_spec.value_group().order_of_class(v / (p * p))
         ok = order == p * p
         return Certificate(
             "residue-tensor",
             CERTIFIED if ok else NOT_CERTIFIED,
             payload={
                 "shape": "composite-field",
-                "composite_value": v.scale(Fraction(1, p * p)),
+                "composite_value": v / (p * p),
                 "class_order": order,
             },
         )
@@ -696,7 +698,8 @@ def morandi_step(
     else:
         f_d = 1
         d_residual = None
-    defectless = d_data.ram_index * f_d == d_data.dim
+    left_ram = d_data.ram_index
+    defectless = left_ram * f_d == d_data.dim
     conditions["left-defectless"] = defectless
 
     e_cert = _symbol_division_route(e_data, spec, residue_hypothesis)
@@ -719,7 +722,7 @@ def morandi_step(
             "depth": depth,
             "conditions": conditions,
             "left_value_group": d_data.value_group,
-            "left_ramification_index": d_data.ram_index,
+            "left_ramification_index": left_ram,
             "left_residue_degree": f_d,
             "left_dimension": d_data.dim,
             "right_value_group": e_data.value_group,
@@ -870,20 +873,15 @@ def trace_zero_value_classes(
     ]
     classes = set()
     for coeffs in itertools.product(*(range(r) for r in ratios)):
-        vec = ValueVector.zero(base.dim)
-        for c, v in zip(coeffs, meet.basis):
-            vec = vec + v.scale(c)
-        classes.add(class_representative(base, vec))
+        nums = [sum(c * row[j] for c, row in zip(coeffs, meet.rows)) for j in range(base.dim)]
+        classes.add(class_representative(base, ValueVector.canonical(nums, meet.denominator)))
     return frozenset(classes - excluded)
 
 
 def excluded_trace_class(data: AlgebraValueData) -> ValueVector:
     """Class of the unique monomial with nonzero reduced trace."""
-    p = data.degree
-    vec = ValueVector.zero(data.depth)
-    for f in data.factors:
-        vec = vec + f.as_value.scale(p - 1)
-    return class_representative(data.base_group, vec)
+    vec = sum((f.as_value for f in data.factors), ValueVector.zero(data.depth))
+    return class_representative(data.base_group, vec.scale(data.degree - 1))
 
 
 # ------------------------------------------------------- trace invariants
@@ -909,7 +907,7 @@ def trace_profile(tower: FieldTower, rhs: FormalElement) -> TraceProfile:
     v_rhs = value_of(rhs, spec)
     if not v_rhs < zero:
         raise UnsupportedConfiguration("trace profile needs a ramified generator")
-    gen_value = v_rhs.scale(Fraction(1, p))
+    gen_value = v_rhs / p
     best: ValueVector | None = None
     rows: list[tuple[int, ValueVector | None]] = []
     for i in range(1, p):

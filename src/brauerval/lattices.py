@@ -7,6 +7,11 @@ the handful of operations the verification layer needs: intersection,
 index, duals and exhaustive enumeration of the overlattices of Z^n of
 bounded exponent.
 
+Values are ValueVectors: integer numerators over one denominator, kept
+canonical (den > 0 and gcd(den, *nums) == 1), so every comparison, sum
+and lattice coordinate runs on integers; Fraction appears only where
+values are parsed (ValueVector.of) and rendered (coords, str).
+
 Coordinates are ordered innermost first.  The valuation on an iterated
 Laurent series field compares the *outermost* variable first, so the
 lexicographic order used throughout reads tuples from the last
@@ -16,91 +21,109 @@ coordinate down to the first.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import (
-    DimensionMismatch,
-    EnumerationBound,
-    NonContainment,
-    UnsupportedConfiguration,
-)
+from .errors import DimensionMismatch, EnumerationBound, NonContainment, UnsupportedConfiguration
 
 FractionLike = Fraction | int
 
 
-def _frac(x: FractionLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _ordered(op):
+    """op on the keys of two value vectors: last coordinate first, cross-multiplied."""
+
+    def compare(self: ValueVector, other: ValueVector) -> bool:
+        self._require_same_dim(other)
+        d, e = self.den, other.den
+        if d == e:
+            return op(self.nums[::-1], other.nums[::-1])
+        return op(
+            tuple(a * e for a in reversed(self.nums)), tuple(b * d for b in reversed(other.nums))
+        )
+
+    return compare
 
 
 @dataclass(frozen=True, slots=True)
 class ValueVector:
-    """A point of Q^n, compared last coordinate first."""
+    """The point nums/den of Q^n, compared last coordinate first.
 
-    coords: tuple[Fraction, ...]
+    Canonical form: den > 0 and gcd(den, *nums) == 1, so equal points
+    have equal fields.  The raw constructor does not normalise; of()
+    parses Fractions and canonical() reduces integer data.
+    """
+
+    nums: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def canonical(nums: tuple[int, ...] | list[int], den: int) -> ValueVector:
+        """nums/den for den > 0, reduced to canonical form."""
+        g = gcd(den, *nums)
+        return ValueVector(tuple(a // g for a in nums), den // g)
 
     @staticmethod
     def of(*coords: FractionLike) -> ValueVector:
-        return ValueVector(tuple(_frac(c) for c in coords))
+        # reduced denominators: their lcm leaves gcd(den, *nums) == 1
+        den = lcm(1, *(c.denominator for c in coords))
+        return ValueVector(tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     @staticmethod
     def zero(dim: int) -> ValueVector:
-        return ValueVector((Fraction(0),) * dim)
+        return ValueVector((0,) * dim)
 
     @staticmethod
     def unit(dim: int, index: int) -> ValueVector:
         if not 0 <= index < dim:
             raise DimensionMismatch(f"unit index {index} outside dimension {dim}")
-        coords = [Fraction(0)] * dim
-        coords[index] = Fraction(1)
-        return ValueVector(tuple(coords))
+        return ValueVector(tuple(1 if i == index else 0 for i in range(dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def _require_same_dim(self, other: ValueVector) -> None:
-        if self.dim != other.dim:
+        if len(self.nums) != len(other.nums):
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
 
     def __add__(self, other: ValueVector) -> ValueVector:
         self._require_same_dim(other)
-        return ValueVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d, e = self.den, other.den
+        if d == e:
+            return ValueVector.canonical([a + b for a, b in zip(self.nums, other.nums)], d)
+        m = lcm(d, e)
+        s, t = m // d, m // e
+        return ValueVector.canonical([a * s + b * t for a, b in zip(self.nums, other.nums)], m)
 
     def __sub__(self, other: ValueVector) -> ValueVector:
-        self._require_same_dim(other)
-        return ValueVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> ValueVector:
-        return ValueVector(tuple(-a for a in self.coords))
+        return ValueVector(tuple(-a for a in self.nums), self.den)
 
     def scale(self, factor: FractionLike) -> ValueVector:
-        f = _frac(factor)
-        return ValueVector(tuple(f * a for a in self.coords))
+        return ValueVector.canonical(
+            [factor.numerator * a for a in self.nums], factor.denominator * self.den
+        )
 
-    def _key(self) -> tuple[Fraction, ...]:
-        # outermost coordinate is most significant
-        return self.coords[::-1]
+    def __truediv__(self, k: int) -> ValueVector:
+        if k < 1:
+            raise ValueError(f"value vectors are divided by positive integers, not {k}")
+        return ValueVector.canonical(self.nums, self.den * k)
 
-    def __lt__(self, other: ValueVector) -> bool:
-        self._require_same_dim(other)
-        return self._key() < other._key()
-
-    def __le__(self, other: ValueVector) -> bool:
-        self._require_same_dim(other)
-        return self._key() <= other._key()
-
-    def __gt__(self, other: ValueVector) -> bool:
-        self._require_same_dim(other)
-        return self._key() > other._key()
-
-    def __ge__(self, other: ValueVector) -> bool:
-        self._require_same_dim(other)
-        return self._key() >= other._key()
+    __lt__ = _ordered(operator.lt)
+    __le__ = _ordered(operator.le)
+    __gt__ = _ordered(operator.gt)
+    __ge__ = _ordered(operator.ge)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -163,8 +186,7 @@ def _hermite_leading(rows: list[list[int]], n: int) -> list[list[int]] | None:
 
 def _hermite_trailing(rows: list[list[int]], n: int) -> list[list[int]] | None:
     """Lower triangular Hermite form: row i supported on columns 0..i."""
-    reversed_rows = [r[::-1] for r in rows]
-    her = _hermite_leading(reversed_rows, n)
+    her = _hermite_leading([r[::-1] for r in rows], n)
     if her is None:
         return None
     return [her[n - 1 - i][::-1] for i in range(n)]
@@ -195,11 +217,7 @@ class Lattice:
         her = _hermite_trailing(rows, dim)
         if her is None:
             raise UnsupportedConfiguration("generators do not span the full dimension")
-        g = denominator
-        for r in her:
-            for x in r:
-                g = gcd(g, x)
-        g = max(g, 1)
+        g = gcd(denominator, *itertools.chain.from_iterable(her))
         return cls(dim, denominator // g, tuple(tuple(x // g for x in r) for r in her))
 
     @classmethod
@@ -213,14 +231,13 @@ class Lattice:
         for v in generators:
             if v.dim != dim:
                 raise DimensionMismatch(f"generator dimension {v.dim}, expected {dim}")
-        den = 1
-        for v in generators:
-            for c in v.coords:
-                den = lcm(den, c.denominator)
-        rows = [[int(c * den) for c in v.coords] for v in generators]
+        generators = [v for v in generators if any(v.nums)]
+        if include_integers and not generators:
+            return cls.integers(dim)
+        den = lcm(1, *(v.den for v in generators))
+        rows = [[a * (den // v.den) for a in v.nums] for v in generators]
         if include_integers:
-            for i in range(dim):
-                rows.append([den if i == j else 0 for j in range(dim)])
+            rows += [[den if i == j else 0 for j in range(dim)] for i in range(dim)]
         return cls._from_integer_rows(dim, den, rows)
 
     @classmethod
@@ -232,10 +249,7 @@ class Lattice:
 
     @property
     def basis(self) -> tuple[ValueVector, ...]:
-        d = self.denominator
-        return tuple(
-            ValueVector(tuple(Fraction(x, d) for x in row)) for row in self.rows
-        )
+        return tuple(ValueVector.canonical(row, self.denominator) for row in self.rows)
 
     def scaled_coords(self, vec: ValueVector) -> tuple[list[int], int]:
         """Integers a and m > 0 with a/m the coefficients of vec in the basis.
@@ -245,11 +259,9 @@ class Lattice:
         """
         if vec.dim != self.dim:
             raise DimensionMismatch(f"vector dimension {vec.dim}, lattice {self.dim}")
-        m = 1
-        for c in vec.coords:
-            m = lcm(m, c.denominator)
+        m = vec.den
         # sum_i a_i * rows[i] == m * denominator * vec
-        residual = [c.numerator * (m // c.denominator) * self.denominator for c in vec.coords]
+        residual = [a * self.denominator for a in vec.nums]
         nums = [0] * self.dim
         for i in range(self.dim - 1, -1, -1):
             row = self.rows[i]
@@ -315,7 +327,6 @@ class Lattice:
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     mat = [[x % p for x in r] for r in rows]
-    rank = 0
     cols = len(mat[0]) if mat else 0
     row = 0
     for col in range(cols):
@@ -330,10 +341,9 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
                 f = mat[r][col]
                 mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[row])]
         row += 1
-        rank += 1
         if row == len(mat):
             break
-    return rank
+    return row
 
 
 def _log_exact(q: int, p: int) -> int:

@@ -17,7 +17,6 @@ AmbiguousValuation rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import (
@@ -303,10 +302,6 @@ class ValuationSpec:
             )
 
     @property
-    def dim(self) -> int:
-        return self.depth
-
-    @property
     def active_variables(self) -> tuple[str, ...]:
         return self.tower.variables[self.tower.depth - self.depth :]
 
@@ -334,7 +329,7 @@ class ValuationSpec:
 
     def in_p_value_group(self, v: ValueVector) -> bool:
         """Whether v lies in p times the value group."""
-        return self.value_group().contains(v.scale(Fraction(1, self.tower.char)))
+        return self.value_group().contains(v / self.tower.char)
 
 
 def _generator_lookup(spec: ValuationSpec) -> dict[str, ExtensionGenerator]:
@@ -357,7 +352,7 @@ def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
     if v.is_zero():
         return ValueVector.zero(spec.depth)
     if gen.kind == PTH_ROOT:
-        return v.scale(Fraction(1, p))
+        return v / p
     # artin-schreier: only a negative rhs value outside p * Gamma ramifies
     if not v < ValueVector.zero(spec.depth):
         raise UnsupportedConfiguration(
@@ -367,7 +362,7 @@ def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
         raise UnsupportedConfiguration(
             f"generator {name!r} has rhs value in p times the base value group"
         )
-    return v.scale(Fraction(1, p))
+    return v / p
 
 
 def _term_value_and_active(

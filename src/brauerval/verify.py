@@ -263,11 +263,8 @@ def verify_value_groups(n: int, p: int) -> Verdict:
     for i in range(1, n):
         data = algebra_value_data(_shift_word(n, p, i), tower)
         expected = _shift_group_expected(n, p, i)
-        match = (
-            data.value_group == expected
-            and data.totally_ramified
-            and data.ram_index == p ** (2 * n - 2)
-        )
+        e = data.ram_index
+        match = data.value_group == expected and e == data.dim == p ** (2 * n - 2)
         ok = ok and match
         groups.append(data.value_group)
         rows[f"A{i}"] = (data.value_group, expected, match)
@@ -535,7 +532,7 @@ def verify_lemma72(part: int, p: int) -> Verdict:
         obstruction = field_w.minimum < algebra_w.minimum
         ok = (
             ind.ok
-            and data.totally_ramified
+            and ind.get("totally_ramified")
             and algebra_w.minimum == algebra_w.closed_form == expected_algebra
             and field_w.minimum == field_w.closed_form == expected_field
             and obstruction

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -11,7 +12,10 @@ from brauerval import cli
 from brauerval.cli import main
 from brauerval.scenario import TASKS
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "scenarios"
+# sha256 of the json reports of the benchmark tasks, recorded by the benchmark
+GOLDEN_DIGESTS = ROOT / "perfbench" / "golden.json"
 
 
 def run(capsys, *args: str) -> tuple[int, str, str]:
@@ -155,6 +159,21 @@ class TestOutput:
             capsys, "no-common-splitting", "--n", "3", "--p", "2", "--format", "json"
         )
         assert first == second
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            "no-common-splitting --n 5 --p 2",
+            "no-common-splitting --n 4 --p 3",
+            "char-not-p --n 4 --p 2",
+            "char-not-p --n 4 --p 3",
+        ],
+    )
+    def test_json_report_matches_golden_digest(self, capsys, task):
+        golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, *task.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden[task]
 
     def test_text_report_carries_timing(self, capsys):
         _, out, _ = run(capsys, "lemma72", "--part", "2", "--p", "3")

@@ -135,7 +135,7 @@ class TestValueData:
         assert data.pairs == ((0, 1), (1, 0))
         assert data.value_group == Lattice.diagonal([Fraction(1, 9), Fraction(1, 9)])
         assert data.ram_index == 81
-        assert data.totally_ramified
+        assert data.ram_index == data.dim
 
     def test_single_reciprocal_pair(self):
         t = tower(3, "u", "w")
@@ -224,7 +224,7 @@ class TestMemberValueGroups:
             [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)]
         )
         assert data.ram_index == 16
-        assert data.totally_ramified
+        assert data.ram_index == data.dim
 
     def test_a_member_33(self):
         t = tower(3, "a1", "a2", "a3")
@@ -235,7 +235,7 @@ class TestMemberValueGroups:
             [Fraction(1, 9), Fraction(1, 3), Fraction(1, 3)]
         )
         assert data.ram_index == 81
-        assert data.totally_ramified
+        assert data.ram_index == data.dim
 
     def test_b_member_32_first_family(self):
         t = tower(2, "a1", "a2", "a3")
@@ -245,7 +245,7 @@ class TestMemberValueGroups:
         assert data.value_group == Lattice.diagonal(
             [Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)]
         )
-        assert data.totally_ramified
+        assert data.ram_index == data.dim
 
     def test_b_member_32_second_family(self):
         t = tower(2, "a1", "a2", "a3")
@@ -255,7 +255,7 @@ class TestMemberValueGroups:
         assert data.value_group == Lattice.diagonal(
             [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)]
         )
-        assert data.totally_ramified
+        assert data.ram_index == data.dim
 
 
 # -------------------------------------------------------- division routes
@@ -368,8 +368,8 @@ class TestResidueOverExtension:
             assert cert.ok
             assert tensor.get("justification") == "trace-value-obstruction"
             w = Fraction(p - 1, p)
-            assert tensor.get("algebra_trace_value") == ValueVector((Fraction(0), w))
-            assert tensor.get("field_trace_value") == ValueVector((w, Fraction(0)))
+            assert tensor.get("algebra_trace_value") == ValueVector.of(Fraction(0), w)
+            assert tensor.get("field_trace_value") == ValueVector.of(w, Fraction(0))
             assert tensor.get("field_trace_value") < tensor.get("algebra_trace_value")
 
 
@@ -555,7 +555,6 @@ class TestTraceZeroClasses:
             pairs=(),
             base_group=base,
             value_group=Lattice.diagonal([Fraction(1, p * p), Fraction(1, p)]),
-            ram_index=p**3,
         )
         assert base.order_of_class(data.natural_values()[0]) == p * p
         with pytest.raises(UnsupportedConfiguration, match="order"):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +46,7 @@ def intersection_oracle(a: Lattice, b: Lattice) -> Lattice:
     m = lcm(a.denominator, b.denominator)
     gens = []
     for coords in itertools.product(range(m), repeat=n):
-        v = ValueVector(tuple(F(c, m) for c in coords))
+        v = ValueVector.of(*(F(c, m) for c in coords))
         if a.contains(v) and b.contains(v):
             gens.append(v)
     return Lattice.from_generators(n, gens, include_integers=True)
@@ -193,6 +193,110 @@ def test_lex_order_matches_reversed_tuple_sort(pairs):
     assert by_compare == sorted(vecs)
 
 
+# --------------------------------- integer vectors against Fraction tuples
+
+
+def as_integer_vector(coords: tuple[Fraction, ...], k: int) -> ValueVector:
+    """coords as integers over an unreduced denominator (k times the lcm), reduced."""
+    den = lcm(*(c.denominator for c in coords)) * k
+    return ValueVector.canonical([int(c * den) for c in coords], den)
+
+
+def fraction_lattice_oracle(dim: int, gens: list[tuple[Fraction, ...]]) -> Lattice:
+    """from_generators (with Z^dim) on Fraction tuples: rows over the lcm denominator."""
+    den = lcm(1, *(c.denominator for g in gens for c in g))
+    rows = [[int(c * den) for c in g] for g in gens]
+    rows += [[den if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return Lattice._from_integer_rows(dim, den, rows)
+
+
+def assert_canonical(v: ValueVector) -> None:
+    assert v.den > 0 and gcd(v.den, *v.nums) == 1
+
+
+fraction_coord = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two Fraction tuples of one dimension 1-4; sometimes equal, sometimes one coordinate apart."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    a = draw(st.tuples(*[fraction_coord] * dim))
+    shape = draw(st.sampled_from(["free", "equal", "tie"]))
+    if shape == "equal":
+        return a, a
+    b = draw(st.tuples(*[fraction_coord] * dim))
+    if shape == "tie":
+        # agree on the outer coordinates, so the order is decided further in
+        return a, b[:1] + a[1:]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fraction_pairs(),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_integer_vectors_match_fraction_tuples(pair, k1, k2, c, p):
+    fa, fb = pair
+    a, b = as_integer_vector(fa, k1), as_integer_vector(fb, k2)
+    for v, f in ((a, fa), (b, fb)):
+        assert_canonical(v)
+        assert v.coords == f
+        assert v == ValueVector.of(*f)
+        assert str(v) == "(" + ", ".join(str(x) for x in f) + ")"
+    results = {
+        a + b: tuple(x + y for x, y in zip(fa, fb)),
+        a - b: tuple(x - y for x, y in zip(fa, fb)),
+        -a: tuple(-x for x in fa),
+        a.scale(c): tuple(c * x for x in fa),
+        a / p: tuple(x / p for x in fa),
+    }
+    for v, f in results.items():
+        assert_canonical(v)
+        assert v.coords == f
+    ka, kb = fa[::-1], fb[::-1]
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+    assert (a == b) == (fa == fb)
+    if fa == fb:
+        assert hash(a) == hash(b)
+
+
+@st.composite
+def generators_and_point(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    point = st.tuples(*[fraction_coord] * dim)
+    return dim, draw(st.lists(point, max_size=3)), draw(point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators_and_point(), st.integers(min_value=1, max_value=6))
+def test_lattices_from_integer_vectors_match_fraction_input(case, k):
+    dim, gens, point = case
+    lat = Lattice.from_generators(dim, [as_integer_vector(g, k) for g in gens])
+    assert lat == Lattice.from_generators(dim, [ValueVector.of(*g) for g in gens])
+    assert lat == fraction_lattice_oracle(dim, gens)
+    vec = as_integer_vector(point, k)
+    nums, m = lat.scaled_coords(vec)
+    assert (nums, m) == lat.scaled_coords(ValueVector.of(*point))
+    assert tuple(F(a, m) for a in nums) == fraction_coords_oracle(lat, vec)
+
+
+def test_known_lattices_skip_the_hermite_form():
+    assert Lattice.from_generators(3, []) == Lattice.integers(3)
+    assert Lattice.from_generators(3, [ValueVector.zero(3)]) == Lattice.integers(3)
+    with pytest.raises(DimensionMismatch):
+        Lattice.from_generators(3, [ValueVector.zero(2)])
+    with pytest.raises(ValueError):
+        V(1, 2) / 0
+
+
 # -------------------------------------------------------- canonical forms
 
 
@@ -310,7 +414,7 @@ small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 def overlattices(draw, dim: int):
     count = draw(st.integers(min_value=0, max_value=2))
     gens = [
-        ValueVector(tuple(draw(small_fraction) for _ in range(dim)))
+        ValueVector.of(*(draw(small_fraction) for _ in range(dim)))
         for _ in range(count)
     ]
     return Lattice.from_generators(dim, gens, include_integers=True)
@@ -392,7 +496,7 @@ def lattice_and_vector(draw):
     """
     dim = draw(st.integers(min_value=1, max_value=5))
     gens = [ValueVector.unit(dim, i).scale(s) for i, s in enumerate(draw(scales5)[:dim])]
-    gens += [ValueVector(c[:dim]) for c in draw(st.lists(point5, max_size=2))]
+    gens += [ValueVector.of(*c[:dim]) for c in draw(st.lists(point5, max_size=2))]
     lat = Lattice.from_generators(dim, gens, include_integers=False)
     coeffs = draw(coeffs5)[:dim]
     vec = ValueVector.zero(dim)
@@ -400,7 +504,7 @@ def lattice_and_vector(draw):
         vec = vec + b.scale(c)
     if draw(st.booleans()):
         return lat, vec, coeffs
-    return lat, vec + ValueVector(draw(point5)[:dim]), None
+    return lat, vec + ValueVector.of(*draw(point5)[:dim]), None
 
 
 @settings(max_examples=100, deadline=None)
