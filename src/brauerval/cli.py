@@ -2,10 +2,10 @@
 
 The first argument names the verification task; parameters come from
 flags or from a scenario file (flags win on conflict).  Exit status
-encodes the verdict: 0 Verified, 1 Refuted, 2 Inconclusive or
-NotCertified, 3 a problem with the input itself or with writing the
-report, 4 an internal error (a failed assertion or any other
-unexpected exception), with no report written.
+encodes the verdict: 0 Verified, 1 Refuted, 2 Inconclusive (a work
+budget that runs out included) or NotCertified, 3 a problem with the
+input itself or with writing the report, 4 an internal error (a failed
+assertion or any other unexpected exception), with no report written.
 """
 
 from __future__ import annotations

@@ -195,16 +195,8 @@ def _word_value_data(
         factors=factors,
         pairs=tuple(pairs),
         base_group=base,
-        value_group=_extend(base, _refined_basis_values(factors, tuple(pairs), p)),
+        value_group=base.extended(_refined_basis_values(factors, tuple(pairs), p)),
     )
-
-
-def _extend(base: Lattice, values: list[ValueVector]) -> Lattice:
-    """base + <values> by one Hermite form, or base itself if all values vanish."""
-    values = [v for v in values if not v.is_zero()]
-    if not values:
-        return base
-    return Lattice.from_generators(base.dim, [*base.basis, *values], include_integers=False)
 
 
 def class_representative(base: Lattice, vec: ValueVector) -> ValueVector:
@@ -369,7 +361,7 @@ def _symbol_division_route(
             ramified_value = f.as_value
             rbar = residue_of(term.slot2, spec)
             res_cert = _residue_extension_certificate(res_tower, rbar, "pth-root")
-        ram_group = _extend(data.base_group, [ramified_value])
+        ram_group = data.base_group.extended([ramified_value])
         e = ram_group.index_over(data.base_group)
         ok = e == p and res_cert.ok
         return Certificate(
@@ -858,9 +850,7 @@ def trace_zero_value_classes(
             raise UnsupportedConfiguration(
                 "a natural value has order other than 1 or p modulo the base group"
             )
-        groups.add(
-            Lattice.from_generators(base.dim, [*base.basis, *values], include_integers=False)
-        )
+        groups.add(base.extended(values))
         excluded.add(excluded_trace_class(data))
     meet = window
     for group in groups:

@@ -3,9 +3,10 @@
 Value groups of the algebras we certify are finitely generated subgroups
 of Q^n that contain Z^n.  This module gives them a canonical form (a
 lower triangular Hermite basis over a minimal common denominator) plus
-the handful of operations the verification layer needs: intersection,
-index, duals and exhaustive enumeration of the overlattices of Z^n of
-bounded exponent.
+the handful of operations the verification layer needs: growing a known
+group by new values (extended: every value group is Z^n or a base group
+plus a few values), containment, intersection, index, duals and
+exhaustive enumeration of the overlattices of Z^n of bounded exponent.
 
 Values are ValueVectors: integer numerators over one denominator, kept
 canonical (den > 0 and gcd(den, *nums) == 1), so every comparison, sum
@@ -110,10 +111,8 @@ class ValueVector:
     def __neg__(self) -> ValueVector:
         return ValueVector(tuple(-a for a in self.nums), self.den)
 
-    def scale(self, factor: FractionLike) -> ValueVector:
-        return ValueVector.canonical(
-            [factor.numerator * a for a in self.nums], factor.denominator * self.den
-        )
+    def scale(self, k: int) -> ValueVector:
+        return ValueVector.canonical([k * a for a in self.nums], self.den)
 
     def __truediv__(self, k: int) -> ValueVector:
         if k < 1:
@@ -221,35 +220,26 @@ class Lattice:
         return cls(dim, denominator // g, tuple(tuple(x // g for x in r) for r in her))
 
     @classmethod
-    def from_generators(
-        cls,
-        dim: int,
-        generators: list[ValueVector] | tuple[ValueVector, ...],
-        include_integers: bool = True,
-    ) -> Lattice:
-        """Smallest lattice containing the generators (and Z^dim by default)."""
-        for v in generators:
-            if v.dim != dim:
-                raise DimensionMismatch(f"generator dimension {v.dim}, expected {dim}")
-        generators = [v for v in generators if any(v.nums)]
-        if include_integers and not generators:
-            return cls.integers(dim)
-        den = lcm(1, *(v.den for v in generators))
-        rows = [[a * (den // v.den) for a in v.nums] for v in generators]
-        if include_integers:
-            rows += [[den if i == j else 0 for j in range(dim)] for i in range(dim)]
-        return cls._from_integer_rows(dim, den, rows)
-
-    @classmethod
     def diagonal(cls, entries: list[FractionLike] | tuple[FractionLike, ...]) -> Lattice:
         """Lattice with orthogonal basis entries[i] * e_i."""
         dim = len(entries)
-        gens = [ValueVector.unit(dim, i).scale(entries[i]) for i in range(dim)]
-        return cls.from_generators(dim, gens, include_integers=False)
+        den = lcm(1, *(e.denominator for e in entries))
+        rows = [[int(e * den) if i == j else 0 for j in range(dim)] for i, e in enumerate(entries)]
+        return cls._from_integer_rows(dim, den, rows)
 
-    @property
-    def basis(self) -> tuple[ValueVector, ...]:
-        return tuple(ValueVector.canonical(row, self.denominator) for row in self.rows)
+    def extended(self, values: list[ValueVector] | tuple[ValueVector, ...]) -> Lattice:
+        """self + <values> by one Hermite form, or self itself if every value is zero."""
+        for v in values:
+            if v.dim != self.dim:
+                raise DimensionMismatch(f"value dimension {v.dim}, lattice {self.dim}")
+        values = [v for v in values if any(v.nums)]
+        if not values:
+            return self
+        den = lcm(self.denominator, *(v.den for v in values))
+        s = den // self.denominator
+        rows = [[x * s for x in r] for r in self.rows]
+        rows += [[a * (den // v.den) for a in v.nums] for v in values]
+        return Lattice._from_integer_rows(self.dim, den, rows)
 
     def scaled_coords(self, vec: ValueVector) -> tuple[list[int], int]:
         """Integers a and m > 0 with a/m the coefficients of vec in the basis.
@@ -281,7 +271,7 @@ class Lattice:
         return not any(a % m for a in nums)
 
     def contains_lattice(self, other: Lattice) -> bool:
-        return self.sum_with(other) == self
+        return all(self.contains(ValueVector(row, other.denominator)) for row in other.rows)
 
     def order_of_class(self, vec: ValueVector) -> int:
         """Order of vec in Q^dim modulo this lattice (1 if vec lies in it)."""

@@ -316,12 +316,8 @@ class ValuationSpec:
         return ValueVector.zero(self.depth)
 
     def value_group(self) -> Lattice:
-        gens = [
-            generator_value(self, g.name)
-            for g in self.tower.generators
-        ]
-        return Lattice.from_generators(
-            self.depth, [v for v in gens if not v.is_zero()], include_integers=True
+        return Lattice.integers(self.depth).extended(
+            [generator_value(self, g.name) for g in self.tower.generators]
         )
 
     def residue_tower(self) -> FieldTower:

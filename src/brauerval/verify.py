@@ -39,7 +39,9 @@ from .division import (
 from .division import CERTIFIED as CERT_OK
 from .division import REFUTED as CERT_REFUTED
 from .errors import UnsupportedConfiguration
-from .lattices import Lattice, ValueVector, _rank_mod_p, enumerate_overlattices
+from .lattices import (
+    Lattice, ValueVector, _rank_mod_p, enumerate_overlattices, overlattice_count
+)
 from .symbols import (
     RewriteChain,
     RewriteStep,
@@ -403,14 +405,21 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     bound rank(S mod p) >= n - j, where p^j = [L : Z^n] = [Z^n : S] (at
     most j elementary divisors of S are divisible by p); a form below it
     means a wrong enumerator and fails an assertion.  max_work bounds
-    the closed-form overlattice count, checked before the enumeration
-    starts (EnumerationBound).
+    the closed-form overlattice count, checked before any lattice is
+    built: over budget the verdict is Inconclusive, and its payload
+    names the budget and the estimated work.
     """
     _require_prime(p)
     params = {"n": n, "p": p}
     if n < 2:
         raise UnsupportedConfiguration("need at least two Laurent variables")
+    if max_work < 1:
+        raise UnsupportedConfiguration(f"max_work must be at least 1, got {max_work}")
     q = p ** (n - 2)
+    estimated = overlattice_count(n, p, q)
+    if estimated > max_work:
+        payload = {"budget": "max-work", "max_work": max_work, "estimated_work": estimated}
+        return Verdict("char-not-p", INCONCLUSIVE, params, payload)
     lattices = enumerate_overlattices(n, p, q, bound=max_work)
     min_rank = None
     all_witnessed = True

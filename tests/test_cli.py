@@ -14,8 +14,9 @@ from brauerval.scenario import TASKS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "scenarios"
-# sha256 of the json reports of the benchmark tasks, recorded by the benchmark
-GOLDEN_DIGESTS = ROOT / "perfbench" / "golden.json"
+# sha256 of the json reports of the benchmark tasks (the 42 corpus scenarios
+# and the workload sizes), recorded by the benchmark; read only
+GOLDEN_DIGESTS = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *args: str) -> tuple[int, str, str]:
@@ -97,6 +98,31 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: AssertionError: enumerated 3 lattices, expected 4\n"
 
+    def test_budget_overrun_is_two_with_a_report(self, capsys, tmp_path):
+        target = tmp_path / "budget.json"
+        code, out, err = run(
+            capsys, "char-not-p", "--n", "5", "--p", "3", "--max-work", "1000",
+            "--format", "json", "--out", str(target),
+        )
+        assert code == 2
+        assert out == "" and err == ""
+        report = json.loads(target.read_text())
+        assert report["result"] == "Inconclusive"
+        assert report["exit_code"] == 2
+        assert report["payload"] == {
+            "budget": "max-work", "max_work": 1000, "estimated_work": 936904
+        }
+        code, out, _ = run(capsys, "char-not-p", "--n", "5", "--p", "3", "--max-work", "1000")
+        assert code == 2
+        assert "result: Inconclusive" in out and "estimated_work: 936904" in out
+
+    def test_budget_below_one_is_three(self, capsys):
+        code, out, err = run(capsys, "char-not-p", "--n", "5", "--p", "3", "--max-work", "0")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_help_lists_every_task(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -160,20 +186,13 @@ class TestOutput:
         )
         assert first == second
 
-    @pytest.mark.parametrize(
-        "task",
-        [
-            "no-common-splitting --n 5 --p 2",
-            "no-common-splitting --n 4 --p 3",
-            "char-not-p --n 4 --p 2",
-            "char-not-p --n 4 --p 3",
-        ],
-    )
-    def test_json_report_matches_golden_digest(self, capsys, task):
-        golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    @pytest.mark.parametrize("task", sorted(GOLDEN_DIGESTS))
+    def test_json_report_matches_golden_digest(self, capsys, monkeypatch, task):
+        # scenario reports carry the path as given, `scenarios/<file>` from the root
+        monkeypatch.chdir(ROOT)
         code, out, _ = run(capsys, *task.split(), "--format", "json")
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden[task]
+        assert code == json.loads(out)["exit_code"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[task]
 
     def test_text_report_carries_timing(self, capsys):
         _, out, _ = run(capsys, "lemma72", "--part", "2", "--p", "3")

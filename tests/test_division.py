@@ -159,7 +159,7 @@ class TestValueData:
         expected = generator_value(ext.spec(), "t")
         assert expected == ValueVector.of(Fraction(-1, p * p), 0)
         assert data.basis_values()[0] == expected
-        assert data.value_group == Lattice.from_generators(2, data.basis_values())
+        assert data.value_group == Lattice.integers(2).extended(data.basis_values())
 
     def test_positive_slot1_rejected(self):
         t = tower(3, "u")
@@ -543,7 +543,7 @@ class TestTraceZeroClasses:
             term=symbol(p, mono(p, {"u": -1}), mono(p, {"w": 1})),
             slot1_value=slot1,
             slot2_value=ValueVector.of(0, 1),
-            as_value=slot1.scale(Fraction(1, p * p)),
+            as_value=slot1 / (p * p),
             root_value=ValueVector.of(0, Fraction(1, p)),
             slot1_residual=False,
             slot2_residual=False,

@@ -49,7 +49,7 @@ def intersection_oracle(a: Lattice, b: Lattice) -> Lattice:
         v = ValueVector.of(*(F(c, m) for c in coords))
         if a.contains(v) and b.contains(v):
             gens.append(v)
-    return Lattice.from_generators(n, gens, include_integers=True)
+    return Lattice.integers(n).extended(gens)
 
 
 def subgroup_count_oracle(dim: int, p: int, q: int) -> int:
@@ -129,12 +129,12 @@ def _contains_scaled_integers(rows: list[list[int]], q: int) -> bool:
 
 
 def fraction_coords_oracle(lat: Lattice, vec: ValueVector) -> tuple[Fraction, ...]:
-    """Coefficients of vec in lat.basis by substitution on Fractions.
+    """Coefficients of vec in lat's basis by substitution on Fractions.
 
     The basis is lower triangular, so the last coordinate of vec fixes
     the last coefficient, and so on down to the first.
     """
-    basis = lat.basis
+    basis = [ValueVector.canonical(row, lat.denominator) for row in lat.rows]
     residual = list(vec.coords)
     coeffs = [F(0)] * lat.dim
     for i in reversed(range(lat.dim)):
@@ -163,7 +163,6 @@ def test_value_vector_arithmetic():
     assert a - b == V(0, F(-2, 3))
     assert -a == V(F(-1, 2), F(1, 3))
     assert a.scale(6) == V(3, -2)
-    assert a.scale(F(2, 3)) == V(F(1, 3), F(-2, 9))
     assert ValueVector.zero(3).is_zero()
     assert ValueVector.unit(3, 1) == V(0, 1, 0)
 
@@ -203,7 +202,7 @@ def as_integer_vector(coords: tuple[Fraction, ...], k: int) -> ValueVector:
 
 
 def fraction_lattice_oracle(dim: int, gens: list[tuple[Fraction, ...]]) -> Lattice:
-    """from_generators (with Z^dim) on Fraction tuples: rows over the lcm denominator."""
+    """Z^dim extended by Fraction tuples: rows over the lcm denominator."""
     den = lcm(1, *(c.denominator for g in gens for c in g))
     rows = [[int(c * den) for c in g] for g in gens]
     rows += [[den if i == j else 0 for j in range(dim)] for i in range(dim)]
@@ -279,9 +278,14 @@ def generators_and_point(draw):
 @given(generators_and_point(), st.integers(min_value=1, max_value=6))
 def test_lattices_from_integer_vectors_match_fraction_input(case, k):
     dim, gens, point = case
-    lat = Lattice.from_generators(dim, [as_integer_vector(g, k) for g in gens])
-    assert lat == Lattice.from_generators(dim, [ValueVector.of(*g) for g in gens])
+    zn = Lattice.integers(dim)
+    lat = zn.extended([as_integer_vector(g, k) for g in gens])
+    assert lat == zn.extended([ValueVector.of(*g) for g in gens])
     assert lat == fraction_lattice_oracle(dim, gens)
+    # grown from a base that is not Z^dim, one value at a time
+    for i in range(len(gens)):
+        base = fraction_lattice_oracle(dim, gens[:i])
+        assert base.extended([as_integer_vector(g, k) for g in gens[i:]]) == lat
     vec = as_integer_vector(point, k)
     nums, m = lat.scaled_coords(vec)
     assert (nums, m) == lat.scaled_coords(ValueVector.of(*point))
@@ -289,10 +293,13 @@ def test_lattices_from_integer_vectors_match_fraction_input(case, k):
 
 
 def test_known_lattices_skip_the_hermite_form():
-    assert Lattice.from_generators(3, []) == Lattice.integers(3)
-    assert Lattice.from_generators(3, [ValueVector.zero(3)]) == Lattice.integers(3)
+    zn = Lattice.integers(3)
+    assert zn.extended([]) is zn
+    assert zn.extended([ValueVector.zero(3)]) is zn
+    half = zn.extended([V(F(1, 2), 0, 0)])
+    assert half.extended([V(F(3, 2), 1, 0), ValueVector.zero(3)]) == half
     with pytest.raises(DimensionMismatch):
-        Lattice.from_generators(3, [ValueVector.zero(2)])
+        zn.extended([ValueVector.zero(2)])
     with pytest.raises(ValueError):
         V(1, 2) / 0
 
@@ -301,17 +308,18 @@ def test_known_lattices_skip_the_hermite_form():
 
 
 def test_canonicalize_half_half_example():
-    lat = Lattice.from_generators(2, [V(F(1, 2), F(1, 2))])
+    lat = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
     assert lat.denominator == 2
     assert lat.rows == ((2, 0), (1, 1))
     # same group as the basis {(1/2, 1/2), (0, 1)}
-    assert lat == Lattice.from_generators(2, [V(F(1, 2), F(1, 2)), V(0, 1)])
+    assert lat == Lattice.integers(2).extended([V(F(1, 2), F(1, 2)), V(0, 1)])
 
 
 def test_canonicalize_is_idempotent_on_examples():
-    lat = Lattice.from_generators(3, [V(F(1, 2), 0, F(1, 4)), V(0, F(1, 2), F(3, 4))])
-    again = Lattice.from_generators(3, list(lat.basis), include_integers=False)
-    assert lat == again
+    lat = Lattice.integers(3).extended([V(F(1, 2), 0, F(1, 4)), V(0, F(1, 2), F(3, 4))])
+    basis = [ValueVector.canonical(row, lat.denominator) for row in lat.rows]
+    assert lat.extended(basis) == lat
+    assert Lattice._from_integer_rows(3, lat.denominator, [list(r) for r in lat.rows]) == lat
 
 
 def test_diagonal_and_integers():
@@ -322,11 +330,18 @@ def test_diagonal_and_integers():
     assert lat.denominator == 4
     assert lat.rows == ((2, 0, 0), (0, 1, 0), (0, 0, 2))
     assert lat.contains_lattice(zn)
+    assert Lattice.diagonal([2, 4, 2]).denominator == 1
+    assert Lattice.diagonal([2, 4, 2]).rows == ((2, 0, 0), (0, 4, 0), (0, 0, 2))
+    # a sign does not change the group: the diagonal stays positive
+    neg = Lattice.diagonal([F(-1, 2), -3, F(1, 3)])
+    assert neg.denominator == 6
+    assert neg.rows == ((3, 0, 0), (0, 18, 0), (0, 0, 2))
+    assert neg == Lattice.diagonal([F(1, 2), 3, F(-1, 3)])
 
 
 def test_hermite_reduction_conditions_hold():
-    lat = Lattice.from_generators(
-        3, [V(F(5, 6), F(1, 3), F(1, 2)), V(F(1, 6), F(5, 6), F(1, 3))]
+    lat = Lattice.integers(3).extended(
+        [V(F(5, 6), F(1, 3), F(1, 2)), V(F(1, 6), F(5, 6), F(1, 3))]
     )
     for i in range(3):
         assert lat.rows[i][i] > 0
@@ -337,9 +352,9 @@ def test_hermite_reduction_conditions_hold():
                 assert 0 <= lat.rows[i][j] < lat.rows[j][j]
 
 
-def test_from_generators_rejects_rank_deficiency():
+def test_diagonal_rejects_rank_deficiency():
     with pytest.raises(UnsupportedConfiguration):
-        Lattice.from_generators(2, [V(F(1, 2), 0)], include_integers=False)
+        Lattice.diagonal([F(1, 2), 0])
 
 
 # ----------------------------------------------------- coords and indices
@@ -354,7 +369,7 @@ def integer_coords(lat: Lattice, vec: ValueVector) -> tuple[int, ...] | None:
 
 
 def test_coords_and_membership():
-    lat = Lattice.from_generators(2, [V(F(1, 2), F(1, 2))])
+    lat = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
     assert lat.contains(V(F(3, 2), F(1, 2)))
     assert integer_coords(lat, V(F(3, 2), F(1, 2))) == (1, 1)
     assert not lat.contains(V(F(1, 2), 0))
@@ -376,7 +391,7 @@ def test_index_examples():
 def test_index_over_fractional_lattices():
     # both denominators above 1, so the diagonal ratio needs both scales
     assert Lattice.diagonal([F(1, 4), F(1, 2)]).index_over(Lattice.diagonal([F(1, 2), 1])) == 4
-    half = Lattice.from_generators(2, [V(F(1, 2), F(1, 2))])
+    half = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
     assert Lattice.diagonal([F(1, 4), F(1, 4)]).index_over(half) == 8
     # equal covolumes, yet neither contains the other
     with pytest.raises(NonContainment):
@@ -400,8 +415,8 @@ def test_intersection_diagonal_example():
 
 
 def test_intersection_nondiagonal_example():
-    a = Lattice.from_generators(2, [V(F(1, 2), F(1, 2))])
-    b = Lattice.from_generators(2, [V(F(1, 2), 0)])
+    a = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
+    b = Lattice.integers(2).extended([V(F(1, 2), 0)])
     meet = a.intersect(b)
     assert meet == Lattice.integers(2)
     assert meet == intersection_oracle(a, b)
@@ -417,7 +432,7 @@ def overlattices(draw, dim: int):
         ValueVector.of(*(draw(small_fraction) for _ in range(dim)))
         for _ in range(count)
     ]
-    return Lattice.from_generators(dim, gens, include_integers=True)
+    return Lattice.integers(dim).extended(gens)
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,13 +452,31 @@ def test_intersection_properties_dim3(a, b):
     assert a.intersect(a) == a
 
 
-@settings(max_examples=60, deadline=None)
-@given(overlattices(3), overlattices(3))
-def test_containment_and_index_match_fraction_oracles(a, b):
+@st.composite
+def lattice_pairs(draw):
+    """Two lattices of one dimension 1-3: unrelated, nested, or one diagonal."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    a, b = draw(overlattices(dim)), draw(overlattices(dim))
+    shape = draw(st.sampled_from(["free", "nested", "diagonal"]))
+    if shape == "nested":
+        return a.sum_with(b), b
+    if shape == "diagonal":
+        # need not contain Z^dim, so either side may miss the other
+        scales = draw(st.lists(small_fraction.filter(bool), min_size=dim, max_size=dim))
+        return a, Lattice.diagonal(scales)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_pairs())
+def test_containment_and_index_match_fraction_oracles(pair):
     def covolume(lat):
         return prod(F(lat.rows[i][i], lat.denominator) for i in range(lat.dim))
 
-    assert a.contains_lattice(b) == all(a.contains(v) for v in b.basis)
+    a, b = pair
+    # a contains b exactly when adding b to a changes nothing
+    assert a.contains_lattice(b) == (a.sum_with(b) == a)
+    assert b.contains_lattice(a) == (b.sum_with(a) == b)
     meet = a.intersect(b)
     assert a.index_over(meet) == covolume(meet) / covolume(a)
 
@@ -457,9 +490,7 @@ def test_dual_is_an_involution(lat):
 @settings(max_examples=60, deadline=None)
 @given(overlattices(3), st.lists(st.tuples(small_fraction, small_fraction, small_fraction), max_size=2))
 def test_index_is_multiplicative_in_towers(lower, extra):
-    upper = Lattice.from_generators(
-        3, list(lower.basis) + [V(*t) for t in extra], include_integers=True
-    )
+    upper = lower.extended([V(*t) for t in extra])
     zn = Lattice.integers(3)
     assert upper.index_over(zn) * 1 == upper.index_over(lower) * lower.index_over(zn)
 
@@ -495,13 +526,12 @@ def lattice_and_vector(draw):
     combination of the basis, possibly shifted off the lattice.
     """
     dim = draw(st.integers(min_value=1, max_value=5))
-    gens = [ValueVector.unit(dim, i).scale(s) for i, s in enumerate(draw(scales5)[:dim])]
-    gens += [ValueVector.of(*c[:dim]) for c in draw(st.lists(point5, max_size=2))]
-    lat = Lattice.from_generators(dim, gens, include_integers=False)
+    gens = [ValueVector.of(*c[:dim]) for c in draw(st.lists(point5, max_size=2))]
+    lat = Lattice.diagonal(draw(scales5)[:dim]).extended(gens)
     coeffs = draw(coeffs5)[:dim]
     vec = ValueVector.zero(dim)
-    for c, b in zip(coeffs, lat.basis):
-        vec = vec + b.scale(c)
+    for c, row in zip(coeffs, lat.rows):
+        vec = vec + ValueVector.canonical(row, lat.denominator).scale(c)
     if draw(st.booleans()):
         return lat, vec, coeffs
     return lat, vec + ValueVector.of(*draw(point5)[:dim]), None
@@ -539,7 +569,7 @@ def test_unit_rank_reads_off_the_dual():
         (Lattice.diagonal([F(1, 2), 1, 1]), 2),
         (Lattice.integers(3), 3),
         (Lattice.diagonal([F(1, 2), F(1, 2), F(1, 2)]), 0),
-        (Lattice.from_generators(2, [V(F(1, 2), F(1, 2))]), 1),
+        (Lattice.integers(2).extended([V(F(1, 2), F(1, 2))]), 1),
     ]:
         units = [integer_coords(lat, ValueVector.unit(lat.dim, k)) for k in range(lat.dim)]
         assert _rank_mod_p(units, 2) == rank

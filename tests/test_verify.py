@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import brauerval.verify as verify_mod
-from brauerval.errors import EnumerationBound, UnsupportedConfiguration
+from brauerval.errors import UnsupportedConfiguration
 from brauerval.lattices import Lattice, ValueVector, enumerate_overlattices
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import FormalElement
@@ -252,8 +252,11 @@ class TestCharNotP:
         assert {key: v.get(key) for key in want} == want
 
     def test_enumeration_bound_propagates(self):
-        with pytest.raises(EnumerationBound):
-            verify_char_not_p(4, 2, max_work=2)
+        v = verify_char_not_p(4, 2, max_work=2)
+        assert v.result == INCONCLUSIVE and v.exit_code == 2
+        assert v.payload == {"budget": "max-work", "max_work": 2, "estimated_work": 171}
+        # the budget is inclusive: (3, 2) has exactly 8 overlattices
+        assert verify_char_not_p(3, 2, max_work=8).result == VERIFIED
 
     def test_budget_is_checked_before_any_lattice_is_built(self, monkeypatch):
         def refuse(cls, *args):
@@ -261,8 +264,10 @@ class TestCharNotP:
 
         monkeypatch.setattr(Lattice, "_from_integer_rows", classmethod(refuse))
         # closed-form count at (5, 3) is 936,904 overlattices
-        with pytest.raises(EnumerationBound, match="936904"):
-            verify_char_not_p(5, 3, max_work=10**5)
+        v = verify_char_not_p(5, 3, max_work=10**5)
+        assert v.result == INCONCLUSIVE
+        assert v.get("estimated_work") == 936904
+        assert v.get("max_work") == 10**5
 
 
 class TestProp71:
