@@ -4,7 +4,8 @@
 For each pair this prints the family size, the verdict of the
 no-common-splitting search, how many trace-zero value classes survive
 the intersection against the bound needed for a shared maximal
-subfield, and wall time.
+subfield, and wall time.  Memo tables are emptied before each row, so
+every row is timed cold.
 
 Usage: python3 scripts/family_survey.py [--max-n N] [--primes 2,3,5]
 """
@@ -18,6 +19,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from brauerval.towers import forget_memos
 from brauerval.verify import family_size_formula, verify_no_common_splitting
 
 
@@ -35,6 +37,7 @@ def main() -> int:
             if p ** n > 4096:
                 print(f"{n:>3} {p:>3} {family_size_formula(n, p):>6}   (skipped: family too large)")
                 continue
+            forget_memos()
             started = time.perf_counter()
             verdict = verify_no_common_splitting(n, p)
             elapsed = time.perf_counter() - started

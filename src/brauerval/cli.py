@@ -19,6 +19,7 @@ from .errors import EngineError, ScenarioError, UnsupportedConfiguration
 from .report import Report, emit_report
 from .scenario import TASKS, Scenario, load_scenario
 from .symbols import SymbolSum, check_rewrite_chain
+from .towers import forget_memos
 from .verify import (
     NOT_CERTIFIED,
     REFUTED,
@@ -180,7 +181,10 @@ def run_task(args: argparse.Namespace) -> int:
                 f" command line task {args.task!r}"
             )
     started = time.perf_counter()
-    verdict = _dispatch(args, scenario)
+    try:
+        verdict = _dispatch(args, scenario)
+    finally:
+        forget_memos()
     elapsed = time.perf_counter() - started
     report = Report(verdict, timing=elapsed)
     try:

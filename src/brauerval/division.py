@@ -37,6 +37,7 @@ from .towers import (
     adjoin_artin_schreier,
     adjoin_pth_root,
     artin_schreier_image,
+    memoised,
     rebase_pth_root,
     residue_of,
     trace_power_oracle,
@@ -138,44 +139,35 @@ def _refined_basis_values(
     return out
 
 
-def _symbol_value_data(
-    term: SymbolTerm, spec: ValuationSpec, va: ValueVector
-) -> SymbolValueData:
-    """Value data of one symbol, given va = value_of(term.slot1, spec)."""
+def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData:
+    """Value data of one symbol under spec."""
     p = spec.tower.char
     zero = ValueVector.zero(spec.depth)
+    va = value_of(term.slot1, spec)
     vb = value_of(term.slot2, spec)
     if va > zero:
         raise UnsupportedConfiguration(
             "slot1 has positive value, the symbol splits at this valuation"
         )
-    as_value = va / p if va < zero else zero
     return SymbolValueData(
         term=term,
         slot1_value=va,
         slot2_value=vb,
-        as_value=as_value,
+        as_value=va / p if va < zero else zero,
         root_value=vb / p,
         slot1_residual=va == zero,
         slot2_residual=vb == zero,
     )
 
 
+@memoised
 def algebra_value_data(
     word: SymbolSum, tower: FieldTower, depth: int | None = None
 ) -> AlgebraValueData:
     if not word.terms:
         raise ZeroElement("an empty tensor word has no value data")
     spec = tower.spec(tower.depth if depth is None else depth)
-    factors = tuple(
-        _symbol_value_data(t, spec, value_of(t.slot1, spec)) for t in word.terms
-    )
-    return _word_value_data(spec, factors)
-
-
-def _word_value_data(
-    spec: ValuationSpec, factors: tuple[SymbolValueData, ...]
-) -> AlgebraValueData:
+    factors = tuple(_symbol_value_data(t, spec) for t in word.terms)
     zero = ValueVector.zero(spec.depth)
     pairs: list[tuple[int, int]] = []
     for i, fi in enumerate(factors):
@@ -269,6 +261,7 @@ def _fresh(tower: FieldTower, base: str) -> str:
     return name
 
 
+@memoised
 def _residue_extension_certificate(
     res_tower: FieldTower, rhs: FormalElement, kind: str
 ) -> Certificate:
@@ -293,6 +286,7 @@ def _residue_extension_certificate(
         )
 
 
+@memoised
 def symbol_division(
     term: SymbolTerm,
     tower: FieldTower,
@@ -315,8 +309,7 @@ def symbol_division(
                 "reason": "slot1 vanishes, the equation splits",
             },
         )
-    va = value_of(term.slot1, spec)
-    if va > ValueVector.zero(spec.depth):
+    if value_of(term.slot1, spec) > ValueVector.zero(spec.depth):
         return Certificate(
             "symbol-division",
             REFUTED,
@@ -325,17 +318,9 @@ def symbol_division(
                 "reason": "slot1 has positive value, the equation splits",
             },
         )
-    data = _word_value_data(spec, (_symbol_value_data(term, spec, va),))
-    return _symbol_division_route(data, spec, residue_hypothesis)
-
-
-def _symbol_division_route(
-    data: AlgebraValueData, spec: ValuationSpec, residue_hypothesis: str | None
-) -> Certificate:
-    """symbol_division past its hensel-split guards, on the symbol's value data."""
+    data = algebra_value_data(SymbolSum.of(term), tower, spec.depth)
     p = data.degree
     f = data.factors[0]
-    term = f.term
 
     if not f.slot1_residual and not f.slot2_residual:
         child = independence_division(data)
@@ -691,16 +676,15 @@ def morandi_step(
         f_d = 1
         d_residual = None
     left_ram = d_data.ram_index
-    defectless = left_ram * f_d == d_data.dim
-    conditions["left-defectless"] = defectless
+    conditions["left-defectless"] = left_ram * f_d == d_data.dim
 
-    e_cert = _symbol_division_route(e_data, spec, residue_hypothesis)
+    e_cert = symbol_division(e_term, tower, depth, residue_hypothesis)
     children.append(e_cert)
     conditions["right-division"] = e_cert.ok
 
-    meet = d_data.value_group.intersect(e_data.value_group)
-    disjoint = meet == d_data.base_group
-    conditions["value-groups-meet-in-base"] = disjoint
+    # D, E contain the base: they meet in it iff [D+E : base] = [D : base][E : base]
+    joint = d_data.value_group.sum_with(e_data.value_group).index_over(d_data.base_group)
+    conditions["value-groups-meet-in-base"] = joint == left_ram * e_data.ram_index
 
     r_cert = residue_tensor_certificate(spec, d_residual, e_data, residue_hypothesis)
     children.append(r_cert)

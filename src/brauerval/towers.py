@@ -16,7 +16,8 @@ AmbiguousValuation rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from math import comb, isqrt
 
 from .errors import (
@@ -46,6 +47,35 @@ def _merge_monomial(entries: list[tuple[str, int]]) -> Monomial:
     for name, exp in entries:
         acc[name] = acc.get(name, 0) + exp
     return tuple(sorted((n, e) for n, e in acc.items() if e != 0))
+
+
+_MEMO_TABLES: list[dict] = []
+_MISSING = object()
+
+
+def memoised(fn):
+    """fn answering equal (args, sorted kwargs) once until forget_memos().
+
+    A plain function, so tracers still see each call; exceptions are not stored.
+    """
+    table: dict = {}
+    _MEMO_TABLES.append(table)
+
+    @functools.wraps(fn)
+    def answer(*args, **kwargs):
+        key = (args, tuple(sorted(kwargs.items())))
+        hit = table.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = table[key] = fn(*args, **kwargs)
+        return hit
+
+    return answer
+
+
+def forget_memos() -> None:
+    """Empty every memo table; the CLI does this after each task."""
+    for table in _MEMO_TABLES:
+        table.clear()
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,6 +345,7 @@ class ValuationSpec:
             return ValueVector.unit(self.depth, active.index(name))
         return ValueVector.zero(self.depth)
 
+    @memoised
     def value_group(self) -> Lattice:
         return Lattice.integers(self.depth).extended(
             [generator_value(self, g.name) for g in self.tower.generators]
@@ -328,10 +359,7 @@ class ValuationSpec:
         return self.value_group().contains(v / self.tower.char)
 
 
-def _generator_lookup(spec: ValuationSpec) -> dict[str, ExtensionGenerator]:
-    return {g.name: g for g in spec.tower.generators}
-
-
+@memoised
 def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
     """Value of a generator under spec, recomputed from its rhs.
 
@@ -386,6 +414,7 @@ def _term_value_and_active(
     return total, tuple(sorted(active))
 
 
+@memoised
 def value_of(element: FormalElement, spec: ValuationSpec) -> ValueVector:
     """Certified value of an element, or AmbiguousValuation.
 
@@ -398,7 +427,7 @@ def value_of(element: FormalElement, spec: ValuationSpec) -> ValueVector:
         raise ZeroElement("the zero element has no value")
     if element.char != spec.tower.char:
         raise UnsupportedConfiguration("element characteristic differs from tower")
-    gens = _generator_lookup(spec)
+    gens = {g.name: g for g in spec.tower.generators}
     best: ValueVector | None = None
     best_parts: set[Monomial] = set()
     for m, _ in element.terms:
@@ -417,6 +446,7 @@ def value_of(element: FormalElement, spec: ValuationSpec) -> ValueVector:
     return best
 
 
+@memoised
 def residue_of(element: FormalElement, spec: ValuationSpec) -> FormalElement:
     """Image in the residue field of an element of value at least 0.
 
@@ -426,7 +456,7 @@ def residue_of(element: FormalElement, spec: ValuationSpec) -> FormalElement:
     """
     if element.is_zero():
         return element
-    gens = _generator_lookup(spec)
+    gens = {g.name: g for g in spec.tower.generators}
     zero = ValueVector.zero(spec.depth)
     kept: dict[Monomial, int] = {}
     for m, c in element.terms:
@@ -442,6 +472,7 @@ def residue_of(element: FormalElement, spec: ValuationSpec) -> FormalElement:
     return FormalElement._normal(element.char, kept)
 
 
+@memoised
 def residue_tower(spec: ValuationSpec) -> FieldTower:
     """The residue field of spec, rebuilt as a tower over the inner variables.
 

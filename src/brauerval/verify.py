@@ -3,8 +3,9 @@
 Each verifier recomputes one construction from scratch over the standard
 Laurent towers and returns a Verdict: a machine-checkable result string,
 the parameters, a payload of recomputed quantities, and the certificate
-trees backing them.  Nothing here is cached or assumed; a Verified
-verdict means every arithmetic claim was recomputed this run.
+trees backing them.  Nothing is assumed: every claim behind a Verified
+verdict is computed this run, each equal sub-question once within a
+task (the CLI empties those memo tables after every task).
 
 The checks fall into three groups:
 

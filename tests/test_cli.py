@@ -8,8 +8,9 @@ import pathlib
 
 import pytest
 
-from brauerval import cli
+from brauerval import cli, towers
 from brauerval.cli import main
+from brauerval.errors import ScenarioError
 from brauerval.scenario import TASKS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -97,6 +98,27 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "internal error: AssertionError: enumerated 3 lattices, expected 4\n"
+
+    @pytest.mark.parametrize(
+        "error,expected",
+        [(None, 0), (ScenarioError("bad input"), 3), (RuntimeError("forced"), 4)],
+    )
+    def test_memo_tables_are_empty_after_each_task(self, capsys, monkeypatch, error, expected):
+        real = cli.verify_shift_lemma
+        filled = []
+
+        def shift_then_fail(*args):
+            verdict = real(*args)
+            filled.append(sum(len(table) for table in towers._MEMO_TABLES))
+            if error is not None:
+                raise error
+            return verdict
+
+        monkeypatch.setattr(cli, "verify_shift_lemma", shift_then_fail)
+        code, _, _ = run(capsys, "shift", "--n", "3", "--p", "2", "--i", "1")
+        assert code == expected
+        assert filled[0] > 0
+        assert not any(towers._MEMO_TABLES)
 
     def test_budget_overrun_is_two_with_a_report(self, capsys, tmp_path):
         target = tmp_path / "budget.json"

@@ -452,6 +452,21 @@ class TestPeeling:
         ]
 
 
+    def test_value_groups_meeting_above_the_base_block_the_peel(self):
+        # both factors ramify a3 with index 2, so the groups share v(x) = (0, -1/2)
+        t = tower(2, "a1", "a2", "a3")
+        d_word = word(2, ({"a3": -1}, {"a1": 1}))
+        e = symbol(2, mono(2, {"a3": -1}), mono(2, {"a2": 1}))
+        step = morandi_step(t, 2, d_word, e, chain_division(d_word, t))
+        conditions = step.get("conditions")
+        assert conditions.pop("value-groups-meet-in-base") is False
+        assert all(conditions.values())
+        assert step.status == NOT_CERTIFIED
+        meet = step.get("left_value_group").intersect(step.get("right_value_group"))
+        assert meet == Lattice.diagonal([Fraction(1), Fraction(1, 2)])
+        assert chain_division(SymbolSum.of(*d_word.terms, e), t).status == NOT_CERTIFIED
+
+
 def members_32() -> list[tuple[str, SymbolSum]]:
     """The seven two-factor members over three variables at p = 2."""
     return [

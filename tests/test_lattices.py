@@ -481,6 +481,30 @@ def test_containment_and_index_match_fraction_oracles(pair):
     assert a.index_over(meet) == covolume(meet) / covolume(a)
 
 
+@st.composite
+def groups_over_a_base(draw):
+    """A base B and two groups D, E containing it, of dimension 1-3."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    base = draw(overlattices(dim))
+
+    def over_base():
+        count = draw(st.integers(min_value=1, max_value=2))
+        return base.extended(
+            [ValueVector.of(*(draw(small_fraction) for _ in range(dim))) for _ in range(count)]
+        )
+
+    return base, over_base(), over_base()
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_over_a_base())
+def test_groups_meet_in_the_base_iff_indices_multiply(case):
+    # the peel's meet test: D meet E = B exactly when [D+E : B] = [D : B][E : B]
+    base, d, e = case
+    by_index = d.sum_with(e).index_over(base) == d.index_over(base) * e.index_over(base)
+    assert (d.intersect(e) == base) == by_index
+
+
 @settings(max_examples=60, deadline=None)
 @given(overlattices(3))
 def test_dual_is_an_involution(lat):

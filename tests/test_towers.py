@@ -7,19 +7,23 @@ any frozen constant below is trusted.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauerval import division, towers
 from brauerval.errors import (
     AmbiguousValuation,
     UnsupportedConfiguration,
     ZeroElement,
 )
 from brauerval.lattices import Lattice, ValueVector
+from brauerval.symbols import SymbolSum, SymbolTerm
 from brauerval.towers import (
     ARTIN_SCHREIER,
     PTH_ROOT,
@@ -439,3 +443,58 @@ def test_norm_closed_form_property(triple):
     m = mono(p, {"u": -1})
     closed = (a**p) * m + b**p - (a ** (p - 1)) * b if not a.is_zero() else b**p
     assert norm_element_oracle(m, a, b, p) == closed
+
+
+# ------------------------------------------------------------ memo tables
+
+
+@pytest.mark.parametrize(
+    "module,fn",
+    [
+        (towers, towers.value_of),
+        (towers, towers.residue_of),
+        (towers, towers.residue_tower),
+        (towers, towers.generator_value),
+        (towers, ValuationSpec.value_group),
+        (division, division.algebra_value_data),
+        (division, division.symbol_division),
+        (division, division._residue_extension_certificate),
+    ],
+)
+def test_memoised_functions_stay_plain_functions(module, fn):
+    # a tracer wraps the plain functions a module defines, so a memo must be one
+    assert isinstance(fn, types.FunctionType)
+    assert fn.__module__ == module.__name__
+    assert fn.__wrapped__.__name__ == fn.__name__
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [FormalElement, GroundField, ExtensionGenerator, FieldTower, ValuationSpec, SymbolTerm, SymbolSum],
+)
+def test_memo_key_dataclasses_compare_every_field(cls):
+    # equal keys must mean equal inputs, and a key must never change
+    assert cls.__dataclass_params__.frozen
+    assert all(f.compare for f in dataclasses.fields(cls))
+
+
+def test_equal_inputs_share_one_answer():
+    def inputs():
+        gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
+        tower = FieldTower(GroundField(3), ("u", "w"), (gx,))
+        return mono(3, {"x": 1, "w": 2}), tower.spec()
+
+    first = value_of(*inputs())
+    assert value_of(*inputs()) is first
+    assert first == V(F(-1, 3), 2)
+
+
+def test_failures_are_not_memoised():
+    spec = FieldTower(GroundField(2), ("u",)).spec()
+    sizes = [len(table) for table in towers._MEMO_TABLES]
+    for _ in range(2):
+        with pytest.raises(ZeroElement):
+            value_of(FormalElement.zero(2), spec)
+    assert [len(table) for table in towers._MEMO_TABLES] == sizes
+    towers.forget_memos()
+    assert not any(towers._MEMO_TABLES)

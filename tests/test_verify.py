@@ -10,9 +10,11 @@ import pytest
 
 import brauerval.verify as verify_mod
 from brauerval.errors import UnsupportedConfiguration
+from brauerval.division import chain_division
 from brauerval.lattices import Lattice, ValueVector, enumerate_overlattices
+from brauerval.report import encode
 from brauerval.symbols import SymbolSum, symbol
-from brauerval.towers import FormalElement
+from brauerval.towers import FormalElement, forget_memos
 from brauerval.verify import (
     INCONCLUSIVE,
     NOT_CERTIFIED,
@@ -204,6 +206,19 @@ class TestNoCommonSplitting:
         assert v.get("allowed_count") == count == p ** (n - 2)
         assert v.get("needed_for_common_field") == p ** (n - 1) - 1
         assert all(status == "certified" for status in v.get("member_status").values())
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    def test_member_certificates_are_the_same_cold_and_warm(self, n, p):
+        # memoised answers shared between members must not change any tree
+        tower = standard_tower(n, p)
+        words = [m.word for m in build_family(n, p).members]
+        cold = []
+        for w in words:
+            forget_memos()
+            cold.append(encode(chain_division(w, tower)))
+        forget_memos()
+        warm = [encode(chain_division(w, tower)) for w in words]
+        assert warm == cold
 
     def test_allowed_classes_32_frozen(self):
         v = verify_no_common_splitting(3, 2)
