@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 
 from .errors import EngineError, NonContainment, UnsupportedConfiguration, ZeroElement
 from .lattices import Lattice, ValueVector
@@ -112,21 +112,21 @@ class AlgebraValueData:
 
     @property
     def ram_index(self) -> int:
-        """[value_group : base_group], recomputed on every read."""
+        """[value_group : base_group], answered once per pair of groups by index_over."""
         return self.value_group.index_over(self.base_group)
 
-    def basis_values(self) -> list[ValueVector]:
+    def basis_values(self) -> tuple[ValueVector, ...]:
         """Values of the 2k monomial generators, composite-refined."""
         return _refined_basis_values(self.factors, self.pairs, self.degree)
 
-    def natural_values(self) -> list[ValueVector]:
+    def natural_values(self) -> tuple[ValueVector, ...]:
         """Values of the plain x_i, y_i generators, no refinement."""
-        return [v for f in self.factors for v in (f.as_value, f.root_value)]
+        return tuple(v for f in self.factors for v in (f.as_value, f.root_value))
 
 
 def _refined_basis_values(
     factors: tuple[SymbolValueData, ...], pairs: tuple[tuple[int, int], ...], p: int
-) -> list[ValueVector]:
+) -> tuple[ValueVector, ...]:
     """v(x_i), v(y_i) per factor, with v(slot1_i)/p^2 for paired x_i.
 
     A reciprocal pair (i, j) contributes x_i - 1/y_j, whose p-th power
@@ -136,9 +136,10 @@ def _refined_basis_values(
     out = []
     for i, f in enumerate(factors):
         out += [f.slot1_value / (p * p) if i in paired else f.as_value, f.root_value]
-    return out
+    return tuple(out)
 
 
+@memoised
 def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData:
     """Value data of one symbol under spec."""
     p = spec.tower.char
@@ -160,7 +161,6 @@ def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData
     )
 
 
-@memoised
 def algebra_value_data(
     word: SymbolSum, tower: FieldTower, depth: int | None = None
 ) -> AlgebraValueData:
@@ -346,7 +346,7 @@ def symbol_division(
             ramified_value = f.as_value
             rbar = residue_of(term.slot2, spec)
             res_cert = _residue_extension_certificate(res_tower, rbar, "pth-root")
-        ram_group = data.base_group.extended([ramified_value])
+        ram_group = data.base_group.extended((ramified_value,))
         e = ram_group.index_over(data.base_group)
         ok = e == p and res_cert.ok
         return Certificate(
@@ -825,8 +825,6 @@ def trace_zero_value_classes(
     groups: set[Lattice] = set()
     excluded: set[ValueVector] = set()
     for data in members:
-        if data.dim > MAX_CLASS_WORK:
-            raise UnsupportedConfiguration("class enumeration exceeds the work bound")
         if data.base_group != base:
             raise UnsupportedConfiguration("the members do not share one base group")
         values = data.natural_values()
@@ -845,6 +843,8 @@ def trace_zero_value_classes(
         (b[i] * meet.denominator) // (m[i] * base.denominator)
         for i, (b, m) in enumerate(zip(base.rows, meet.rows))
     ]
+    if prod(ratios) > MAX_CLASS_WORK:
+        raise UnsupportedConfiguration("class enumeration exceeds the work bound")
     classes = set()
     for coeffs in itertools.product(*(range(r) for r in ratios)):
         nums = [sum(c * row[j] for c, row in zip(coeffs, meet.rows)) for j in range(base.dim)]

@@ -21,6 +21,7 @@ coordinate down to the first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -30,6 +31,34 @@ from math import gcd, lcm, prod
 from .errors import DimensionMismatch, EnumerationBound, NonContainment, UnsupportedConfiguration
 
 FractionLike = Fraction | int
+
+_MEMO_TABLES: list[dict] = []
+_MISSING = object()
+
+
+def memoised(fn):
+    """fn answering equal (args, sorted kwargs) once until forget_memos().
+
+    A plain function, so tracers still see each call; exceptions are not stored.
+    """
+    table: dict = {}
+    _MEMO_TABLES.append(table)
+
+    @functools.wraps(fn)
+    def answer(*args, **kwargs):
+        key = (args, tuple(sorted(kwargs.items())))
+        hit = table.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = table[key] = fn(*args, **kwargs)
+        return hit
+
+    return answer
+
+
+def forget_memos() -> None:
+    """Empty every memo table; the CLI does this after each task."""
+    for table in _MEMO_TABLES:
+        table.clear()
 
 
 def _ordered(op):
@@ -227,7 +256,8 @@ class Lattice:
         rows = [[int(e * den) if i == j else 0 for j in range(dim)] for i, e in enumerate(entries)]
         return cls._from_integer_rows(dim, den, rows)
 
-    def extended(self, values: list[ValueVector] | tuple[ValueVector, ...]) -> Lattice:
+    @memoised
+    def extended(self, values: tuple[ValueVector, ...]) -> Lattice:
         """self + <values> by one Hermite form, or self itself if every value is zero."""
         for v in values:
             if v.dim != self.dim:
@@ -278,6 +308,7 @@ class Lattice:
         nums, m = self.scaled_coords(vec)
         return m // gcd(m, *nums)
 
+    @memoised
     def index_over(self, sub: Lattice) -> int:
         """[self : sub] for a full-rank sublattice, by the ratio of the diagonals."""
         if not self.contains_lattice(sub):
@@ -291,6 +322,7 @@ class Lattice:
             raise NonContainment("diagonal ratio is not an integer")
         return index
 
+    @memoised
     def sum_with(self, other: Lattice) -> Lattice:
         if other.dim != self.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")

@@ -16,7 +16,6 @@ AmbiguousValuation rather than guessing.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb, isqrt
 
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedConfiguration,
     ZeroElement,
 )
-from .lattices import Lattice, ValueVector
+from .lattices import _MEMO_TABLES, Lattice, ValueVector, forget_memos, memoised  # noqa: F401
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -47,35 +46,6 @@ def _merge_monomial(entries: list[tuple[str, int]]) -> Monomial:
     for name, exp in entries:
         acc[name] = acc.get(name, 0) + exp
     return tuple(sorted((n, e) for n, e in acc.items() if e != 0))
-
-
-_MEMO_TABLES: list[dict] = []
-_MISSING = object()
-
-
-def memoised(fn):
-    """fn answering equal (args, sorted kwargs) once until forget_memos().
-
-    A plain function, so tracers still see each call; exceptions are not stored.
-    """
-    table: dict = {}
-    _MEMO_TABLES.append(table)
-
-    @functools.wraps(fn)
-    def answer(*args, **kwargs):
-        key = (args, tuple(sorted(kwargs.items())))
-        hit = table.get(key, _MISSING)
-        if hit is _MISSING:
-            hit = table[key] = fn(*args, **kwargs)
-        return hit
-
-    return answer
-
-
-def forget_memos() -> None:
-    """Empty every memo table; the CLI does this after each task."""
-    for table in _MEMO_TABLES:
-        table.clear()
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,7 +318,7 @@ class ValuationSpec:
     @memoised
     def value_group(self) -> Lattice:
         return Lattice.integers(self.depth).extended(
-            [generator_value(self, g.name) for g in self.tower.generators]
+            tuple(generator_value(self, g.name) for g in self.tower.generators)
         )
 
     def residue_tower(self) -> FieldTower:

@@ -37,7 +37,6 @@ from .division import (
     trace_profile,
     trace_zero_value_classes,
 )
-from .division import CERTIFIED as CERT_OK
 from .division import REFUTED as CERT_REFUTED
 from .errors import UnsupportedConfiguration
 from .lattices import (
@@ -62,7 +61,6 @@ from .towers import (
     artin_schreier_image,
     is_prime,
     rebase_pth_root,
-    residue_of,
 )
 
 VERIFIED = "Verified"

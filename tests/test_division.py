@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauerval import division
 from brauerval.division import (
     CERTIFIED,
     NOT_CERTIFIED,
@@ -37,7 +38,13 @@ from brauerval.towers import (
     adjoin_pth_root,
     generator_value,
 )
-from brauerval.verify import build_family, shared_value_window, standard_tower
+from brauerval.verify import (
+    VERIFIED,
+    build_family,
+    shared_value_window,
+    standard_tower,
+    verify_no_common_splitting,
+)
 
 
 def tower(p: int, *variables: str, constants: tuple[str, ...] = ()) -> FieldTower:
@@ -574,6 +581,31 @@ class TestTraceZeroClasses:
         assert base.order_of_class(data.natural_values()[0]) == p * p
         with pytest.raises(UnsupportedConfiguration, match="order"):
             trace_zero_value_classes([data])
+
+    def test_work_bound_counts_the_census_box(self, monkeypatch):
+        # the census walks the [meet : base] box, not any member's p^(2k) monomials
+        n, p = 5, 2
+        t = standard_tower(n, p)
+        window = shared_value_window(n, p)
+        members = [
+            algebra_value_data(m.word, t)
+            for m in build_family(n, p).members
+            if m.kind == "twist"
+        ]
+        base = members[0].base_group
+        meet = window
+        for data in members:
+            meet = meet.intersect(base.extended(data.natural_values()))
+        box = meet.index_over(base)
+        assert box < 255 < max(data.dim for data in members) == 256
+        expected = trace_zero_value_classes(members, window)
+        for bound in (255, box):
+            monkeypatch.setattr(division, "MAX_CLASS_WORK", bound)
+            assert trace_zero_value_classes(members, window) == expected
+        assert verify_no_common_splitting(n, p).result == VERIFIED
+        monkeypatch.setattr(division, "MAX_CLASS_WORK", box - 1)
+        with pytest.raises(UnsupportedConfiguration, match="work bound"):
+            trace_zero_value_classes(members, window)
 
     def test_window_must_contain_base(self):
         t = tower(2, "a1", "a2")

@@ -25,6 +25,7 @@ from brauerval.lattices import (
     ValueVector,
     _rank_mod_p,
     enumerate_overlattices,
+    forget_memos,
     overlattice_count,
 )
 
@@ -49,7 +50,7 @@ def intersection_oracle(a: Lattice, b: Lattice) -> Lattice:
         v = ValueVector.of(*(F(c, m) for c in coords))
         if a.contains(v) and b.contains(v):
             gens.append(v)
-    return Lattice.integers(n).extended(gens)
+    return Lattice.integers(n).extended(tuple(gens))
 
 
 def subgroup_count_oracle(dim: int, p: int, q: int) -> int:
@@ -279,13 +280,13 @@ def generators_and_point(draw):
 def test_lattices_from_integer_vectors_match_fraction_input(case, k):
     dim, gens, point = case
     zn = Lattice.integers(dim)
-    lat = zn.extended([as_integer_vector(g, k) for g in gens])
-    assert lat == zn.extended([ValueVector.of(*g) for g in gens])
+    lat = zn.extended(tuple(as_integer_vector(g, k) for g in gens))
+    assert lat == zn.extended(tuple(ValueVector.of(*g) for g in gens))
     assert lat == fraction_lattice_oracle(dim, gens)
     # grown from a base that is not Z^dim, one value at a time
     for i in range(len(gens)):
         base = fraction_lattice_oracle(dim, gens[:i])
-        assert base.extended([as_integer_vector(g, k) for g in gens[i:]]) == lat
+        assert base.extended(tuple(as_integer_vector(g, k) for g in gens[i:])) == lat
     vec = as_integer_vector(point, k)
     nums, m = lat.scaled_coords(vec)
     assert (nums, m) == lat.scaled_coords(ValueVector.of(*point))
@@ -294,12 +295,12 @@ def test_lattices_from_integer_vectors_match_fraction_input(case, k):
 
 def test_known_lattices_skip_the_hermite_form():
     zn = Lattice.integers(3)
-    assert zn.extended([]) is zn
-    assert zn.extended([ValueVector.zero(3)]) is zn
-    half = zn.extended([V(F(1, 2), 0, 0)])
-    assert half.extended([V(F(3, 2), 1, 0), ValueVector.zero(3)]) == half
+    assert zn.extended(()) is zn
+    assert zn.extended((ValueVector.zero(3),)) is zn
+    half = zn.extended((V(F(1, 2), 0, 0),))
+    assert half.extended((V(F(3, 2), 1, 0), ValueVector.zero(3))) == half
     with pytest.raises(DimensionMismatch):
-        zn.extended([ValueVector.zero(2)])
+        zn.extended((ValueVector.zero(2),))
     with pytest.raises(ValueError):
         V(1, 2) / 0
 
@@ -308,16 +309,16 @@ def test_known_lattices_skip_the_hermite_form():
 
 
 def test_canonicalize_half_half_example():
-    lat = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
+    lat = Lattice.integers(2).extended((V(F(1, 2), F(1, 2)),))
     assert lat.denominator == 2
     assert lat.rows == ((2, 0), (1, 1))
     # same group as the basis {(1/2, 1/2), (0, 1)}
-    assert lat == Lattice.integers(2).extended([V(F(1, 2), F(1, 2)), V(0, 1)])
+    assert lat == Lattice.integers(2).extended((V(F(1, 2), F(1, 2)), V(0, 1)))
 
 
 def test_canonicalize_is_idempotent_on_examples():
-    lat = Lattice.integers(3).extended([V(F(1, 2), 0, F(1, 4)), V(0, F(1, 2), F(3, 4))])
-    basis = [ValueVector.canonical(row, lat.denominator) for row in lat.rows]
+    lat = Lattice.integers(3).extended((V(F(1, 2), 0, F(1, 4)), V(0, F(1, 2), F(3, 4))))
+    basis = tuple(ValueVector.canonical(row, lat.denominator) for row in lat.rows)
     assert lat.extended(basis) == lat
     assert Lattice._from_integer_rows(3, lat.denominator, [list(r) for r in lat.rows]) == lat
 
@@ -341,7 +342,7 @@ def test_diagonal_and_integers():
 
 def test_hermite_reduction_conditions_hold():
     lat = Lattice.integers(3).extended(
-        [V(F(5, 6), F(1, 3), F(1, 2)), V(F(1, 6), F(5, 6), F(1, 3))]
+        (V(F(5, 6), F(1, 3), F(1, 2)), V(F(1, 6), F(5, 6), F(1, 3)))
     )
     for i in range(3):
         assert lat.rows[i][i] > 0
@@ -369,7 +370,7 @@ def integer_coords(lat: Lattice, vec: ValueVector) -> tuple[int, ...] | None:
 
 
 def test_coords_and_membership():
-    lat = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
+    lat = Lattice.integers(2).extended((V(F(1, 2), F(1, 2)),))
     assert lat.contains(V(F(3, 2), F(1, 2)))
     assert integer_coords(lat, V(F(3, 2), F(1, 2))) == (1, 1)
     assert not lat.contains(V(F(1, 2), 0))
@@ -391,7 +392,7 @@ def test_index_examples():
 def test_index_over_fractional_lattices():
     # both denominators above 1, so the diagonal ratio needs both scales
     assert Lattice.diagonal([F(1, 4), F(1, 2)]).index_over(Lattice.diagonal([F(1, 2), 1])) == 4
-    half = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
+    half = Lattice.integers(2).extended((V(F(1, 2), F(1, 2)),))
     assert Lattice.diagonal([F(1, 4), F(1, 4)]).index_over(half) == 8
     # equal covolumes, yet neither contains the other
     with pytest.raises(NonContainment):
@@ -415,8 +416,8 @@ def test_intersection_diagonal_example():
 
 
 def test_intersection_nondiagonal_example():
-    a = Lattice.integers(2).extended([V(F(1, 2), F(1, 2))])
-    b = Lattice.integers(2).extended([V(F(1, 2), 0)])
+    a = Lattice.integers(2).extended((V(F(1, 2), F(1, 2)),))
+    b = Lattice.integers(2).extended((V(F(1, 2), 0),))
     meet = a.intersect(b)
     assert meet == Lattice.integers(2)
     assert meet == intersection_oracle(a, b)
@@ -432,7 +433,7 @@ def overlattices(draw, dim: int):
         ValueVector.of(*(draw(small_fraction) for _ in range(dim)))
         for _ in range(count)
     ]
-    return Lattice.integers(dim).extended(gens)
+    return Lattice.integers(dim).extended(tuple(gens))
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,6 +482,49 @@ def test_containment_and_index_match_fraction_oracles(pair):
     assert a.index_over(meet) == covolume(meet) / covolume(a)
 
 
+def stacked_hermite_oracle(dim: int, parts: list[tuple[int, tuple[tuple[int, ...], ...]]]) -> Lattice:
+    """One Hermite form from scratch over every (denominator, rows) part, stacked."""
+    den = lcm(*(d for d, _ in parts))
+    rows = [[x * (den // d) for x in r] for d, part in parts for r in part]
+    return Lattice._from_integer_rows(dim, den, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_pairs(), st.lists(st.tuples(small_fraction, small_fraction, small_fraction), max_size=3))
+def test_extended_and_sum_with_match_a_fresh_hermite_form(pair, extra):
+    a, b = pair
+    values = tuple(V(*t[: a.dim]) for t in extra)
+
+    def check():
+        # one self with several arguments, so a key that dropped one would show
+        for k in range(len(values) + 1):
+            parts = [(a.denominator, a.rows)] + [(v.den, (v.nums,)) for v in values[:k]]
+            assert a.extended(values[:k]) == stacked_hermite_oracle(a.dim, parts)
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            parts = [(x.denominator, x.rows), (y.denominator, y.rows)]
+            assert x.sum_with(y) == stacked_hermite_oracle(a.dim, parts)
+        assert a.sum_with(b) == b.sum_with(a)
+
+    check()  # the tables still hold earlier examples' answers
+    forget_memos()
+    check()  # cold
+    check()  # warm from this example's own answers
+
+
+def test_index_over_a_non_sublattice_raises_on_every_call():
+    zn = Lattice.integers(2)
+    half = Lattice.diagonal([F(1, 2), 1])
+    other = Lattice.diagonal([1, F(1, 2)])
+    assert half.index_over(zn) == 2
+    for _ in range(2):
+        with pytest.raises(NonContainment):
+            zn.index_over(half)
+        # equal covolumes, so only the containment check can refuse
+        with pytest.raises(NonContainment):
+            half.index_over(other)
+    assert half.index_over(zn) == 2
+
+
 @st.composite
 def groups_over_a_base(draw):
     """A base B and two groups D, E containing it, of dimension 1-3."""
@@ -490,7 +534,7 @@ def groups_over_a_base(draw):
     def over_base():
         count = draw(st.integers(min_value=1, max_value=2))
         return base.extended(
-            [ValueVector.of(*(draw(small_fraction) for _ in range(dim))) for _ in range(count)]
+            tuple(ValueVector.of(*(draw(small_fraction) for _ in range(dim))) for _ in range(count))
         )
 
     return base, over_base(), over_base()
@@ -514,7 +558,7 @@ def test_dual_is_an_involution(lat):
 @settings(max_examples=60, deadline=None)
 @given(overlattices(3), st.lists(st.tuples(small_fraction, small_fraction, small_fraction), max_size=2))
 def test_index_is_multiplicative_in_towers(lower, extra):
-    upper = lower.extended([V(*t) for t in extra])
+    upper = lower.extended(tuple(V(*t) for t in extra))
     zn = Lattice.integers(3)
     assert upper.index_over(zn) * 1 == upper.index_over(lower) * lower.index_over(zn)
 
@@ -551,7 +595,7 @@ def lattice_and_vector(draw):
     """
     dim = draw(st.integers(min_value=1, max_value=5))
     gens = [ValueVector.of(*c[:dim]) for c in draw(st.lists(point5, max_size=2))]
-    lat = Lattice.diagonal(draw(scales5)[:dim]).extended(gens)
+    lat = Lattice.diagonal(draw(scales5)[:dim]).extended(tuple(gens))
     coeffs = draw(coeffs5)[:dim]
     vec = ValueVector.zero(dim)
     for c, row in zip(coeffs, lat.rows):
@@ -593,7 +637,7 @@ def test_unit_rank_reads_off_the_dual():
         (Lattice.diagonal([F(1, 2), 1, 1]), 2),
         (Lattice.integers(3), 3),
         (Lattice.diagonal([F(1, 2), F(1, 2), F(1, 2)]), 0),
-        (Lattice.integers(2).extended([V(F(1, 2), F(1, 2))]), 1),
+        (Lattice.integers(2).extended((V(F(1, 2), F(1, 2)),)), 1),
     ]:
         units = [integer_coords(lat, ValueVector.unit(lat.dim, k)) for k in range(lat.dim)]
         assert _rank_mod_p(units, 2) == rank

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerval import division, towers
+from brauerval import division, lattices, towers
 from brauerval.errors import (
     AmbiguousValuation,
     UnsupportedConfiguration,
@@ -456,7 +456,10 @@ def test_norm_closed_form_property(triple):
         (towers, towers.residue_tower),
         (towers, towers.generator_value),
         (towers, ValuationSpec.value_group),
-        (division, division.algebra_value_data),
+        (lattices, Lattice.extended),
+        (lattices, Lattice.sum_with),
+        (lattices, Lattice.index_over),
+        (division, division._symbol_value_data),
         (division, division.symbol_division),
         (division, division._residue_extension_certificate),
     ],
@@ -470,7 +473,10 @@ def test_memoised_functions_stay_plain_functions(module, fn):
 
 @pytest.mark.parametrize(
     "cls",
-    [FormalElement, GroundField, ExtensionGenerator, FieldTower, ValuationSpec, SymbolTerm, SymbolSum],
+    [
+        FormalElement, GroundField, ExtensionGenerator, FieldTower, ValuationSpec, SymbolTerm,
+        SymbolSum, Lattice, ValueVector,
+    ],
 )
 def test_memo_key_dataclasses_compare_every_field(cls):
     # equal keys must mean equal inputs, and a key must never change

@@ -10,7 +10,7 @@ import pytest
 
 import brauerval.verify as verify_mod
 from brauerval.errors import UnsupportedConfiguration
-from brauerval.division import chain_division
+from brauerval.division import algebra_value_data, chain_division
 from brauerval.lattices import Lattice, ValueVector, enumerate_overlattices
 from brauerval.report import encode
 from brauerval.symbols import SymbolSum, symbol
@@ -207,7 +207,7 @@ class TestNoCommonSplitting:
         assert v.get("needed_for_common_field") == p ** (n - 1) - 1
         assert all(status == "certified" for status in v.get("member_status").values())
 
-    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3), (5, 2)])
     def test_member_certificates_are_the_same_cold_and_warm(self, n, p):
         # memoised answers shared between members must not change any tree
         tower = standard_tower(n, p)
@@ -219,6 +219,25 @@ class TestNoCommonSplitting:
         forget_memos()
         warm = [encode(chain_division(w, tower)) for w in words]
         assert warm == cold
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3), (5, 2)])
+    def test_member_value_data_is_the_same_cold_and_warm(self, n, p):
+        # lattice answers memoised for one member must not change another's value data
+        tower = standard_tower(n, p)
+        words = [m.word for m in build_family(n, p).members]
+
+        def profile(w):
+            data = algebra_value_data(w, tower)
+            return data.value_group, data.ram_index
+
+        cold = []
+        for w in words:
+            forget_memos()
+            cold.append(profile(w))
+        forget_memos()
+        for w in words:
+            chain_division(w, tower)
+        assert [profile(w) for w in words] == cold
 
     def test_allowed_classes_32_frozen(self):
         v = verify_no_common_splitting(3, 2)
