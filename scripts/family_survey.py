@@ -19,7 +19,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from brauerval.towers import forget_memos
+from brauerval.lattices import forget_memos
 from brauerval.verify import family_size_formula, verify_no_common_splitting
 
 

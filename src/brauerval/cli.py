@@ -14,15 +14,15 @@ import argparse
 import sys
 import time
 
-from .division import CERTIFIED, REFUTED as CERT_REFUTED, chain_division
+from .division import chain_division
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
+from .lattices import forget_memos
 from .report import Report, emit_report
 from .scenario import TASKS, Scenario, load_scenario
 from .symbols import SymbolSum, check_rewrite_chain
-from .towers import forget_memos
 from .verify import (
     NOT_CERTIFIED,
-    REFUTED,
+    RESULT_OF_STATUS,
     VERIFIED,
     Verdict,
     verify_char_not_p,
@@ -116,15 +116,9 @@ def _chain_check_verdict(scenario: Scenario) -> Verdict:
 def _custom_verdict(scenario: Scenario) -> Verdict:
     word = _scenario_word(scenario)
     cert = chain_division(word, scenario.tower, scenario.hypothesis)
-    if cert.status == CERTIFIED:
-        result = VERIFIED
-    elif cert.status == CERT_REFUTED:
-        result = REFUTED
-    else:
-        result = NOT_CERTIFIED
     return Verdict(
         task="custom-scenario",
-        result=result,
+        result=RESULT_OF_STATUS[cert.status],
         parameters={"p": scenario.prime, "scenario": scenario.path},
         payload={
             "word": scenario.word,

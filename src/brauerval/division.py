@@ -166,7 +166,7 @@ def algebra_value_data(
 ) -> AlgebraValueData:
     if not word.terms:
         raise ZeroElement("an empty tensor word has no value data")
-    spec = tower.spec(tower.depth if depth is None else depth)
+    spec = tower.spec(depth)
     factors = tuple(_symbol_value_data(t, spec) for t in word.terms)
     zero = ValueVector.zero(spec.depth)
     pairs: list[tuple[int, int]] = []
@@ -176,7 +176,7 @@ def algebra_value_data(
         for j, fj in enumerate(factors):
             if i == j:
                 continue
-            if (fi.term.slot1 * fj.term.slot2).is_one():
+            if fi.term.slot1.is_inverse_of(fj.term.slot2):
                 pairs.append((i, j))
                 break
     p = spec.tower.char
@@ -299,7 +299,7 @@ def symbol_division(
     over the constant field, where no further valuation is available;
     it is the caller's stated assumption and is recorded as such.
     """
-    spec = tower.spec(tower.depth if depth is None else depth)
+    spec = tower.spec(depth)
     if term.slot1.is_zero():
         return Certificate(
             "symbol-division",
@@ -320,9 +320,9 @@ def symbol_division(
         )
     data = algebra_value_data(SymbolSum.of(term), tower, spec.depth)
     p = data.degree
-    f = data.factors[0]
+    residual = _residual_slots(data, spec)
 
-    if not f.slot1_residual and not f.slot2_residual:
+    if not residual:
         child = independence_division(data)
         return Certificate(
             "symbol-division",
@@ -336,16 +336,11 @@ def symbol_division(
             children=(child,),
         )
 
-    if f.slot1_residual != f.slot2_residual:
-        res_tower = spec.residue_tower()
-        if f.slot1_residual:
-            ramified_value = f.root_value
-            rbar = residue_of(term.slot1, spec)
-            res_cert = _residue_extension_certificate(res_tower, rbar, "artin-schreier")
-        else:
-            ramified_value = f.as_value
-            rbar = residue_of(term.slot2, spec)
-            res_cert = _residue_extension_certificate(res_tower, rbar, "pth-root")
+    if len(residual) == 1:
+        _, kind, rbar = residual[0]
+        f = data.factors[0]
+        ramified_value = f.root_value if kind == "artin-schreier" else f.as_value
+        res_cert = _residue_extension_certificate(spec.residue_tower(), rbar, kind)
         ram_group = data.base_group.extended((ramified_value,))
         e = ram_group.index_over(data.base_group)
         ok = e == p and res_cert.ok
@@ -362,9 +357,7 @@ def symbol_division(
         )
 
     # both slots are units: the question descends to the residue field
-    rbar1 = residue_of(term.slot1, spec)
-    rbar2 = residue_of(term.slot2, spec)
-    res_term = symbol(p, rbar1, rbar2)
+    res_term = symbol(p, *(rbar for _, _, rbar in residual))
     try:
         split = normal_form(SymbolSum.of(res_term)).is_zero_sum()
     except EngineError:
@@ -379,60 +372,65 @@ def symbol_division(
             },
         )
     res_tower = spec.residue_tower()
+    inertial = {
+        "route": "inertial",
+        "value_group": data.base_group,
+        "ramification_index": 1,
+        "residue_degree": p * p,
+    }
     if res_tower.variables:
         child = symbol_division(res_term, res_tower, None, residue_hypothesis)
         return Certificate(
-            "symbol-division",
-            child.status,
-            payload={
-                "route": "inertial",
-                "value_group": data.base_group,
-                "ramification_index": 1,
-                "residue_degree": p * p,
-            },
-            children=(child,),
+            "symbol-division", child.status, payload=inertial, children=(child,)
         )
-    if residue_hypothesis == "division":
-        return Certificate(
-            "symbol-division",
-            CERTIFIED,
-            payload={
-                "route": "inertial",
-                "value_group": data.base_group,
-                "ramification_index": 1,
-                "residue_degree": p * p,
-                "hypothesis": "residue symbol assumed division",
-            },
-        )
-    if residue_hypothesis == "split":
-        return Certificate(
-            "symbol-division",
-            REFUTED,
-            payload={
-                "route": "inertial",
-                "hypothesis": "residue symbol assumed split",
-            },
-        )
-    return Certificate(
-        "symbol-division",
-        NOT_CERTIFIED,
-        payload={
-            "route": "inertial",
-            "reason": "no verdict available for the residue symbol",
-        },
+    status, entry = _hypothesis_verdict(
+        residue_hypothesis, "residue symbol", "no verdict available for the residue symbol"
     )
+    head = inertial if status == CERTIFIED else {"route": "inertial"}
+    return Certificate("symbol-division", status, payload={**head, **entry})
+
+
+_HYPOTHESIS_STATUS = {"division": CERTIFIED, "split": REFUTED}
+
+
+def _hypothesis_verdict(
+    hypothesis: str | None, subject: str, reason: str
+) -> tuple[str, dict[str, str]]:
+    """Status and payload entry for a symbol no valuation can settle.
+
+    Only the caller's residue hypothesis decides it, and the payload
+    records it as an assumption; without one the symbol stays
+    not-certified for the given reason.
+    """
+    status = _HYPOTHESIS_STATUS.get(hypothesis)
+    if status is None:
+        return NOT_CERTIFIED, {"reason": reason}
+    return status, {"hypothesis": f"{subject} assumed {hypothesis}"}
 
 
 def _residual_slots(
     data: AlgebraValueData, spec: ValuationSpec
 ) -> list[tuple[int, str, FormalElement]]:
-    out = []
-    for i, f in enumerate(data.factors):
-        if f.slot1_residual:
-            out.append((i, "artin-schreier", residue_of(f.term.slot1, spec)))
-        if f.slot2_residual:
-            out.append((i, "pth-root", residue_of(f.term.slot2, spec)))
-    return out
+    """(factor index, extension kind, residue) of every slot of value 0.
+
+    A residual slot1 defines an Artin-Schreier extension of the residue
+    field, a residual slot2 a p-th root one, slot1 listed first.  A lone
+    residual slot is read over the residue tower, so that tower is built
+    before the residue is taken: a tower that cannot be built reports
+    its failure first.
+    """
+    slots = [
+        (i, kind, slot)
+        for i, f in enumerate(data.factors)
+        for kind, slot, residual in (
+            ("artin-schreier", f.term.slot1, f.slot1_residual),
+            ("pth-root", f.term.slot2, f.slot2_residual),
+        )
+        if residual
+    ]
+    if len(slots) == 1:
+        spec.residue_tower()
+    return [(i, kind, residue_of(slot, spec)) for i, kind, slot in slots]
 
 
 def _plain_variable(element: FormalElement, tower: FieldTower) -> str | None:
@@ -498,19 +496,13 @@ def _over_extension_certificate(
             payload={**payload, "reason": "extension is not certified degree p"},
             children=(ext_cert,),
         )
-    if residue_hypothesis == "division":
-        payload["hypothesis"] = "extended residue symbol assumed division"
-        return Certificate(
-            "residue-tensor", CERTIFIED, payload=payload, children=(ext_cert,)
-        )
-    if residue_hypothesis == "split":
-        payload["hypothesis"] = "extended residue symbol assumed split"
-        return Certificate(
-            "residue-tensor", REFUTED, payload=payload, children=(ext_cert,)
-        )
-    payload["reason"] = "no verdict available over the extension"
+    status, entry = _hypothesis_verdict(
+        residue_hypothesis,
+        "extended residue symbol",
+        "no verdict available over the extension",
+    )
     return Certificate(
-        "residue-tensor", NOT_CERTIFIED, payload=payload, children=(ext_cert,)
+        "residue-tensor", status, payload={**payload, **entry}, children=(ext_cert,)
     )
 
 
@@ -530,52 +522,38 @@ def residue_tensor_certificate(
     """
     p = spec.tower.char
     res_tower = spec.residue_tower()
-    ef = e_data.factors[0]
-    e_term = ef.term
+    e_slots = [(kind, rbar) for _, kind, rbar in _residual_slots(e_data, spec)]
+    slots = ([d_residual] if d_residual else []) + e_slots
 
-    if d_residual is None:
-        if not ef.slot1_residual and not ef.slot2_residual:
-            return Certificate(
-                "residue-tensor", CERTIFIED, payload={"shape": "both-trivial"}
-            )
-        if ef.slot1_residual and ef.slot2_residual:
-            rbar = symbol(p, residue_of(e_term.slot1, spec), residue_of(e_term.slot2, spec))
-            child = symbol_division(rbar, res_tower, None, residue_hypothesis)
-            return Certificate(
-                "residue-tensor",
-                child.status,
-                payload={"shape": "residue-symbol"},
-                children=(child,),
-            )
-        if ef.slot1_residual:
-            child = _residue_extension_certificate(
-                res_tower, residue_of(e_term.slot1, spec), "artin-schreier"
-            )
-        else:
-            child = _residue_extension_certificate(
-                res_tower, residue_of(e_term.slot2, spec), "pth-root"
-            )
+    if not slots:
+        return Certificate("residue-tensor", CERTIFIED, payload={"shape": "both-trivial"})
+
+    if len(slots) == 1:
+        kind, rbar = slots[0]
+        child = _residue_extension_certificate(res_tower, rbar, kind)
         return Certificate(
             "residue-tensor",
             child.status,
             payload={"shape": "residue-field"},
+            children=(child,),
+        )
+
+    if d_residual is None:
+        res_symbol = symbol(p, *(rbar for _, rbar in e_slots))
+        child = symbol_division(res_symbol, res_tower, None, residue_hypothesis)
+        return Certificate(
+            "residue-tensor",
+            child.status,
+            payload={"shape": "residue-symbol"},
             children=(child,),
         )
 
     d_kind, d_rbar = d_residual
+    e_kinds = [kind for kind, _ in e_slots]
 
-    if not ef.slot1_residual and not ef.slot2_residual:
-        child = _residue_extension_certificate(res_tower, d_rbar, d_kind)
-        return Certificate(
-            "residue-tensor",
-            child.status,
-            payload={"shape": "residue-field"},
-            children=(child,),
-        )
-
-    if d_kind == "pth-root" and ef.slot1_residual and not ef.slot2_residual:
-        e_rbar = residue_of(e_term.slot1, spec)
-        if not (e_rbar * d_rbar).is_one():
+    if d_kind == "pth-root" and e_kinds == ["artin-schreier"]:
+        e_rbar = e_slots[0][1]
+        if not e_rbar.is_inverse_of(d_rbar):
             return Certificate(
                 "residue-tensor",
                 NOT_CERTIFIED,
@@ -595,10 +573,10 @@ def residue_tensor_certificate(
             },
         )
 
-    if ef.slot1_residual and ef.slot2_residual:
+    if len(e_slots) == 2:
+        (_, e_rbar1), (_, e_rbar2) = e_slots
         variable = _plain_variable(d_rbar, res_tower)
-        e_rbar1 = residue_of(e_term.slot1, spec)
-        if d_kind == "pth-root" and variable and (e_rbar1 * d_rbar).is_one():
+        if d_kind == "pth-root" and variable and e_rbar1.is_inverse_of(d_rbar):
             root_name = _fresh(res_tower, "rho")
             rebased, mapper = rebase_pth_root(res_tower, variable, root_name)
             slot1 = mapper(e_rbar1)
@@ -610,8 +588,7 @@ def residue_tensor_certificate(
                     NOT_CERTIFIED,
                     payload={"reason": "shift did not reduce the rebased slot"},
                 )
-            slot2 = mapper(residue_of(e_term.slot2, spec))
-            child = symbol_division(symbol(p, shifted, slot2), rebased)
+            child = symbol_division(symbol(p, shifted, mapper(e_rbar2)), rebased)
             return Certificate(
                 "residue-tensor",
                 child.status,
@@ -622,9 +599,8 @@ def residue_tensor_certificate(
                 },
                 children=(child,),
             )
-        residue_symbol = symbol(p, e_rbar1, residue_of(e_term.slot2, spec))
         return _over_extension_certificate(
-            res_tower, d_kind, d_rbar, residue_symbol, residue_hypothesis
+            res_tower, d_kind, d_rbar, symbol(p, e_rbar1, e_rbar2), residue_hypothesis
         )
 
     return Certificate(
@@ -738,9 +714,8 @@ def chain_division(
     if not word.terms:
         raise ZeroElement("an empty tensor word cannot be division")
     if len(word.terms) == 1:
-        return chain_wrap(
-            symbol_division(word.terms[0], tower, None, residue_hypothesis)
-        )
+        cert = symbol_division(word.terms[0], tower, None, residue_hypothesis)
+        return Certificate("chain", cert.status, payload={"factors": 1}, children=(cert,))
     e_term = word.terms[-1]
     d_word = SymbolSum(word.degree, word.terms[:-1])
     d_cert = chain_division(d_word, tower, residue_hypothesis)
@@ -782,15 +757,6 @@ def chain_division(
         NOT_CERTIFIED,
         payload=attempts or {"reason": "no candidate valuation"},
         children=(d_cert,),
-    )
-
-
-def chain_wrap(cert: Certificate) -> Certificate:
-    return Certificate(
-        "chain",
-        cert.status,
-        payload={"factors": 1},
-        children=(cert,),
     )
 
 

@@ -6,6 +6,7 @@ Format (version 1), one directive per line, '#' starts a comment:
     task custom-scenario
     prime 3
     ground constants a c d        # optional generic constants
+    ground closed                 # optional: F_0 algebraically closed
     variables d c t               # innermost first
     generator xL = artin-schreier(2*d^-1 + -2*c^-1)
     generator w = pth-root(d^2*c^-1)
@@ -440,6 +441,6 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ScenarioError(f"cannot read scenario {path}: {err}") from err
     return parse_scenario(text, path)

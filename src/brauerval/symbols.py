@@ -159,7 +159,6 @@ class RewriteStep:
     after: SymbolSum
     target_index: int = 0
     witness: FormalElement | None = None
-    note: str = ""
 
     def __post_init__(self) -> None:
         if self.rule not in REWRITE_RULES:

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedConfiguration,
     ZeroElement,
 )
-from .lattices import _MEMO_TABLES, Lattice, ValueVector, forget_memos, memoised  # noqa: F401
+from .lattices import Lattice, ValueVector, memoised
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -93,6 +93,10 @@ class FormalElement:
 
     def is_one(self) -> bool:
         return self.terms == (((), 1),)
+
+    def is_inverse_of(self, other: FormalElement) -> bool:
+        """Whether self * other is 1, without the product: units are single terms."""
+        return len(other.terms) == 1 and self == other.inverse()
 
     def names(self) -> frozenset[str]:
         return frozenset(n for m, _ in self.terms for n, _ in m)
@@ -221,7 +225,6 @@ class ExtensionGenerator:
     kind: str
     rhs: FormalElement
     justification: str
-    note: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -463,9 +466,7 @@ def residue_tower(spec: ValuationSpec) -> FieldTower:
             if g.justification == "hypothesis"
             else _residue_degree_p_justification(out, rhs_bar, g.kind)
         )
-        out = out.with_generator(
-            ExtensionGenerator(g.name, g.kind, rhs_bar, just, note=g.note)
-        )
+        out = out.with_generator(ExtensionGenerator(g.name, g.kind, rhs_bar, just))
     return out
 
 
@@ -493,13 +494,7 @@ def _residue_degree_p_justification(
     )
 
 
-def adjoin_artin_schreier(
-    tower: FieldTower,
-    name: str,
-    rhs: FormalElement,
-    *,
-    note: str = "",
-) -> FieldTower:
+def adjoin_artin_schreier(tower: FieldTower, name: str, rhs: FormalElement) -> FieldTower:
     """Adjoin x with x^p - x = rhs, certifying the degree as we go.
 
     A negative rhs value outside p * Gamma gives a totally ramified
@@ -516,25 +511,19 @@ def adjoin_artin_schreier(
             raise UnsupportedConfiguration(
                 f"value of rhs for {name!r} lies in p times the value group"
             )
-        gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, "ramified", note=note)
+        gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, "ramified")
         return tower.with_generator(gen)
     if v == zero:
         rbar = residue_of(rhs, spec)
         just = _residue_degree_p_justification(spec.residue_tower(), rbar, ARTIN_SCHREIER)
-        gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, just, note=note)
+        gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, just)
         return tower.with_generator(gen)
     raise UnsupportedConfiguration(
         f"rhs for {name!r} has positive value; the equation splits"
     )
 
 
-def adjoin_pth_root(
-    tower: FieldTower,
-    name: str,
-    rhs: FormalElement,
-    *,
-    note: str = "",
-) -> FieldTower:
+def adjoin_pth_root(tower: FieldTower, name: str, rhs: FormalElement) -> FieldTower:
     """Adjoin y with y^p = rhs; degree p needs v(rhs) outside p * Gamma
     or a certified non-p-th-power residue."""
     spec = tower.spec()
@@ -544,11 +533,11 @@ def adjoin_pth_root(
             raise UnsupportedConfiguration(
                 f"value of rhs for {name!r} lies in p times the value group"
             )
-        gen = ExtensionGenerator(name, PTH_ROOT, rhs, "ramified", note=note)
+        gen = ExtensionGenerator(name, PTH_ROOT, rhs, "ramified")
         return tower.with_generator(gen)
     rbar = residue_of(rhs, spec)
     just = _residue_degree_p_justification(spec.residue_tower(), rbar, PTH_ROOT)
-    gen = ExtensionGenerator(name, PTH_ROOT, rhs, just, note=note)
+    gen = ExtensionGenerator(name, PTH_ROOT, rhs, just)
     return tower.with_generator(gen)
 
 
@@ -566,7 +555,7 @@ def rebase_pth_root(
     mapper = ElementMap(variable, new_name, tower.char)
     variables = tuple(new_name if v == variable else v for v in tower.variables)
     gens = tuple(
-        ExtensionGenerator(g.name, g.kind, mapper(g.rhs), g.justification, note=g.note)
+        ExtensionGenerator(g.name, g.kind, mapper(g.rhs), g.justification)
         for g in tower.generators
     )
     return FieldTower(tower.ground, variables, gens), mapper

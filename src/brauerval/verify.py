@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import prod
 
 from .division import (
+    CERTIFIED,
     Certificate,
     algebra_value_data,
     chain_division,
@@ -37,7 +38,7 @@ from .division import (
     trace_profile,
     trace_zero_value_classes,
 )
-from .division import REFUTED as CERT_REFUTED
+from .division import NOT_CERTIFIED as CERT_NOT_CERTIFIED, REFUTED as CERT_REFUTED
 from .errors import UnsupportedConfiguration
 from .lattices import (
     Lattice, ValueVector, _rank_mod_p, enumerate_overlattices, overlattice_count
@@ -69,6 +70,9 @@ INCONCLUSIVE = "Inconclusive"
 NOT_CERTIFIED = "NotCertified"
 
 _EXIT_CODES = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2, NOT_CERTIFIED: 2}
+
+# the verdict result a division certificate's status stands for
+RESULT_OF_STATUS = {CERTIFIED: VERIFIED, CERT_REFUTED: REFUTED, CERT_NOT_CERTIFIED: NOT_CERTIFIED}
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,12 +109,6 @@ class FamilySpec:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def member(self, name: str) -> FamilyMember:
-        for m in self.members:
-            if m.name == name:
-                return m
-        raise UnsupportedConfiguration(f"no family member named {name!r}")
 
 
 def family_size_formula(n: int, p: int) -> int:
@@ -214,7 +212,7 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
     word = _shift_word(n, p, i)
     cert = chain_division(word, tower)
     if not cert.ok:
-        result = REFUTED if cert.status == CERT_REFUTED else NOT_CERTIFIED
+        result = RESULT_OF_STATUS[cert.status]
         return Verdict("shift", result, params, {"word": word}, (cert,))
     if n == 2:
         payload = {
@@ -260,18 +258,14 @@ def verify_value_groups(n: int, p: int) -> Verdict:
     params = {"n": n, "p": p}
     rows: dict[str, object] = {}
     ok = True
-    groups = []
     for i in range(1, n):
         data = algebra_value_data(_shift_word(n, p, i), tower)
         expected = _shift_group_expected(n, p, i)
         e = data.ram_index
         match = data.value_group == expected and e == data.dim == p ** (2 * n - 2)
         ok = ok and match
-        groups.append(data.value_group)
         rows[f"A{i}"] = (data.value_group, expected, match)
-    meet = groups[0]
-    for g in groups[1:]:
-        meet = meet.intersect(g)
+    meet = shared_value_window(n, p)
     expected_meet = Lattice.diagonal([Fraction(1, p)] * n)
     meet_ok = meet == expected_meet
     payload = {
@@ -600,13 +594,13 @@ def _vanishing_chain_shift(p: int) -> RewriteChain:
     s4 = SymbolSum.of(symbol(p, FormalElement.zero(p), FormalElement.symbol(p, "d")))
     steps = (
         RewriteStep("slot1-add", start, s1),
+        # the norm witness X/2, reconstructed
         RewriteStep(
             "slot2-norm",
             s1,
             s2,
             target_index=1,
             witness=FormalElement.symbol(p, "X", 1, _inverse_mod(2, p)),
-            note="reconstructed witness X/2",
         ),
         RewriteStep("negate", s2, s3, target_index=0),
         RewriteStep(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from brauerval.towers import forget_memos
+from brauerval.lattices import forget_memos
 
 
 @pytest.fixture(autouse=True)

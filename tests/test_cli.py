@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from brauerval import cli, towers
+from brauerval import cli, lattices
 from brauerval.cli import main
 from brauerval.errors import ScenarioError
 from brauerval.scenario import TASKS
@@ -76,6 +76,14 @@ class TestExitCodes:
         assert code == 3
         assert f"{bad}:3:7" in err
 
+    def test_scenario_that_is_not_utf8_is_three(self, capsys, tmp_path):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"version 1\ntask counts\n\xff\n")
+        code, out, err = run(capsys, "counts", "--scenario", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot read scenario") and err.count("\n") == 1
+
     def test_out_of_range_parameter_is_three(self, capsys):
         code, _, err = run(capsys, "shift", "--n", "3", "--p", "2", "--i", "7")
         assert code == 3
@@ -109,7 +117,7 @@ class TestExitCodes:
 
         def shift_then_fail(*args):
             verdict = real(*args)
-            filled.append(sum(len(table) for table in towers._MEMO_TABLES))
+            filled.append(sum(len(table) for table in lattices._MEMO_TABLES))
             if error is not None:
                 raise error
             return verdict
@@ -118,7 +126,7 @@ class TestExitCodes:
         code, _, _ = run(capsys, "shift", "--n", "3", "--p", "2", "--i", "1")
         assert code == expected
         assert filled[0] > 0
-        assert not any(towers._MEMO_TABLES)
+        assert not any(lattices._MEMO_TABLES)
 
     def test_budget_overrun_is_two_with_a_report(self, capsys, tmp_path):
         target = tmp_path / "budget.json"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from brauerval.division import (
 )
 from brauerval.errors import NonContainment, UnsupportedConfiguration
 from brauerval.lattices import Lattice, ValueVector
+from brauerval.report import encode
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import (
     FieldTower,
@@ -378,6 +381,76 @@ class TestResidueOverExtension:
             assert tensor.get("algebra_trace_value") == ValueVector.of(Fraction(0), w)
             assert tensor.get("field_trace_value") == ValueVector.of(w, Fraction(0))
             assert tensor.get("field_trace_value") < tensor.get("algebra_trace_value")
+
+
+class TestPinnedResidueRoutes:
+    # No benchmark scenario reaches these routes: the hypothesis verdicts
+    # without a hypothesis, the residue-symbol shape and both
+    # residue-field shapes.  Each certificate is pinned by the sha256 of
+    # its json encoding, so any change to its tree shows here.
+    DIGESTS = {
+        ("symbol [a, c)", None):
+            "40bd79521eff50396a07037d7793ac15178d27a3af84d3062bfd35d6bc662c1a",
+        ("symbol [a, c)", "division"):
+            "a38f52ee0350edbe1d2e06a8df5b0521d01444c03c70aa6b54f12afddfbcd161",
+        ("symbol [a, c)", "split"):
+            "f1f114c0c87837401a596c0b6fc620e4eec70c5d825077284c6aa2a0ef8fd7c4",
+        ("peel [a + c, t) [c, d)", None):
+            "ee5ecf12b07c11bb9bd75cec8664e2ac945d8732adf6fcf3f6163688da162d97",
+        ("peel [a + c, t) [c, d)", "division"):
+            "105474764ca332b37bff2d51dcf1bd5cc63b8db6b688eeb6db17a046395a6543",
+        ("peel [a + c, t) [c, d)", "split"):
+            "f3e8d7364cdf6a079f8f4c790bab0bbb8eaafff44f07bce3d1cf63ee34b98e4e",
+        ("peel [t^-1, u) [a, c)", None):
+            "4f1279183457e6ca0656ac4c39b5ab22f0b6eb5bca18eb7b3523ece977b077cc",
+        ("peel [t^-1, u) [a, c)", "division"):
+            "ef2501338c9843d7b22f5382af16870b78d1a9a235e5dbfaa62aa74cfb0fb9d2",
+        ("peel [t^-1, u) [a, c)", "split"):
+            "66f7acbac32828e067b6765e5f0f1835f4f7e531d14a8469009bad4825d5cdb6",
+        ("peel [t^-1, u) [a, t)", None):
+            "1cb494302892602e379f97def001a5d53a565e8f8e6e68f8ad6d91a62caa40cc",
+        ("peel [t^-1, u) [t^-1, a)", None):
+            "f47606ff0444e63944317a36105f91585cb11aef3f24bddb9d5c8651f07aca6e",
+        ("peel [a, t) [u^-1, t)", None):
+            "798e466a4c39291ef3a784df0200ea3d4daff5f23779fa887caa5a5412ff5d6f",
+    }
+    SHAPES = {
+        "symbol [a, c)": None,
+        "peel [a + c, t) [c, d)": "residue-symbol-over-extension",
+        "peel [t^-1, u) [a, c)": "residue-symbol",
+        "peel [t^-1, u) [a, t)": "residue-field",
+        "peel [t^-1, u) [t^-1, a)": "residue-field",
+        "peel [a, t) [u^-1, t)": "residue-field",
+    }
+
+    @staticmethod
+    def certificate(case: str, hyp: str | None):
+        flat = tower(3, "t", constants=("a", "c", "d"))
+        nested = tower(3, "u", "t", constants=("a", "c"))
+        a, c, d, t, u = (mono(3, {n: 1}) for n in "acdtu")
+        t_inv, u_inv = mono(3, {"t": -1}), mono(3, {"u": -1})
+        if case == "symbol [a, c)":
+            return symbol_division(symbol(3, a, c), flat, None, hyp)
+        left, right = {
+            "peel [a + c, t) [c, d)": ((a + c, t), (c, d)),
+            "peel [t^-1, u) [a, c)": ((t_inv, u), (a, c)),
+            "peel [t^-1, u) [a, t)": ((t_inv, u), (a, t)),
+            "peel [t^-1, u) [t^-1, a)": ((t_inv, u), (t_inv, a)),
+            "peel [a, t) [u^-1, t)": ((a, t), (u_inv, t)),
+        }[case]
+        # F_3{a,c,d}((t)) at depth 1, or F_3{a,c}((u))((t)) at depth 2
+        over, depth = (flat, 1) if case == "peel [a + c, t) [c, d)" else (nested, 2)
+        d_term = symbol(3, *left)
+        d_cert = symbol_division(d_term, over, depth)
+        return morandi_step(over, depth, SymbolSum.of(d_term), symbol(3, *right), d_cert, hyp)
+
+    @pytest.mark.parametrize("case, hyp", list(DIGESTS))
+    def test_residue_route_reports_are_pinned(self, case, hyp):
+        cert = self.certificate(case, hyp)
+        tensor = cert.find("residue-tensor")
+        assert (tensor and tensor.get("shape")) == self.SHAPES[case]
+        digest = hashlib.sha256(json.dumps(encode(cert)).encode()).hexdigest()
+        assert digest == self.DIGESTS[case, hyp]
 
 
 class TestPeeling:

@@ -182,6 +182,15 @@ class TestDiagnostics:
             "unknown names",
         )
 
+    def test_closed_ground_refuses_a_generic_constant_generator(self):
+        # over an algebraically closed F_0, x^p - x = a has a root for every a
+        text = (
+            "version 1\ntask custom-scenario\nprime 3\nground constants a\n"
+            "ground closed\nvariables t\ngenerator x = artin-schreier(a)\n"
+        )
+        assert parse_scenario(text.replace("ground closed\n", "")).tower.generators
+        self.check(text, "bad.scn:7:1: cannot certify", line=7)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError) as err:
             load_scenario(str(tmp_path / "absent.scn"))

@@ -155,7 +155,7 @@ def test_full_chain_slot1_split_norm_shift():
         RewriteStep("slot1-add", start, s1),
         RewriteStep(
             "slot2-norm", s1, s2, target_index=1,
-            witness=mono({"X": 1}, 2), note="reconstructed witness X/2",
+            witness=mono({"X": 1}, 2),
         ),
         RewriteStep("negate", s2, s3, target_index=0),
         RewriteStep("as-shift", s3, s4, target_index=0, witness=mono({"xL": 1}, 2)),

@@ -124,6 +124,20 @@ def test_element_ring_axioms(triple):
 
 
 @settings(max_examples=80, deadline=None)
+@given(element_triples(), st.integers(0, 4))
+def test_inverse_test_matches_the_product(triple, k):
+    a, b, c = triple
+    p = a.char
+    # sums, constants and non-unit coefficients, and true inverses
+    pairs = [(a, b), (b, c), (a, FormalElement.constant(p, k)), (a.scale(k), a)]
+    if len(a.terms) == 1:
+        pairs += [(a.inverse(), a), (a.inverse().scale(k), a), (a.inverse() + b, a)]
+    for x, y in pairs:
+        assert x.is_inverse_of(y) == (x * y).is_one()
+        assert y.is_inverse_of(x) == (x * y).is_one()
+
+
+@settings(max_examples=80, deadline=None)
 @given(element_triples())
 def test_frobenius_is_a_ring_map(triple):
     a, b, _ = triple
@@ -497,10 +511,10 @@ def test_equal_inputs_share_one_answer():
 
 def test_failures_are_not_memoised():
     spec = FieldTower(GroundField(2), ("u",)).spec()
-    sizes = [len(table) for table in towers._MEMO_TABLES]
+    sizes = [len(table) for table in lattices._MEMO_TABLES]
     for _ in range(2):
         with pytest.raises(ZeroElement):
             value_of(FormalElement.zero(2), spec)
-    assert [len(table) for table in towers._MEMO_TABLES] == sizes
-    towers.forget_memos()
-    assert not any(towers._MEMO_TABLES)
+    assert [len(table) for table in lattices._MEMO_TABLES] == sizes
+    lattices.forget_memos()
+    assert not any(lattices._MEMO_TABLES)
