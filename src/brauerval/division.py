@@ -299,6 +299,7 @@ def symbol_division(
     over the constant field, where no further valuation is available;
     it is the caller's stated assumption and is recorded as such.
     """
+    _require_hypothesis(residue_hypothesis)
     spec = tower.spec(depth)
     if term.slot1.is_zero():
         return Certificate(
@@ -391,6 +392,11 @@ def symbol_division(
 
 
 _HYPOTHESIS_STATUS = {"division": CERTIFIED, "split": REFUTED}
+
+
+def _require_hypothesis(hypothesis: str | None) -> None:
+    if hypothesis not in (None, *_HYPOTHESIS_STATUS):
+        raise UnsupportedConfiguration(f"unknown residue hypothesis {hypothesis!r}")
 
 
 def _hypothesis_verdict(
@@ -624,6 +630,7 @@ def morandi_step(
     valuation, E is division at it, the two value groups meet in the
     base group, and the residue algebras tensor to a division ring.
     """
+    _require_hypothesis(residue_hypothesis)
     spec = tower.spec(depth)
     p = tower.char
     d_data = algebra_value_data(d_word, tower, depth)
@@ -711,6 +718,7 @@ def chain_division(
     residue_hypothesis: str | None = None,
 ) -> Certificate:
     """Certify a whole tensor word as division, peeling right to left."""
+    _require_hypothesis(residue_hypothesis)
     if not word.terms:
         raise ZeroElement("an empty tensor word cannot be division")
     if len(word.terms) == 1:

@@ -7,6 +7,8 @@ the handful of operations the verification layer needs: growing a known
 group by new values (extended: every value group is Z^n or a base group
 plus a few values), containment, intersection, index, duals and
 exhaustive enumeration of the overlattices of Z^n of bounded exponent.
+The enumeration walks each dual S = L* as an upper Hermite form, whose
+scaled inverse transpose is already a triangular basis of L.
 
 Values are ValueVectors: integer numerators over one denominator, kept
 canonical (den > 0 and gcd(den, *nums) == 1), so every comparison, sum
@@ -172,15 +174,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hermite_leading(rows: list[list[int]], n: int) -> list[list[int]] | None:
-    """Row Hermite form with leading pivots, or None if rank < n.
-
-    The result has the pivot of row i at column i, a positive diagonal
-    and entries above each pivot reduced into [0, pivot).
-    """
+def _triangular_basis(rows: list[list[int]], n: int) -> list[list[int]] | None:
+    """Rows spanning the same lattice, row i on columns 0..i with a positive
+    diagonal entry and nothing below it reduced; None if rank < n."""
     work = [list(r) for r in rows if any(r)]
-    result: list[list[int]] = []
-    for col in range(n):
+    result: list[list[int]] = [[]] * n
+    for col in range(n - 1, -1, -1):
         pivot: list[int] | None = None
         rest: list[list[int]] = []
         for r in work:
@@ -200,24 +199,9 @@ def _hermite_leading(rows: list[list[int]], n: int) -> list[list[int]] | None:
                 rest.append(new_r)
         if pivot is None:
             return None
-        if pivot[col] < 0:
-            pivot = [-u for u in pivot]
-        result.append(pivot)
+        result[col] = pivot if pivot[col] > 0 else [-u for u in pivot]
         work = rest
-    for col in range(n):
-        for i in range(col):
-            q = result[i][col] // result[col][col]
-            if q:
-                result[i] = [u - q * v for u, v in zip(result[i], result[col])]
     return result
-
-
-def _hermite_trailing(rows: list[list[int]], n: int) -> list[list[int]] | None:
-    """Lower triangular Hermite form: row i supported on columns 0..i."""
-    her = _hermite_leading([r[::-1] for r in rows], n)
-    if her is None:
-        return None
-    return [her[n - 1 - i][::-1] for i in range(n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,11 +226,22 @@ class Lattice:
 
     @classmethod
     def _from_integer_rows(cls, dim: int, denominator: int, rows: list[list[int]]) -> Lattice:
-        her = _hermite_trailing(rows, dim)
-        if her is None:
+        basis = _triangular_basis(rows, dim)
+        if basis is None:
             raise UnsupportedConfiguration("generators do not span the full dimension")
-        g = gcd(denominator, *itertools.chain.from_iterable(her))
-        return cls(dim, denominator // g, tuple(tuple(x // g for x in r) for r in her))
+        return cls._from_triangular(dim, denominator, basis)
+
+    @classmethod
+    def _from_triangular(cls, dim: int, denominator: int, rows: list[list[int]]) -> Lattice:
+        """Lower triangular rows, positive diagonal: reduced in place below each
+        pivot, then their common factor divided out of the denominator."""
+        for i in range(1, dim):
+            for c in range(i - 1, -1, -1):
+                k = rows[i][c] // rows[c][c]
+                if k:
+                    rows[i] = [a - k * b for a, b in zip(rows[i], rows[c])]
+        g = gcd(denominator, *itertools.chain.from_iterable(rows))
+        return cls(dim, denominator // g, tuple(tuple(x // g for x in r) for r in rows))
 
     @classmethod
     def diagonal(cls, entries: list[FractionLike] | tuple[FractionLike, ...]) -> Lattice:
@@ -368,6 +363,25 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return row
 
 
+def _pivot_columns_mod_p(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
+    """The columns independent mod p of those before them, by one elimination:
+    rank(rows mod p) of them, and the first two are the first independent pair."""
+    basis: list[tuple[int, list[int]]] = []  # (lead, column with a 1 at lead)
+    pivots = []
+    for k, col in enumerate(zip(*rows)):
+        v = [x % p for x in col]
+        for lead, b in basis:
+            f = v[lead]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            basis.append((lead, [x * inv % p for x in v]))
+            pivots.append(k)
+    return pivots
+
+
 def _log_exact(q: int, p: int) -> int:
     """The k with q == p**k; UnsupportedConfiguration if there is none."""
     k = 0
@@ -414,13 +428,14 @@ def enumerate_overlattices(
 
     q = max_index must be a power of p.  L is reached through its dual
     S = L*, a sublattice of Z^dim of index p^j with j <= log_p q: S runs
-    over the lower Hermite forms with diagonal p^e (sum of e = j) and
-    entries below the diagonal p^e_c of column c in range(p^e_c), and L
-    is spanned by the columns of q * S^-1 over q.  Every form gives a
-    different valid L, so no candidate is rejected.  Each L comes paired
-    with the integer Hermite rows of its S, which equal L.dual().rows;
-    the pairs are sorted by index p^j, then by the canonical form of L.
-    Raises EnumerationBound, before any lattice is built, if
+    over the upper Hermite forms U (a lower form read backwards) with
+    diagonal p^e, sum of e = j, and entries above the diagonal p^e_c of
+    column c in range(p^e_c).  The rows of q * U^-T are lower triangular
+    and span qL, so reducing them gives L's canonical form with no
+    Hermite elimination.  Every form gives a different valid L, so no
+    candidate is rejected.  Each L comes paired with its U, a basis of
+    L.dual(); the pairs are sorted by index p^j, then by the canonical
+    form of L.  Raises EnumerationBound, before any lattice is built, if
     overlattice_count exceeds bound.
     """
     q = max_index
@@ -435,15 +450,18 @@ def enumerate_overlattices(
             if sum(exps) != j:
                 continue
             diag = [p**e for e in exps]
-            # row i's possible tuples, built once so the forms share them
+            # row i's tuples and their reverses (row dim-1-i of U), shared by the forms
             row_choices = [
-                [off + (diag[i],) + (0,) * (dim - 1 - i)
-                 for off in itertools.product(*(range(diag[c]) for c in range(i)))]
+                [(row, row[::-1]) for row in (
+                    off + (diag[i],) + (0,) * (dim - 1 - i)
+                    for off in itertools.product(*(range(diag[c]) for c in range(i))))]
                 for i in range(dim)
             ]
-            for s in itertools.product(*row_choices):
+            for pairs in itertools.product(*row_choices):
+                s, upper = zip(*pairs)
                 cols = _scaled_inverse_columns(s, q)
-                bucket.append((Lattice._from_integer_rows(dim, q, cols), s))
+                lat = Lattice._from_triangular(dim, q, [c[::-1] for c in reversed(cols)])
+                bucket.append((lat, upper[::-1]))
         bucket.sort(key=lambda t: (t[0].denominator, t[0].rows))
         found += bucket
     assert len(found) == expected

@@ -41,7 +41,7 @@ from .division import (
 from .division import NOT_CERTIFIED as CERT_NOT_CERTIFIED, REFUTED as CERT_REFUTED
 from .errors import UnsupportedConfiguration
 from .lattices import (
-    Lattice, ValueVector, _rank_mod_p, enumerate_overlattices, overlattice_count
+    Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices, overlattice_count
 )
 from .symbols import (
     RewriteChain,
@@ -371,16 +371,6 @@ def verify_count_identities(
 # ------------------------------------------------------------- lattices
 
 
-def _first_independent_pair(
-    s: tuple[tuple[int, ...], ...], p: int
-) -> tuple[int, int] | None:
-    """First (k, l), numbered from 1, whose columns of s are independent mod p."""
-    for k, l in itertools.combinations(range(len(s)), 2):
-        if _rank_mod_p([[row[k], row[l]] for row in s], p) == 2:
-            return (k + 1, l + 1)
-    return None
-
-
 def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     """Pigeonhole over every admissible over-lattice, plus the upper witness.
 
@@ -391,11 +381,13 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     (1/p)Z^(n-1) x Z the rank drops to 1 and every wedge dies.
 
     The rank, the first witness pair and the index [L : Z^n] are all
-    read off the integer Hermite rows of S = L*, which the enumerator
-    hands out with each L: in the basis of L dual to those rows, e_k has
-    coordinates column k of S, and rank and pairwise independence mod p
-    survive a change of basis.  Each form must also meet the Smith-form
-    bound rank(S mod p) >= n - j, where p^j = [L : Z^n] = [Z^n : S] (at
+    read off the upper Hermite rows U of S = L* that the enumerator
+    hands out with each L: in the basis of L dual to U, e_k has
+    coordinates column k of U, and one elimination mod p over those
+    columns in order gives the rank (the pivot count) and the first
+    independent pair (the first two pivots), both invariant under a
+    change of basis.  Each form must also meet the Smith-form bound
+    rank(S mod p) >= n - j, where p^j = [L : Z^n] = [Z^n : S] (at
     most j elementary divisors of S are divisible by p); a form below it
     means a wrong enumerator and fails an assertion.  max_work bounds
     the closed-form overlattice count, checked before any lattice is
@@ -417,20 +409,19 @@ def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
     min_rank = None
     all_witnessed = True
     witnesses = []
-    for _, s in lattices:
-        index = prod(s[i][i] for i in range(n))
-        rank = _rank_mod_p(s, p)
-        assert p ** (n - rank) <= index, f"rank {rank} mod {p} breaks the Smith bound at {s}"
+    for _, u in lattices:
+        index = prod(u[i][i] for i in range(n))
+        pivots = _pivot_columns_mod_p(u, p)
+        rank = len(pivots)
+        assert p ** (n - rank) <= index, f"rank {rank} mod {p} breaks the Smith bound at {u}"
         min_rank = rank if min_rank is None else min(min_rank, rank)
-        pair = _first_independent_pair(s, p)
-        if rank < 2 or pair is None:
+        if rank < 2:
             all_witnessed = False
         else:
-            witnesses.append((index, pair))
+            witnesses.append((index, (pivots[0] + 1, pivots[1] + 1)))
     upper = Lattice.diagonal([Fraction(1, p)] * (n - 1) + [Fraction(1)])
-    s = upper.dual().rows
-    upper_rank = _rank_mod_p(s, p)
-    upper_wedges_vanish = _first_independent_pair(s, p) is None
+    upper_rank = len(_pivot_columns_mod_p(upper.dual().rows, p))
+    upper_wedges_vanish = upper_rank < 2
     ok = all_witnessed and upper_rank <= 1 and upper_wedges_vanish
     payload = {
         "lattice_count": len(lattices),

@@ -224,6 +224,15 @@ class TestOutput:
         assert code == json.loads(out)["exit_code"]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[task]
 
+    def test_char_not_p_52_report_is_pinned(self, capsys):
+        # 12,494 forms over the index buckets 2^0 .. 2^3; the report lists one
+        # witness per form in the order of L, so a slip in that order shows here
+        code, out, _ = run(capsys, "char-not-p", "--n", "5", "--p", "2", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "43aae0eeb3e4b3420856a612cf8ec790450552946440f5bec658b68ed51ef3ff"
+        )
+
     def test_text_report_carries_timing(self, capsys):
         _, out, _ = run(capsys, "lemma72", "--part", "2", "--p", "3")
         assert "timing:" in out

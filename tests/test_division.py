@@ -452,6 +452,17 @@ class TestPinnedResidueRoutes:
         digest = hashlib.sha256(json.dumps(encode(cert)).encode()).hexdigest()
         assert digest == self.DIGESTS[case, hyp]
 
+    @pytest.mark.parametrize("case", ["symbol [a, c)", "peel [a + c, t) [c, d)"])
+    def test_a_misspelt_hypothesis_is_refused(self, case):
+        with pytest.raises(UnsupportedConfiguration, match="'Division'"):
+            self.certificate(case, "Division")
+
+    def test_a_misspelt_hypothesis_is_refused_by_the_chain(self):
+        flat = tower(3, "t", constants=("a", "c", "d"))
+        for w in (word(3, ({"a": 1}, {"c": 1})), word(3, ({"t": 1}, {"a": 1}), ({"c": 1}, {"d": 1}))):
+            with pytest.raises(UnsupportedConfiguration, match="'Division'"):
+                chain_division(w, flat, "Division")
+
 
 class TestPeeling:
     def test_peel_depths_inner_then_outer(self):

@@ -23,6 +23,7 @@ from brauerval.errors import (
 from brauerval.lattices import (
     Lattice,
     ValueVector,
+    _pivot_columns_mod_p,
     _rank_mod_p,
     enumerate_overlattices,
     forget_memos,
@@ -644,6 +645,32 @@ def test_unit_rank_reads_off_the_dual():
         assert _rank_mod_p(lat.dual().rows, 2) == rank
 
 
+def first_independent_pair_oracle(rows: list[list[int]], p: int) -> tuple[int, int] | None:
+    """First (k, l), k < l, whose columns are independent mod p, by 2-column ranks."""
+    for k, l in itertools.combinations(range(len(rows[0])), 2):
+        if _rank_mod_p([[row[k], row[l]] for row in rows], p) == 2:
+            return (k, l)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(min_value=-12, max_value=12), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    st.sampled_from((2, 3, 5)),
+)
+def test_pivot_columns_give_rank_and_first_pair(rows, p):
+    pivots = _pivot_columns_mod_p(rows, p)
+    assert pivots == sorted(set(pivots))
+    assert len(pivots) == _rank_mod_p(rows, p)
+    assert (tuple(pivots[:2]) if len(pivots) >= 2 else None) == first_independent_pair_oracle(rows, p)
+
+
 # ------------------------------------------------------------ enumeration
 
 
@@ -697,9 +724,18 @@ def test_enumerate_matches_brute_force(dim, p, q):
 
 @pytest.mark.parametrize("dim,p,q", [(2, 2, 2), (3, 3, 3), (4, 2, 4), (3, 5, 5)])
 def test_enumerate_hands_out_the_dual_forms(dim, p, q):
-    """The S paired with each L is the Hermite form of L* = L.dual()."""
+    """The s paired with each L is the upper Hermite form of L* = L.dual()."""
+    zn = Lattice.integers(dim)
     for lat, s in enumerate_overlattices(dim, p, q):
-        assert s == lat.dual().rows
+        for i in range(dim):
+            assert s[i][i] > 0
+            for j in range(dim):
+                if j < i:
+                    assert s[i][j] == 0
+                elif j > i:
+                    assert 0 <= s[i][j] < s[j][j]
+        assert Lattice._from_integer_rows(dim, 1, s) == lat.dual()
+        assert prod(s[i][i] for i in range(dim)) == lat.index_over(zn)
 
 
 def test_overlattice_count_closed_form():
