@@ -36,8 +36,7 @@ from .towers import (
     FieldTower,
     FormalElement,
     GroundField,
-    adjoin_artin_schreier,
-    adjoin_pth_root,
+    adjoin,
     norm_element_oracle,
     trace_power_oracle,
 )
@@ -75,8 +74,7 @@ __all__ = [
     "UnsupportedConfiguration",
     "ValueVector",
     "Verdict",
-    "adjoin_artin_schreier",
-    "adjoin_pth_root",
+    "adjoin",
     "algebra_value_data",
     "build_family",
     "chain_division",

@@ -16,7 +16,7 @@ import time
 
 from .division import chain_division
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
-from .lattices import forget_memos
+from .lattices import WORK_BUDGET, forget_memos
 from .report import Report, emit_report
 from .scenario import TASKS, Scenario, load_scenario
 from .symbols import SymbolSum, check_rewrite_chain
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--out", metavar="FILE", help="write the report here")
     parser.add_argument(
-        "--max-work", type=int, default=1 << 24, help="enumeration budget"
+        "--max-work", type=int, default=WORK_BUDGET, help="enumeration budget"
     )
     return parser
 

@@ -31,11 +31,12 @@ from .errors import EngineError, NonContainment, UnsupportedConfiguration, ZeroE
 from .lattices import Lattice, ValueVector
 from .symbols import SymbolSum, SymbolTerm, normal_form, symbol
 from .towers import (
+    ARTIN_SCHREIER,
+    PTH_ROOT,
     FieldTower,
     FormalElement,
     ValuationSpec,
-    adjoin_artin_schreier,
-    adjoin_pth_root,
+    adjoin,
     artin_schreier_image,
     memoised,
     rebase_pth_root,
@@ -268,10 +269,7 @@ def _residue_extension_certificate(
     """Degree-p residue extension by adjoining to the residue tower."""
     name = _fresh(res_tower, "theta")
     try:
-        if kind == "artin-schreier":
-            extended = adjoin_artin_schreier(res_tower, name, rhs)
-        else:
-            extended = adjoin_pth_root(res_tower, name, rhs)
+        extended = adjoin(res_tower, name, kind, rhs)
         just = extended.generator(name).justification
         return Certificate(
             "residue-extension",
@@ -340,7 +338,7 @@ def symbol_division(
     if len(residual) == 1:
         _, kind, rbar = residual[0]
         f = data.factors[0]
-        ramified_value = f.root_value if kind == "artin-schreier" else f.as_value
+        ramified_value = f.root_value if kind == ARTIN_SCHREIER else f.as_value
         res_cert = _residue_extension_certificate(spec.residue_tower(), rbar, kind)
         ram_group = data.base_group.extended((ramified_value,))
         e = ram_group.index_over(data.base_group)
@@ -429,8 +427,8 @@ def _residual_slots(
         (i, kind, slot)
         for i, f in enumerate(data.factors)
         for kind, slot, residual in (
-            ("artin-schreier", f.term.slot1, f.slot1_residual),
-            ("pth-root", f.term.slot2, f.slot2_residual),
+            (ARTIN_SCHREIER, f.term.slot1, f.slot1_residual),
+            (PTH_ROOT, f.term.slot2, f.slot2_residual),
         )
         if residual
     ]
@@ -557,7 +555,7 @@ def residue_tensor_certificate(
     d_kind, d_rbar = d_residual
     e_kinds = [kind for kind, _ in e_slots]
 
-    if d_kind == "pth-root" and e_kinds == ["artin-schreier"]:
+    if d_kind == PTH_ROOT and e_kinds == [ARTIN_SCHREIER]:
         e_rbar = e_slots[0][1]
         if not e_rbar.is_inverse_of(d_rbar):
             return Certificate(
@@ -582,7 +580,7 @@ def residue_tensor_certificate(
     if len(e_slots) == 2:
         (_, e_rbar1), (_, e_rbar2) = e_slots
         variable = _plain_variable(d_rbar, res_tower)
-        if d_kind == "pth-root" and variable and e_rbar1.is_inverse_of(d_rbar):
+        if d_kind == PTH_ROOT and variable and e_rbar1.is_inverse_of(d_rbar):
             root_name = _fresh(res_tower, "rho")
             rebased, mapper = rebase_pth_root(res_tower, variable, root_name)
             slot1 = mapper(e_rbar1)

@@ -37,16 +37,4 @@ class UnsupportedConfiguration(EngineError):
 
 
 class ScenarioError(EngineError):
-    """A scenario file failed to parse or validate.
-
-    Carries the 1-based line number (and column when known) so the CLI
-    can point at the offending input.
-    """
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + loc)
+    """A scenario file or CLI request failed to parse or validate."""

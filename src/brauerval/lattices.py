@@ -34,6 +34,9 @@ from .errors import DimensionMismatch, EnumerationBound, NonContainment, Unsuppo
 
 FractionLike = Fraction | int
 
+# default budget of overlattices an enumeration may walk (CLI --max-work)
+WORK_BUDGET = 1 << 24
+
 _MEMO_TABLES: list[dict] = []
 _MISSING = object()
 
@@ -342,27 +345,6 @@ class Lattice:
         return f"(1/{self.denominator})[{body}]"
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    mat = [[x % p for x in r] for r in rows]
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] % p != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], -1, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] % p != 0:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[row])]
-        row += 1
-        if row == len(mat):
-            break
-    return row
-
-
 def _pivot_columns_mod_p(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
     """The columns independent mod p of those before them, by one elimination:
     rank(rows mod p) of them, and the first two are the first independent pair."""
@@ -422,7 +404,7 @@ def _scaled_inverse_columns(rows: tuple[tuple[int, ...], ...], q: int) -> list[l
 
 
 def enumerate_overlattices(
-    dim: int, p: int, max_index: int, bound: int = 1 << 24
+    dim: int, p: int, max_index: int, bound: int = WORK_BUDGET
 ) -> list[tuple[Lattice, tuple[tuple[int, ...], ...]]]:
     """All lattices L with Z^dim <= L <= (1/q) Z^dim and [L : Z^dim] | q.
 

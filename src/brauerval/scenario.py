@@ -42,8 +42,7 @@ from .towers import (
     FieldTower,
     FormalElement,
     GroundField,
-    adjoin_artin_schreier,
-    adjoin_pth_root,
+    adjoin,
     is_prime,
 )
 
@@ -220,10 +219,10 @@ class _Parser:
             _fail(self.path, ln, 1, f"{key} wants an integer, got {rest.strip()!r}")
         return int(rest.strip())
 
-    def _directive_task(self, rest: str, ln: int) -> None:
+    def _directive_task(self, rest: str, ln: int, at: int) -> None:
         name = rest.strip()
         if name not in TASKS:
-            _fail(self.path, ln, len("task ") + 1, f"unknown task {name!r}")
+            _fail(self.path, ln, at, f"unknown task {name!r}")
         self.task = name
 
     def _directive_ground(self, rest: str, ln: int) -> None:
@@ -254,7 +253,7 @@ class _Parser:
         except UnsupportedConfiguration as err:
             _fail(self.path, ln, 1, str(err))
 
-    def _directive_generator(self, rest: str, ln: int) -> None:
+    def _directive_generator(self, rest: str, ln: int, at: int) -> None:
         m = re.match(
             r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(artin-schreier|pth-root)\((.*)\)\s*\Z",
             rest,
@@ -262,23 +261,22 @@ class _Parser:
         if not m:
             _fail(self.path, ln, 1, "generator wants: name = artin-schreier(...) or pth-root(...)")
         name, kind, body = m.group(1), m.group(2), m.group(3)
-        col = rest.index("(") + len("generator ") + 2
+        col = at + m.start(3)
         rhs = self._element(body, ln, col)
         self._check_names(rhs, ln, col)
-        adjoin = adjoin_artin_schreier if kind == "artin-schreier" else adjoin_pth_root
         try:
-            self.tower = adjoin(self._need_tower(ln), name, rhs)
+            self.tower = adjoin(self._need_tower(ln), name, kind, rhs)
         except UnsupportedConfiguration as err:
             _fail(self.path, ln, 1, str(err))
 
-    def _directive_algebra(self, rest: str, ln: int) -> None:
+    def _directive_algebra(self, rest: str, ln: int, at: int) -> None:
         m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)\Z", rest)
         if not m:
             _fail(self.path, ln, 1, "algebra wants: name = [a, b) * ...")
         name, body = m.group(1), m.group(2)
         if name in self.algebras:
             _fail(self.path, ln, 1, f"duplicate algebra {name!r}")
-        col = len("algebra ") + rest.index("=") + 2
+        col = at + m.start(2)
         word = self._tensor(body, ln, col)
         if not word.terms:
             _fail(self.path, ln, col, "empty algebra")
@@ -346,10 +344,10 @@ class _Parser:
         self.chain_steps.append(step)
         self.chain_current = after
 
-    def _directive_expect(self, rest: str, ln: int) -> None:
+    def _directive_expect(self, rest: str, ln: int, at: int) -> None:
         name = rest.strip()
         if name not in VERDICTS:
-            _fail(self.path, ln, len("expect ") + 1, f"unknown verdict {name!r}")
+            _fail(self.path, ln, at, f"unknown verdict {name!r}")
         self.expect = name
 
     # ------------------------------------------------------------ driver
@@ -366,15 +364,17 @@ class _Parser:
                 _fail(self.path, ln, 1, "first directive must be 'version 1'")
             stripped = line.strip()
             key = stripped.split(None, 1)[0]
-            rest = stripped[len(key):]
+            rest = stripped[len(key):].lstrip()
+            # the column of rest[0] in the raw line, so diagnostics count indentation
+            at = len(line) - len(rest) + 1
             if self.in_chain and key not in ("step", "end"):
                 _fail(self.path, ln, 1, "chain block must close with 'end'")
             if key == "task":
-                self._directive_task(rest, ln)
+                self._directive_task(rest, ln, at)
             elif key == "prime":
                 value = self._int_value(rest, ln, "prime")
                 if not is_prime(value):
-                    _fail(self.path, ln, len("prime ") + 1, f"{value} is not prime")
+                    _fail(self.path, ln, at, f"{value} is not prime")
                 self.prime = value
             elif key in ("n", "p", "i", "part"):
                 self.params[key] = self._int_value(rest, ln, key)
@@ -383,9 +383,9 @@ class _Parser:
             elif key == "variables":
                 self._directive_variables(rest, ln)
             elif key == "generator":
-                self._directive_generator(rest, ln)
+                self._directive_generator(rest, ln, at)
             elif key == "algebra":
-                self._directive_algebra(rest, ln)
+                self._directive_algebra(rest, ln, at)
             elif key == "word":
                 self._directive_word(rest, ln)
             elif key == "hypothesis":
@@ -396,13 +396,13 @@ class _Parser:
             elif key == "chain":
                 self._directive_chain(rest, ln)
             elif key == "step":
-                self._directive_step(stripped, ln)
+                self._directive_step(line, ln)
             elif key == "end":
                 if not self.in_chain:
                     _fail(self.path, ln, 1, "'end' outside a chain block")
                 self.in_chain = False
             elif key == "expect":
-                self._directive_expect(rest, ln)
+                self._directive_expect(rest, ln, at)
             else:
                 _fail(self.path, ln, 1, f"unknown directive {key!r}")
         if self.in_chain:

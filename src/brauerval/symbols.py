@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedConfiguration, ZeroElement
-from .lattices import _rank_mod_p
+from .lattices import _pivot_columns_mod_p
 from .towers import (
     PTH_ROOT,
     FieldTower,
@@ -304,7 +304,8 @@ def check_rewrite_step(step: RewriteStep, tower: FieldTower) -> None:
         )
         vec = _exponent_vector(removed, names)
         basis = [_exponent_vector(r, names) for r in root_rhs]
-        if _rank_mod_p(basis + [vec], p) != _rank_mod_p(basis, p):
+        # with the vectors as columns, vec is a pivot iff the roots do not span it mod p
+        if len(basis) in _pivot_columns_mod_p(tuple(zip(*basis, vec)), p):
             raise UnsupportedConfiguration(
                 "removed factor is not a p-th power times declared roots"
             )

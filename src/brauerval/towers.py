@@ -1,7 +1,10 @@
 """Iterated Laurent series towers and the elements we valuate inside them.
 
 A tower is F_0((u_1))((u_2))...((u_n)) together with a list of certified
-degree-p extension generators.  Elements are kept as formal sums of
+degree-p extension generators.  `adjoin` is the one way to add a
+generator: its kind (ARTIN_SCHREIER or PTH_ROOT) is an argument, and the
+value of the right hand side alone decides whether the extension is
+ramified, residual or refused.  Elements are kept as formal sums of
 Laurent monomials in named symbols; no series tails are ever needed
 because every computation the verifier checks stays inside the subring
 generated by finitely many monomials.
@@ -494,51 +497,33 @@ def _residue_degree_p_justification(
     )
 
 
-def adjoin_artin_schreier(tower: FieldTower, name: str, rhs: FormalElement) -> FieldTower:
-    """Adjoin x with x^p - x = rhs, certifying the degree as we go.
+def adjoin(tower: FieldTower, name: str, kind: str, rhs: FormalElement) -> FieldTower:
+    """Adjoin a root x of x^p - x = rhs (artin-schreier) or x^p = rhs (pth-root).
 
-    A negative rhs value outside p * Gamma gives a totally ramified
-    degree-p extension.  A rhs of value 0 is pushed to the residue
-    field, where the equation must itself be certified.  A positive
-    value would split by lifting the trivial residue equation, so it is
-    rejected.
+    The degree is certified from the value of rhs.  A value of 0 pushes
+    the equation to the residue field, where it must itself be
+    certified.  A positive Artin-Schreier value would split by lifting
+    the trivial residue equation, and a value in p * Gamma gives no new
+    value, so both are refused.  Any other value ramifies totally.
     """
+    if kind not in _KINDS:
+        raise UnsupportedConfiguration(f"unknown generator kind {kind!r}")
     spec = tower.spec()
     v = value_of(rhs, spec)
-    zero = ValueVector.zero(spec.depth)
-    if v < zero:
-        if spec.in_p_value_group(v):
-            raise UnsupportedConfiguration(
-                f"value of rhs for {name!r} lies in p times the value group"
-            )
-        gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, "ramified")
-        return tower.with_generator(gen)
-    if v == zero:
+    if v.is_zero():
         rbar = residue_of(rhs, spec)
-        just = _residue_degree_p_justification(spec.residue_tower(), rbar, ARTIN_SCHREIER)
-        gen = ExtensionGenerator(name, ARTIN_SCHREIER, rhs, just)
-        return tower.with_generator(gen)
-    raise UnsupportedConfiguration(
-        f"rhs for {name!r} has positive value; the equation splits"
-    )
-
-
-def adjoin_pth_root(tower: FieldTower, name: str, rhs: FormalElement) -> FieldTower:
-    """Adjoin y with y^p = rhs; degree p needs v(rhs) outside p * Gamma
-    or a certified non-p-th-power residue."""
-    spec = tower.spec()
-    v = value_of(rhs, spec)
-    if not v.is_zero():
-        if spec.in_p_value_group(v):
-            raise UnsupportedConfiguration(
-                f"value of rhs for {name!r} lies in p times the value group"
-            )
-        gen = ExtensionGenerator(name, PTH_ROOT, rhs, "ramified")
-        return tower.with_generator(gen)
-    rbar = residue_of(rhs, spec)
-    just = _residue_degree_p_justification(spec.residue_tower(), rbar, PTH_ROOT)
-    gen = ExtensionGenerator(name, PTH_ROOT, rhs, just)
-    return tower.with_generator(gen)
+        just = _residue_degree_p_justification(spec.residue_tower(), rbar, kind)
+    elif kind == ARTIN_SCHREIER and not v < ValueVector.zero(spec.depth):
+        raise UnsupportedConfiguration(
+            f"rhs for {name!r} has positive value; the equation splits"
+        )
+    elif spec.in_p_value_group(v):
+        raise UnsupportedConfiguration(
+            f"value of rhs for {name!r} lies in p times the value group"
+        )
+    else:
+        just = "ramified"
+    return tower.with_generator(ExtensionGenerator(name, kind, rhs, just))
 
 
 def rebase_pth_root(

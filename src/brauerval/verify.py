@@ -41,7 +41,8 @@ from .division import (
 from .division import NOT_CERTIFIED as CERT_NOT_CERTIFIED, REFUTED as CERT_REFUTED
 from .errors import UnsupportedConfiguration
 from .lattices import (
-    Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices, overlattice_count
+    WORK_BUDGET, Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices,
+    overlattice_count,
 )
 from .symbols import (
     RewriteChain,
@@ -54,11 +55,12 @@ from .symbols import (
     symbol,
 )
 from .towers import (
+    ARTIN_SCHREIER,
+    PTH_ROOT,
     FieldTower,
     FormalElement,
     GroundField,
-    adjoin_artin_schreier,
-    adjoin_pth_root,
+    adjoin,
     artin_schreier_image,
     is_prime,
     rebase_pth_root,
@@ -371,7 +373,7 @@ def verify_count_identities(
 # ------------------------------------------------------------- lattices
 
 
-def verify_char_not_p(n: int, p: int, max_work: int = 1 << 24) -> Verdict:
+def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     """Pigeonhole over every admissible over-lattice, plus the upper witness.
 
     Lower bound: for each lattice L with Z^n <= L <= (1/q)Z^n and
@@ -577,7 +579,7 @@ def _vanishing_chain_shift(p: int) -> RewriteChain:
     cinv = FormalElement.symbol(p, "c", -1)
     dinv = FormalElement.symbol(p, "d", -1)
     rhs = dinv.scale(2) - cinv
-    ell = adjoin_artin_schreier(base, "xL", rhs)
+    ell = adjoin(base, "xL", ARTIN_SCHREIER, rhs)
     start = SymbolSum.of(symbol(p, cinv, dinv))
     s1 = SymbolSum.of(symbol(p, cinv - dinv.scale(2), dinv), symbol(p, dinv.scale(2), dinv))
     s2 = SymbolSum.of(symbol(p, cinv - dinv.scale(2), dinv))
@@ -611,7 +613,7 @@ def _vanishing_chain_root(p: int) -> RewriteChain:
     base = FieldTower(GroundField(p), ("d", "c"))
     dinv = FormalElement.symbol(p, "d", -1)
     c = FormalElement.symbol(p, "c")
-    ell = adjoin_pth_root(base, "w", FormalElement.monomial(p, {"d": 2, "c": -1}))
+    ell = adjoin(base, "w", PTH_ROOT, FormalElement.monomial(p, {"d": 2, "c": -1}))
     start = SymbolSum.of(symbol(p, dinv, c))
     s1 = SymbolSum.of(
         symbol(p, dinv, FormalElement.monomial(p, {"c": 1, "d": -2})),

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import inspect
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from brauerval import cli, lattices
 from brauerval.cli import main
 from brauerval.errors import ScenarioError
 from brauerval.scenario import TASKS
+from brauerval.verify import verify_char_not_p
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "scenarios"
@@ -187,6 +191,15 @@ class TestParameters:
         assert code == 0
         assert "result: Verified" in out
 
+    def test_work_budget_has_one_default(self):
+        assert lattices.WORK_BUDGET == 1 << 24
+        assert cli.build_parser().get_default("max_work") == lattices.WORK_BUDGET
+        for fn, key in [
+            (verify_char_not_p, "max_work"),
+            (lattices.enumerate_overlattices, "bound"),
+        ]:
+            assert inspect.signature(fn).parameters[key].default == lattices.WORK_BUDGET
+
 
 class TestOutput:
     def test_out_writes_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
@@ -290,3 +303,27 @@ class TestNegativeControls:
         )
         assert code == 3
         assert err.startswith("error:")
+
+
+def run_corpus_gate(monkeypatch, directory: pathlib.Path) -> int:
+    """scripts/run_corpus.py's main(), in-process, on the scenarios in directory."""
+    script = ROOT / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", ["run_corpus.py", str(directory)])
+    return module.main()
+
+
+class TestCorpusGate:
+    def test_every_scenario_matches_its_golden_verdict(self, capsys, monkeypatch):
+        assert run_corpus_gate(monkeypatch, CORPUS) == 0
+        assert capsys.readouterr().out.endswith("42/42 scenarios match their golden verdict\n")
+
+    def test_a_wrong_expect_line_fails_the_gate(self, capsys, monkeypatch, tmp_path):
+        text = (CORPUS / "custom-split-p3.scn").read_text()
+        assert "expect Refuted" in text
+        wrong = text.replace("expect Refuted", "expect Verified")
+        (tmp_path / "custom-split-p3.scn").write_text(wrong)
+        assert run_corpus_gate(monkeypatch, tmp_path) == 1
+        assert "expected Verified, got Refuted" in capsys.readouterr().err

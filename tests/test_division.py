@@ -34,11 +34,12 @@ from brauerval.lattices import Lattice, ValueVector
 from brauerval.report import encode
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import (
+    ARTIN_SCHREIER,
+    PTH_ROOT,
     FieldTower,
     FormalElement,
     GroundField,
-    adjoin_artin_schreier,
-    adjoin_pth_root,
+    adjoin,
     generator_value,
 )
 from brauerval.verify import (
@@ -164,8 +165,8 @@ class TestValueData:
             word(p, ({"u": -1}, {"w": 1}), ({"w": -1}, {"u": 1})), base
         )
         assert data.pairs == ((0, 1), (1, 0))
-        ext = adjoin_pth_root(base, "y", mono(p, {"u": 1}))
-        ext = adjoin_artin_schreier(ext, "t", mono(p, {"y": -1}))
+        ext = adjoin(base, "y", PTH_ROOT, mono(p, {"u": 1}))
+        ext = adjoin(ext, "t", ARTIN_SCHREIER, mono(p, {"y": -1}))
         expected = generator_value(ext.spec(), "t")
         assert expected == ValueVector.of(Fraction(-1, p * p), 0)
         assert data.basis_values()[0] == expected

@@ -24,7 +24,6 @@ from brauerval.lattices import (
     Lattice,
     ValueVector,
     _pivot_columns_mod_p,
-    _rank_mod_p,
     enumerate_overlattices,
     forget_memos,
     overlattice_count,
@@ -35,6 +34,28 @@ V = ValueVector.of
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank mod p by Gauss-Jordan elimination on the rows: the oracle for the pivots."""
+    mat = [[x % p for x in r] for r in rows]
+    cols = len(mat[0]) if mat else 0
+    row = 0
+    for col in range(cols):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col] % p != 0), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = pow(mat[row][col], -1, p)
+        mat[row] = [(x * inv) % p for x in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col] % p != 0:
+                f = mat[r][col]
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[row])]
+        row += 1
+        if row == len(mat):
+            break
+    return row
 
 
 def intersection_oracle(a: Lattice, b: Lattice) -> Lattice:

@@ -191,6 +191,27 @@ class TestDiagnostics:
         assert parse_scenario(text.replace("ground closed\n", "")).tower.generators
         self.check(text, "bad.scn:7:1: cannot certify", line=7)
 
+    # columns count from the raw line, indentation and extra spaces included
+    def test_generator_column_points_at_the_factor(self):
+        self.check(
+            "version 1\ntask counts\nprime 3\nvariables d\n"
+            "generator x = artin-schreier(d^^-1)\n",
+            "bad.scn:5:30: bad factor 'd^^-1'",
+        )
+
+    def test_indented_step_column_points_at_the_factor(self):
+        self.check(
+            "version 1\ntask chain-check\nprime 3\nvariables d c\n"
+            "algebra S = [d^-1, c^-1)\nchain on S\n  step negate -> [d^^1, c^-1)\nend\n",
+            "bad.scn:7:19: bad factor 'd^^1'",
+        )
+
+    def test_spaced_algebra_column_points_at_the_factor(self):
+        self.check(
+            "version 1\ntask counts\nprime 3\nvariables d c\nalgebra   A   =   [d^^2, c)\n",
+            "bad.scn:5:20: bad factor 'd^^2'",
+        )
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError) as err:
             load_scenario(str(tmp_path / "absent.scn"))

@@ -18,11 +18,12 @@ from brauerval.symbols import (
     symbol,
 )
 from brauerval.towers import (
+    ARTIN_SCHREIER,
+    PTH_ROOT,
     FieldTower,
     FormalElement,
     GroundField,
-    adjoin_artin_schreier,
-    adjoin_pth_root,
+    adjoin,
     reduce_generator_powers,
 )
 
@@ -126,12 +127,12 @@ def laurent_tower(*variables, constants=()):
 
 
 def test_reduce_generator_powers():
-    t = adjoin_artin_schreier(laurent_tower("u"), "x", mono({"u": -1}))
+    t = adjoin(laurent_tower("u"), "x", ARTIN_SCHREIER, mono({"u": -1}))
     e = mono({"x": 3})
     assert reduce_generator_powers(e, t) == mono({"x": 1}) + mono({"u": -1})
     e2 = mono({"x": 4, "u": 1})
     assert reduce_generator_powers(e2, t) == mono({"x": 2, "u": 1}) + mono({"x": 1})
-    ty = adjoin_pth_root(laurent_tower("u"), "y", mono({"u": 2}))
+    ty = adjoin(laurent_tower("u"), "y", PTH_ROOT, mono({"u": 2}))
     assert reduce_generator_powers(mono({"y": 3}), ty) == mono({"u": 2})
     with pytest.raises(UnsupportedConfiguration):
         reduce_generator_powers(mono({"x": -3}), t)
@@ -145,7 +146,7 @@ def test_full_chain_slot1_split_norm_shift():
     """
     cinv, dinv = mono({"c": -1}), mono({"d": -1})
     base = laurent_tower("d", "c")
-    ell = adjoin_artin_schreier(base, "xL", dinv.scale(2) - cinv)
+    ell = adjoin(base, "xL", ARTIN_SCHREIER, dinv.scale(2) - cinv)
     start = SymbolSum.of(sym(cinv, dinv))
     s1 = SymbolSum.of(sym(cinv - dinv.scale(2), dinv), sym(dinv.scale(2), dinv))
     s2 = SymbolSum.of(sym(cinv - dinv.scale(2), dinv))
@@ -168,8 +169,8 @@ def test_full_chain_slot1_split_norm_shift():
 def test_full_chain_self_slot_and_declared_root():
     """[1/d, c) dies once a p-th root of d^2/c is declared."""
     dinv, c = mono({"d": -1}), mono({"c": 1})
-    tower = adjoin_pth_root(
-        laurent_tower("d", "c"), "w", mono({"d": 2, "c": -1})
+    tower = adjoin(
+        laurent_tower("d", "c"), "w", PTH_ROOT, mono({"d": 2, "c": -1})
     )
     start = SymbolSum.of(sym(dinv, c))
     s1 = SymbolSum.of(sym(dinv, mono({"c": 1, "d": -2})), sym(dinv, mono({"d": 2})))
@@ -204,7 +205,7 @@ def test_slot1_add_rejects_unequal_normal_forms():
 
 
 def test_as_shift_validation():
-    tower = adjoin_artin_schreier(laurent_tower("d", "c"), "xL", mono({"d": -1}))
+    tower = adjoin(laurent_tower("d", "c"), "xL", ARTIN_SCHREIER, mono({"d": -1}))
     before = SymbolSum.of(sym(mono({"d": -1}), mono({"c": 1})))
     good_after = SymbolSum.of(sym(FormalElement.zero(3), mono({"c": 1})))
     check_rewrite_step(
@@ -245,7 +246,7 @@ def test_slot2_norm_validation():
 
 
 def test_slot2_pthpower_validation():
-    tower = adjoin_pth_root(laurent_tower("d", "c"), "w", mono({"d": 2, "c": -1}))
+    tower = adjoin(laurent_tower("d", "c"), "w", PTH_ROOT, mono({"d": 2, "c": -1}))
     a = mono({"d": -1})
     ok = SymbolSum.of(sym(a, mono({"d": 2, "c": -1})))
     check_rewrite_step(

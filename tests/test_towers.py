@@ -32,8 +32,7 @@ from brauerval.towers import (
     FormalElement,
     GroundField,
     ValuationSpec,
-    adjoin_artin_schreier,
-    adjoin_pth_root,
+    adjoin,
     artin_schreier_image,
     generator_value,
     norm_element_oracle,
@@ -215,7 +214,7 @@ def test_ground_field_rejects_non_prime_characteristic(characteristic):
 
 
 def test_adjoin_ramified_artin_schreier():
-    t = adjoin_artin_schreier(tower3("u"), "x", mono(3, {"u": -1}))
+    t = adjoin(tower3("u"), "x", ARTIN_SCHREIER, mono(3, {"u": -1}))
     gen = t.generator("x")
     assert gen.justification == "ramified"
     spec = t.spec()
@@ -226,21 +225,21 @@ def test_adjoin_ramified_artin_schreier():
 
 def test_adjoin_rejects_split_and_imprimitive():
     with pytest.raises(UnsupportedConfiguration):
-        adjoin_artin_schreier(tower3("u"), "x", mono(3, {"u": 1}))
+        adjoin(tower3("u"), "x", ARTIN_SCHREIER, mono(3, {"u": 1}))
     with pytest.raises(UnsupportedConfiguration):
-        adjoin_artin_schreier(tower3("u"), "x", mono(3, {"u": -3}))
+        adjoin(tower3("u"), "x", ARTIN_SCHREIER, mono(3, {"u": -3}))
     with pytest.raises(UnsupportedConfiguration):
-        adjoin_pth_root(tower3("u"), "y", mono(3, {"u": 3}))
+        adjoin(tower3("u"), "y", PTH_ROOT, mono(3, {"u": 3}))
 
 
 def test_adjoin_pth_root_values():
-    t = adjoin_pth_root(tower3("u"), "y", mono(3, {"u": 2}))
+    t = adjoin(tower3("u"), "y", PTH_ROOT, mono(3, {"u": 2}))
     assert t.generator("y").justification == "ramified"
     assert generator_value(t.spec(), "y") == V(F(2, 3))
 
 
 def test_residual_generic_constant_adjunction():
-    t = adjoin_artin_schreier(tower3("u", constants=("a",)), "w", mono(3, {"a": 1}))
+    t = adjoin(tower3("u", constants=("a",)), "w", ARTIN_SCHREIER, mono(3, {"a": 1}))
     assert t.generator("w").justification == "residue-generic"
     assert generator_value(t.spec(), "w") == V(0)
     res = t.spec(1).residue_tower()
@@ -252,7 +251,36 @@ def test_algebraically_closed_ground_blocks_generic():
     ground = GroundField(3, frozenset({"a"}), algebraically_closed=True)
     t = FieldTower(ground, ("u",))
     with pytest.raises(UnsupportedConfiguration):
-        adjoin_artin_schreier(t, "w", mono(3, {"a": 1}))
+        adjoin(t, "w", ARTIN_SCHREIER, mono(3, {"a": 1}))
+
+
+IN_P_GAMMA = "value of rhs for 'x' lies in p times the value group"
+SPLITS = "rhs for 'x' has positive value; the equation splits"
+NOT_DEGREE_P = "cannot certify that the residual equation has degree p"
+
+
+@pytest.mark.parametrize(
+    "kind, rhs, constants, closed, outcome",
+    [
+        (ARTIN_SCHREIER, {"u": -1}, (), False, "ramified"),
+        (ARTIN_SCHREIER, {"u": -3}, (), False, IN_P_GAMMA),
+        (ARTIN_SCHREIER, {"u": 1}, (), False, SPLITS),
+        (ARTIN_SCHREIER, {"a": 1}, ("a",), False, "residue-generic"),
+        (ARTIN_SCHREIER, {"a": 1}, ("a",), True, NOT_DEGREE_P),
+        (PTH_ROOT, {"u": 2}, (), False, "ramified"),
+        (PTH_ROOT, {"u": 3}, (), False, IN_P_GAMMA),
+        (PTH_ROOT, {"a": 1}, ("a",), False, "residue-generic"),
+        ("kummer", {"u": -1}, (), False, "unknown generator kind 'kummer'"),
+    ],
+)
+def test_adjoin_outcome_is_pinned(kind, rhs, constants, closed, outcome):
+    """The justification, or the exact refusal that reports embed, per case."""
+    t = FieldTower(GroundField(3, frozenset(constants), closed), ("u",))
+    try:
+        got = adjoin(t, "x", kind, mono(3, rhs)).generator("x").justification
+    except UnsupportedConfiguration as err:
+        got = str(err)
+    assert got == outcome
 
 
 def tensor_pair_tower():
@@ -281,13 +309,13 @@ def test_unit_with_active_part_has_no_formal_residue():
 
 
 def test_adjoining_the_reciprocal_root_after_is_refused():
-    t = adjoin_artin_schreier(tower3("u"), "x", mono(3, {"u": -1}))
+    t = adjoin(tower3("u"), "x", ARTIN_SCHREIER, mono(3, {"u": -1}))
     with pytest.raises(UnsupportedConfiguration):
-        adjoin_pth_root(t, "y", mono(3, {"u": 1}))
+        adjoin(t, "y", PTH_ROOT, mono(3, {"u": 1}))
 
 
 def test_unreduced_generator_power_is_rejected():
-    t = adjoin_artin_schreier(tower3("u"), "x", mono(3, {"u": -1}))
+    t = adjoin(tower3("u"), "x", ARTIN_SCHREIER, mono(3, {"u": -1}))
     with pytest.raises(UnsupportedConfiguration):
         value_of(mono(3, {"x": 3}), t.spec())
     with pytest.raises(UnsupportedConfiguration):
@@ -295,7 +323,7 @@ def test_unreduced_generator_power_is_rejected():
 
 
 def test_residue_tower_recertifies_surviving_generators():
-    t = adjoin_pth_root(tower3("u", "w"), "y", mono(3, {"u": 1}))
+    t = adjoin(tower3("u", "w"), "y", PTH_ROOT, mono(3, {"u": 1}))
     assert t.generator("y").justification == "ramified"
     spec = t.spec(1)
     assert generator_value(spec, "y") == V(0)
@@ -314,8 +342,8 @@ def test_residue_artin_schreier_of_positive_value_is_not_recertified():
 
 
 def test_rebase_pth_root():
-    t = adjoin_artin_schreier(
-        tower3("u", "w"), "g", mono(3, {"u": -1, "w": -1})
+    t = adjoin(
+        tower3("u", "w"), "g", ARTIN_SCHREIER, mono(3, {"u": -1, "w": -1})
     )
     rebased, mapper = rebase_pth_root(t, "u", "y")
     assert rebased.variables == ("y", "w")
