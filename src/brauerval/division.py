@@ -389,11 +389,12 @@ def symbol_division(
     return Certificate("symbol-division", status, payload={**head, **entry})
 
 
-_HYPOTHESIS_STATUS = {"division": CERTIFIED, "split": REFUTED}
+# the residue hypotheses a caller may assume, and the status each one gives
+HYPOTHESIS_STATUS = {"division": CERTIFIED, "split": REFUTED}
 
 
 def _require_hypothesis(hypothesis: str | None) -> None:
-    if hypothesis not in (None, *_HYPOTHESIS_STATUS):
+    if hypothesis not in (None, *HYPOTHESIS_STATUS):
         raise UnsupportedConfiguration(f"unknown residue hypothesis {hypothesis!r}")
 
 
@@ -406,7 +407,7 @@ def _hypothesis_verdict(
     records it as an assumption; without one the symbol stays
     not-certified for the given reason.
     """
-    status = _HYPOTHESIS_STATUS.get(hypothesis)
+    status = HYPOTHESIS_STATUS.get(hypothesis)
     if status is None:
         return NOT_CERTIFIED, {"reason": reason}
     return status, {"hypothesis": f"{subject} assumed {hypothesis}"}

@@ -36,34 +36,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .division import HYPOTHESIS_STATUS
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
 from .symbols import RewriteChain, RewriteStep, SymbolSum, SymbolTerm, symbol
 from .towers import (
+    KINDS,
     FieldTower,
     FormalElement,
     GroundField,
     adjoin,
     is_prime,
 )
-
-TASKS = (
-    "shift",
-    "value-groups",
-    "no-common-splitting",
-    "counts",
-    "char-not-p",
-    "prop71",
-    "lemma72",
-    "example73",
-    "chain-check",
-    "custom-scenario",
-)
-
-VERDICTS = ("Verified", "Refuted", "Inconclusive", "NotCertified")
+from .verify import EXIT_CODES, TASKS
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT = re.compile(r"[+-]?\d+\Z")
 _FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^([+-]?\d+))?\Z")
+_GENERATOR = re.compile(
+    rf"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*({'|'.join(map(re.escape, KINDS))})\((.*)\)\s*\Z"
+)
 
 
 @dataclass(frozen=True)
@@ -90,10 +81,6 @@ class Scenario:
             raise ScenarioError(f"{self.path}: no algebra named {name!r}") from None
 
 
-def _fail(path: str, ln: int, col: int, msg: str) -> None:
-    raise ScenarioError(f"{path}:{ln}:{col}: {msg}")
-
-
 def _split_top(text: str, sep: str) -> list[tuple[int, str]]:
     """Split on sep at bracket depth zero; yields (offset, piece)."""
     pieces = []
@@ -115,6 +102,8 @@ class _Parser:
     def __init__(self, text: str, path: str) -> None:
         self.path = path
         self.lines = text.splitlines()
+        self.ln = 0  # the line being parsed
+        self.start = 1  # the column of its first non-blank character
         self.version: int | None = None
         self.task: str | None = None
         self.prime: int | None = None
@@ -132,222 +121,214 @@ class _Parser:
         self.in_chain = False
         self.chain_current: SymbolSum | None = None
 
+    def _fail(self, msg: str, col: int | None = None) -> None:
+        """Raise at col, or at the start of the line when no token is to blame."""
+        raise ScenarioError(f"{self.path}:{self.ln}:{col or self.start}: {msg}")
+
     # ---------------------------------------------------------- elements
 
-    def _element(self, text: str, ln: int, col: int) -> FormalElement:
-        p = self._need_prime(ln, col)
+    def _element(self, text: str, col: int, extra: tuple[str, ...] = ()) -> FormalElement:
+        p = self._need_prime(col)
         if text.strip() == "0":
             return FormalElement.zero(p)
+        known = self._need_tower().names().union(extra)
         total = FormalElement.zero(p)
         for off, term in _split_top(text, "+"):
             if not term.strip():
-                _fail(self.path, ln, col + off, "empty term in element")
+                self._fail("empty term in element", col + off)
             coeff = 1
             exps: dict[str, int] = {}
             pos = off
-            for k, factor in enumerate(term.split("*")):
+            for factor in term.split("*"):
                 fpos = col + pos + (len(factor) - len(factor.lstrip()))
                 f = factor.strip()
                 pos += len(factor) + 1
                 if not f:
-                    _fail(self.path, ln, fpos, "empty factor in element")
+                    self._fail("empty factor in element", fpos)
                 if _INT.match(f):
                     coeff = coeff * int(f) % p
                     continue
                 m = _FACTOR.match(f)
                 if not m:
-                    _fail(self.path, ln, fpos, f"bad factor {f!r}")
+                    self._fail(f"bad factor {f!r}", fpos)
                 name, exp = m.group(1), int(m.group(2) or 1)
+                if name not in known:
+                    self._fail(f"unknown names {[name]}", fpos)
                 exps[name] = exps.get(name, 0) + exp
             exps = {k: v for k, v in exps.items() if v}
             term_el = FormalElement.monomial(p, exps).scale(coeff)
             total = total + term_el
         return total
 
-    def _symbol(self, text: str, ln: int, col: int) -> SymbolTerm:
-        p = self._need_prime(ln, col)
+    def _symbol(self, text: str, col: int) -> SymbolTerm:
+        p = self._need_prime(col)
         s = text.strip()
         shift = col + len(text) - len(text.lstrip())
         if not (s.startswith("[") and s.endswith(")")):
-            _fail(self.path, ln, shift, f"symbol must look like [a, b), got {s!r}")
+            self._fail(f"symbol must look like [a, b), got {s!r}", shift)
         inner = s[1:-1]
         if "," not in inner:
-            _fail(self.path, ln, shift, "symbol needs two comma-separated slots")
+            self._fail("symbol needs two comma-separated slots", shift)
         slot1, slot2 = inner.split(",", 1)
-        left = self._element(slot1, ln, shift + 1)
-        right = self._element(slot2, ln, shift + 2 + len(slot1))
+        left = self._element(slot1, shift + 1)
+        right = self._element(slot2, shift + 2 + len(slot1))
         try:
             return symbol(p, left, right)
         except EngineError as err:
-            _fail(self.path, ln, shift, str(err))
+            self._fail(str(err), shift)
 
-    def _tensor(self, text: str, ln: int, col: int) -> SymbolSum:
+    def _tensor(self, text: str, col: int) -> SymbolSum:
         terms = [
-            self._symbol(piece, ln, col + off) for off, piece in _split_top(text, "*")
+            self._symbol(piece, col + off) for off, piece in _split_top(text, "*")
         ]
         return SymbolSum.of(*terms)
 
-    def _sum(self, text: str, ln: int, col: int) -> SymbolSum:
-        p = self._need_prime(ln, col)
+    def _sum(self, text: str, col: int) -> SymbolSum:
+        p = self._need_prime(col)
         if text.strip() == "0":
             return SymbolSum.zero(p)
         terms = [
-            self._symbol(piece, ln, col + off) for off, piece in _split_top(text, "+")
+            self._symbol(piece, col + off) for off, piece in _split_top(text, "+")
         ]
         return SymbolSum.of(*terms)
 
     # -------------------------------------------------------- directives
 
-    def _need_prime(self, ln: int, col: int) -> int:
+    def _need_prime(self, col: int | None = None) -> int:
         if self.prime is None:
-            _fail(self.path, ln, col, "a 'prime' line must come first")
+            self._fail("a 'prime' line must come first", col)
         return self.prime
 
-    def _need_tower(self, ln: int) -> FieldTower:
+    def _need_tower(self) -> FieldTower:
         if self.tower is None:
-            _fail(self.path, ln, 1, "a 'variables' line must come first")
+            self._fail("a 'variables' line must come first")
         return self.tower
 
-    def _check_names(self, element: FormalElement, ln: int, col: int, extra=()) -> None:
-        tower = self._need_tower(ln)
-        bad = element.names() - tower.names() - set(extra)
-        if bad:
-            _fail(self.path, ln, col, f"unknown names {sorted(bad)}")
-
-    def _int_value(self, rest: str, ln: int, key: str) -> int:
+    def _int_value(self, rest: str, key: str) -> int:
         if not _INT.match(rest.strip()):
-            _fail(self.path, ln, 1, f"{key} wants an integer, got {rest.strip()!r}")
+            self._fail(f"{key} wants an integer, got {rest.strip()!r}")
         return int(rest.strip())
 
-    def _directive_task(self, rest: str, ln: int, at: int) -> None:
+    def _directive_task(self, rest: str, at: int) -> None:
         name = rest.strip()
         if name not in TASKS:
-            _fail(self.path, ln, at, f"unknown task {name!r}")
+            self._fail(f"unknown task {name!r}", at)
         self.task = name
 
-    def _directive_ground(self, rest: str, ln: int) -> None:
+    def _directive_ground(self, rest: str) -> None:
         tokens = rest.split()
         if tokens and tokens[0] == "constants":
             for name in tokens[1:]:
                 if not _NAME.match(name):
-                    _fail(self.path, ln, 1, f"bad constant name {name!r}")
+                    self._fail(f"bad constant name {name!r}")
             self.constants.extend(tokens[1:])
         elif tokens == ["closed"]:
             self.closed = True
         else:
-            _fail(self.path, ln, 1, f"bad ground clause {rest.strip()!r}")
+            self._fail(f"bad ground clause {rest.strip()!r}")
 
-    def _directive_variables(self, rest: str, ln: int) -> None:
+    def _directive_variables(self, rest: str) -> None:
         if self.variables is not None:
-            _fail(self.path, ln, 1, "duplicate 'variables' line")
+            self._fail("duplicate 'variables' line")
         names = rest.split()
         for name in names:
             if not _NAME.match(name):
-                _fail(self.path, ln, 1, f"bad variable name {name!r}")
-        p = self._need_prime(ln, 1)
+                self._fail(f"bad variable name {name!r}")
+        p = self._need_prime()
         self.variables = names
         try:
             self.tower = FieldTower(
                 GroundField(p, frozenset(self.constants), self.closed), tuple(names)
             )
         except UnsupportedConfiguration as err:
-            _fail(self.path, ln, 1, str(err))
+            self._fail(str(err))
 
-    def _directive_generator(self, rest: str, ln: int, at: int) -> None:
-        m = re.match(
-            r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(artin-schreier|pth-root)\((.*)\)\s*\Z",
-            rest,
-        )
+    def _directive_generator(self, rest: str, at: int) -> None:
+        m = _GENERATOR.match(rest)
         if not m:
-            _fail(self.path, ln, 1, "generator wants: name = artin-schreier(...) or pth-root(...)")
+            self._fail("generator wants: name = " + " or ".join(f"{k}(...)" for k in KINDS))
         name, kind, body = m.group(1), m.group(2), m.group(3)
-        col = at + m.start(3)
-        rhs = self._element(body, ln, col)
-        self._check_names(rhs, ln, col)
+        rhs = self._element(body, at + m.start(3))
         try:
-            self.tower = adjoin(self._need_tower(ln), name, kind, rhs)
+            self.tower = adjoin(self._need_tower(), name, kind, rhs)
         except UnsupportedConfiguration as err:
-            _fail(self.path, ln, 1, str(err))
+            self._fail(str(err))
 
-    def _directive_algebra(self, rest: str, ln: int, at: int) -> None:
+    def _directive_algebra(self, rest: str, at: int) -> None:
         m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)\Z", rest)
         if not m:
-            _fail(self.path, ln, 1, "algebra wants: name = [a, b) * ...")
+            self._fail("algebra wants: name = [a, b) * ...")
         name, body = m.group(1), m.group(2)
         if name in self.algebras:
-            _fail(self.path, ln, 1, f"duplicate algebra {name!r}")
+            self._fail(f"duplicate algebra {name!r}")
         col = at + m.start(2)
-        word = self._tensor(body, ln, col)
+        word = self._tensor(body, col)
         if not word.terms:
-            _fail(self.path, ln, col, "empty algebra")
-        for term in word.terms:
-            self._check_names(term.slot1, ln, col)
-            self._check_names(term.slot2, ln, col)
+            self._fail("empty algebra", col)
         self.algebras[name] = word
 
-    def _directive_word(self, rest: str, ln: int) -> None:
+    def _directive_word(self, rest: str) -> None:
         names = rest.split()
         if not names:
-            _fail(self.path, ln, 1, "word wants at least one algebra name")
+            self._fail("word wants at least one algebra name")
         for name in names:
             if name not in self.algebras:
-                _fail(self.path, ln, 1, f"word references unknown algebra {name!r}")
+                self._fail(f"word references unknown algebra {name!r}")
         self.word = tuple(names)
 
-    def _directive_chain(self, rest: str, ln: int) -> None:
+    def _directive_chain(self, rest: str) -> None:
         m = re.match(r"\s*on\s+([A-Za-z_][A-Za-z0-9_]*)\s*\Z", rest)
         if not m:
-            _fail(self.path, ln, 1, "chain wants: chain on <algebra>")
+            self._fail("chain wants: chain on <algebra>")
         name = m.group(1)
         if name not in self.algebras:
-            _fail(self.path, ln, 1, f"chain references unknown algebra {name!r}")
+            self._fail(f"chain references unknown algebra {name!r}")
         if self.chain_on is not None:
-            _fail(self.path, ln, 1, "only one chain per scenario")
+            self._fail("only one chain per scenario")
         self.chain_on = name
         self.chain_current = self.algebras[name]
         self.in_chain = True
 
-    def _directive_step(self, line: str, ln: int) -> None:
+    def _directive_step(self, line: str) -> None:
         if not self.in_chain:
-            _fail(self.path, ln, 1, "'step' outside a chain block")
+            self._fail("'step' outside a chain block")
         if "->" not in line:
-            _fail(self.path, ln, 1, "step wants '-> <sum>'")
+            self._fail("step wants '-> <sum>'")
         head, after_text = line.split("->", 1)
         tokens = head.split()
         # tokens: step RULE [at N] [witness ...]
         if len(tokens) < 2:
-            _fail(self.path, ln, 1, "step wants a rule name")
+            self._fail("step wants a rule name")
         rule = tokens[1]
         target = 0
         witness = None
         rest = tokens[2:]
         if rest and rest[0] == "at":
             if len(rest) < 2 or not _INT.match(rest[1]):
-                _fail(self.path, ln, 1, "'at' wants an index")
+                self._fail("'at' wants an index")
             target = int(rest[1])
             rest = rest[2:]
         if rest and rest[0] == "witness":
             wtext = head.split("witness", 1)[1]
             wcol = line.index("witness") + len("witness") + 1
-            witness = self._element(wtext, ln, wcol)
-            self._check_names(witness, ln, wcol, extra=("X",))
+            witness = self._element(wtext, wcol, extra=("X",))
             rest = []
         if rest:
-            _fail(self.path, ln, 1, f"unexpected step tokens {rest}")
-        after = self._sum(after_text, ln, line.index("->") + 3)
+            self._fail(f"unexpected step tokens {rest}")
+        after = self._sum(after_text, line.index("->") + 3)
         try:
             step = RewriteStep(
                 rule, self.chain_current, after, target_index=target, witness=witness
             )
         except UnsupportedConfiguration as err:
-            _fail(self.path, ln, 1, str(err))
+            self._fail(str(err))
         self.chain_steps.append(step)
         self.chain_current = after
 
-    def _directive_expect(self, rest: str, ln: int, at: int) -> None:
+    def _directive_expect(self, rest: str, at: int) -> None:
         name = rest.strip()
-        if name not in VERDICTS:
-            _fail(self.path, ln, at, f"unknown verdict {name!r}")
+        if name not in EXIT_CODES:
+            self._fail(f"unknown verdict {name!r}", at)
         self.expect = name
 
     # ------------------------------------------------------------ driver
@@ -357,64 +338,66 @@ class _Parser:
             line = raw.split("#", 1)[0].rstrip()
             if not line.strip():
                 continue
+            stripped = line.lstrip()
+            self.ln, self.start = ln, len(line) - len(stripped) + 1
             if self.version is None:
                 if line.split() == ["version", "1"]:
                     self.version = 1
                     continue
-                _fail(self.path, ln, 1, "first directive must be 'version 1'")
-            stripped = line.strip()
+                self._fail("first directive must be 'version 1'")
             key = stripped.split(None, 1)[0]
             rest = stripped[len(key):].lstrip()
             # the column of rest[0] in the raw line, so diagnostics count indentation
             at = len(line) - len(rest) + 1
             if self.in_chain and key not in ("step", "end"):
-                _fail(self.path, ln, 1, "chain block must close with 'end'")
+                self._fail("chain block must close with 'end'")
             if key == "task":
-                self._directive_task(rest, ln, at)
+                self._directive_task(rest, at)
             elif key == "prime":
-                value = self._int_value(rest, ln, "prime")
+                value = self._int_value(rest, "prime")
                 if not is_prime(value):
-                    _fail(self.path, ln, at, f"{value} is not prime")
+                    self._fail(f"{value} is not prime", at)
                 self.prime = value
             elif key in ("n", "p", "i", "part"):
-                self.params[key] = self._int_value(rest, ln, key)
+                self.params[key] = self._int_value(rest, key)
             elif key == "ground":
-                self._directive_ground(rest, ln)
+                self._directive_ground(rest)
             elif key == "variables":
-                self._directive_variables(rest, ln)
+                self._directive_variables(rest)
             elif key == "generator":
-                self._directive_generator(rest, ln, at)
+                self._directive_generator(rest, at)
             elif key == "algebra":
-                self._directive_algebra(rest, ln, at)
+                self._directive_algebra(rest, at)
             elif key == "word":
-                self._directive_word(rest, ln)
+                self._directive_word(rest)
             elif key == "hypothesis":
                 value = rest.strip()
-                if value not in ("division", "split"):
-                    _fail(self.path, ln, 1, "hypothesis must be division or split")
+                if value not in HYPOTHESIS_STATUS:
+                    self._fail("hypothesis must be " + " or ".join(HYPOTHESIS_STATUS))
                 self.hypothesis = value
             elif key == "chain":
-                self._directive_chain(rest, ln)
+                self._directive_chain(rest)
             elif key == "step":
-                self._directive_step(line, ln)
+                self._directive_step(line)
             elif key == "end":
                 if not self.in_chain:
-                    _fail(self.path, ln, 1, "'end' outside a chain block")
+                    self._fail("'end' outside a chain block")
                 self.in_chain = False
             elif key == "expect":
-                self._directive_expect(rest, ln, at)
+                self._directive_expect(rest, at)
             else:
-                _fail(self.path, ln, 1, f"unknown directive {key!r}")
+                self._fail(f"unknown directive {key!r}")
+        self.ln, self.start = max(len(self.lines), 1), 1
         if self.in_chain:
-            _fail(self.path, len(self.lines), 1, "unterminated chain block")
+            self._fail("unterminated chain block")
         if self.task is None:
-            _fail(self.path, max(len(self.lines), 1), 1, "scenario has no task")
+            self._fail("scenario has no task")
         chain = None
         if self.chain_on is not None:
             if not self.chain_steps:
-                _fail(self.path, len(self.lines), 1, "chain block has no steps")
+                self._fail("chain block has no steps")
             chain = RewriteChain(
-                self._need_tower(len(self.lines)),
+                self._need_tower(),
                 self.algebras[self.chain_on],
                 tuple(self.chain_steps),
             )

@@ -35,7 +35,7 @@ Monomial = tuple[tuple[str, int], ...]
 ARTIN_SCHREIER = "artin-schreier"
 PTH_ROOT = "pth-root"
 
-_KINDS = (ARTIN_SCHREIER, PTH_ROOT)
+KINDS = (ARTIN_SCHREIER, PTH_ROOT)
 _JUSTIFICATIONS = (
     "ramified",
     "residue-laurent",
@@ -230,7 +230,7 @@ class ExtensionGenerator:
     justification: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise UnsupportedConfiguration(f"unknown generator kind {self.kind!r}")
         if self.justification not in _JUSTIFICATIONS:
             raise UnsupportedConfiguration(
@@ -506,7 +506,7 @@ def adjoin(tower: FieldTower, name: str, kind: str, rhs: FormalElement) -> Field
     the trivial residue equation, and a value in p * Gamma gives no new
     value, so both are refused.  Any other value ramifies totally.
     """
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise UnsupportedConfiguration(f"unknown generator kind {kind!r}")
     spec = tower.spec()
     v = value_of(rhs, spec)

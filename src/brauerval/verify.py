@@ -7,7 +7,7 @@ trees backing them.  Nothing is assumed: every claim behind a Verified
 verdict is computed this run, each equal sub-question once within a
 task (the CLI empties those memo tables after every task).
 
-The checks fall into three groups:
+The checks fall into four groups:
 
   families     n-2+p^n-p^(n-2) tensor words over F_0((a1))...((an)),
                their division certificates, value groups, and the
@@ -17,7 +17,12 @@ The checks fall into three groups:
                symbols are tame;
   two-factor   the decomposition equivalence over one Laurent variable,
                the trace-value subfield obstruction, and the pair of
-               degree-p algebras with no common maximal subfield.
+               degree-p algebras with no common maximal subfield;
+  scenarios    a witness chain, or a tensor word under an optional
+               residue hypothesis, read from a scenario file.
+
+TASKS declares every CLI task once: its verifier and the inputs it
+takes, in order.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from typing import TYPE_CHECKING
 
 from .division import (
     CERTIFIED,
@@ -39,7 +45,7 @@ from .division import (
     trace_zero_value_classes,
 )
 from .division import NOT_CERTIFIED as CERT_NOT_CERTIFIED, REFUTED as CERT_REFUTED
-from .errors import UnsupportedConfiguration
+from .errors import ScenarioError, UnsupportedConfiguration
 from .lattices import (
     WORK_BUDGET, Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices,
     overlattice_count,
@@ -66,12 +72,16 @@ from .towers import (
     rebase_pth_root,
 )
 
+if TYPE_CHECKING:
+    from .scenario import Scenario
+
 VERIFIED = "Verified"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
 NOT_CERTIFIED = "NotCertified"
 
-_EXIT_CODES = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2, NOT_CERTIFIED: 2}
+# every verdict result, with its exit status
+EXIT_CODES = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2, NOT_CERTIFIED: 2}
 
 # the verdict result a division certificate's status stands for
 RESULT_OF_STATUS = {CERTIFIED: VERIFIED, CERT_REFUTED: REFUTED, CERT_NOT_CERTIFIED: NOT_CERTIFIED}
@@ -92,7 +102,7 @@ class Verdict:
 
     @property
     def exit_code(self) -> int:
-        return _EXIT_CODES.get(self.result, 2)
+        return EXIT_CODES.get(self.result, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -749,3 +759,74 @@ def verify_example73(part: int, p: int) -> Verdict:
     return Verdict(
         "example73", VERIFIED if ok else NOT_CERTIFIED, params, payload, certs
     )
+
+
+# ------------------------------------------------------------- scenarios
+
+
+def verify_chain_check(scenario: Scenario) -> Verdict:
+    """The scenario's witness chain: Verified when every step checks and
+    the final sum is empty, NotCertified otherwise."""
+    if scenario.chain is None:
+        raise ScenarioError(f"{scenario.path}: chain-check needs a chain block")
+    reason = None
+    try:
+        final = check_rewrite_chain(scenario.chain)
+        valid = True
+    except UnsupportedConfiguration as err:
+        final = None
+        valid = False
+        reason = str(err)
+    proves = bool(valid and final.is_zero_sum())
+    return Verdict(
+        task="chain-check",
+        result=VERIFIED if proves else NOT_CERTIFIED,
+        parameters={"p": scenario.prime, "scenario": scenario.path},
+        payload={
+            "chain_on": scenario.chain_on,
+            "steps": tuple(s.rule for s in scenario.chain.steps),
+            "valid": valid,
+            "proves_zero": proves,
+            "remaining_terms": None if final is None else len(final.terms),
+            "reason": reason,
+        },
+    )
+
+
+def verify_custom_scenario(scenario: Scenario) -> Verdict:
+    """The division certificate of the scenario's word, the tensor of
+    its named algebras in order, under its residue hypothesis."""
+    if not scenario.word:
+        raise ScenarioError(f"{scenario.path}: custom-scenario needs a 'word' line")
+    word = SymbolSum.zero(scenario.prime)
+    for name in scenario.word:
+        word = word + scenario.algebra(name)
+    cert = chain_division(word, scenario.tower, scenario.hypothesis)
+    return Verdict(
+        task="custom-scenario",
+        result=RESULT_OF_STATUS[cert.status],
+        parameters={"p": scenario.prime, "scenario": scenario.path},
+        payload={
+            "word": scenario.word,
+            "factors": len(word.terms),
+            "hypothesis": scenario.hypothesis,
+            "division_status": cert.status,
+        },
+        certificates=(cert,),
+    )
+
+
+# every task: its verifier and the inputs it takes, in order ("scenario"
+# is the parsed scenario file, any other input an integer)
+TASKS = {
+    "shift": (verify_shift_lemma, ("n", "p", "i")),
+    "value-groups": (verify_value_groups, ("n", "p")),
+    "no-common-splitting": (verify_no_common_splitting, ("n", "p")),
+    "counts": (verify_count_identities, ()),
+    "char-not-p": (verify_char_not_p, ("n", "p", "max_work")),
+    "prop71": (verify_prop71, ("part", "p")),
+    "lemma72": (verify_lemma72, ("part", "p")),
+    "example73": (verify_example73, ("part", "p")),
+    "chain-check": (verify_chain_check, ("scenario",)),
+    "custom-scenario": (verify_custom_scenario, ("scenario",)),
+}

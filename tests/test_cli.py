@@ -14,8 +14,8 @@ import pytest
 from brauerval import cli, lattices
 from brauerval.cli import main
 from brauerval.errors import ScenarioError
-from brauerval.scenario import TASKS
-from brauerval.verify import verify_char_not_p
+from brauerval.scenario import load_scenario
+from brauerval.verify import TASKS, verify_char_not_p
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "scenarios"
@@ -105,7 +105,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise AssertionError("enumerated 3 lattices, expected 4")
 
-        monkeypatch.setattr(cli, "verify_char_not_p", broken)
+        monkeypatch.setitem(TASKS, "char-not-p", (broken, TASKS["char-not-p"][1]))
         code, out, err = run(capsys, "char-not-p", "--n", "3", "--p", "2")
         assert code == 4
         assert out == ""
@@ -116,7 +116,7 @@ class TestExitCodes:
         [(None, 0), (ScenarioError("bad input"), 3), (RuntimeError("forced"), 4)],
     )
     def test_memo_tables_are_empty_after_each_task(self, capsys, monkeypatch, error, expected):
-        real = cli.verify_shift_lemma
+        real, inputs = TASKS["shift"]
         filled = []
 
         def shift_then_fail(*args):
@@ -126,7 +126,7 @@ class TestExitCodes:
                 raise error
             return verdict
 
-        monkeypatch.setattr(cli, "verify_shift_lemma", shift_then_fail)
+        monkeypatch.setitem(TASKS, "shift", (shift_then_fail, inputs))
         code, _, _ = run(capsys, "shift", "--n", "3", "--p", "2", "--i", "1")
         assert code == expected
         assert filled[0] > 0
@@ -186,6 +186,13 @@ class TestParameters:
         assert code == 0
         assert "i=2" in out
 
+    @pytest.mark.parametrize("task", ["chain-check", "custom-scenario"])
+    def test_scenario_task_without_a_scenario_is_three(self, capsys, task):
+        code, out, err = run(capsys, task)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: task {task} needs --scenario\n"
+
     def test_counts_needs_no_flags(self, capsys):
         code, out, _ = run(capsys, "counts")
         assert code == 0
@@ -236,6 +243,13 @@ class TestOutput:
         code, out, _ = run(capsys, *task.split(), "--format", "json")
         assert code == json.loads(out)["exit_code"]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[task]
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.scn")), ids=lambda path: path.name)
+    def test_report_names_the_scenario_task(self, capsys, path):
+        # ties each key of verify.TASKS to the task its verifier reports
+        task = load_scenario(str(path)).task
+        _, out, _ = run(capsys, task, "--scenario", str(path), "--format", "json")
+        assert json.loads(out)["task"] == task
 
     def test_char_not_p_52_report_is_pinned(self, capsys):
         # 12,494 forms over the index buckets 2^0 .. 2^3; the report lists one

@@ -10,6 +10,7 @@ from brauerval.errors import ScenarioError
 from brauerval.scenario import load_scenario, parse_scenario
 from brauerval.symbols import SymbolSum, check_rewrite_chain, symbol
 from brauerval.towers import FormalElement
+from brauerval.verify import TASKS
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -212,6 +213,28 @@ class TestDiagnostics:
             "bad.scn:5:20: bad factor 'd^^2'",
         )
 
+    def test_unknown_name_column_points_at_the_name(self):
+        self.check(
+            "version 1\ntask counts\nprime 3\nvariables d\n"
+            "generator xL = artin-schreier(2*d^-1 + -2*c^-1)\n",
+            "bad.scn:5:43: unknown names ['c']",
+        )
+
+    def test_step_sum_names_are_checked(self):
+        self.check(
+            "version 1\ntask chain-check\nprime 3\nvariables d c\n"
+            "algebra S = [c^-1, d^-1)\nchain on S\n"
+            "  step slot2-mult -> [c^-1, q^-1*d^-1) + [c^-1, q)\nend\n",
+            "bad.scn:7:29: unknown names ['q']",
+        )
+
+    def test_whole_line_diagnostic_points_at_the_line(self):
+        self.check(
+            "version 1\ntask chain-check\nprime 3\nvariables d\n"
+            "algebra S = [d^-1, d)\nchain on S\n  step shuffle -> 0\nend\n",
+            "bad.scn:7:3: unknown rewrite rule 'shuffle'",
+        )
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError) as err:
             load_scenario(str(tmp_path / "absent.scn"))
@@ -240,7 +263,7 @@ class TestCorpus:
             "example73",
             "chain-check",
             "custom-scenario",
-        }
+        } == set(TASKS)
 
     def test_corpus_chain_files_prove_zero(self):
         for path in CORPUS.glob("chain-*.scn"):
