@@ -21,7 +21,7 @@ from .division import (
 )
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
 from .lattices import Lattice, ValueVector, enumerate_overlattices
-from .report import Report, emit_report, render_json, render_text
+from .report import emit_report, render_json, render_text
 from .scenario import Scenario, load_scenario, parse_scenario
 from .symbols import (
     RewriteChain,
@@ -64,7 +64,6 @@ __all__ = [
     "FormalElement",
     "GroundField",
     "Lattice",
-    "Report",
     "RewriteChain",
     "RewriteStep",
     "Scenario",

@@ -17,7 +17,7 @@ import time
 
 from .errors import EngineError, ScenarioError
 from .lattices import WORK_BUDGET, forget_memos
-from .report import Report, emit_report
+from .report import emit_report
 from .scenario import Scenario, load_scenario
 from .verify import TASKS
 
@@ -50,7 +50,7 @@ def _input(args: argparse.Namespace, scenario: Scenario | None, key: str) -> obj
     the input 'scenario' is the parsed file itself."""
     value = scenario if key == "scenario" else getattr(args, key)
     if value is None and scenario is not None:
-        value = scenario.param(key)
+        value = scenario.params.get(key)
         if key == "p" and value is None:
             value = scenario.prime
     if value is None:
@@ -74,9 +74,8 @@ def run_task(args: argparse.Namespace) -> int:
     finally:
         forget_memos()
     elapsed = time.perf_counter() - started
-    report = Report(verdict, timing=elapsed)
     try:
-        rendered = emit_report(report, format=args.format, out=args.out)
+        rendered = emit_report(verdict, format=args.format, out=args.out, timing=elapsed)
     except OSError as err:
         raise EngineError(f"cannot write report {args.out}: {err}") from err
     if args.out is None:

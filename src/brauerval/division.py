@@ -41,6 +41,7 @@ from .towers import (
     memoised,
     rebase_pth_root,
     residue_of,
+    residue_tower,
     trace_power_oracle,
     value_of,
 )
@@ -84,7 +85,6 @@ class SymbolValueData:
 
     term: SymbolTerm
     slot1_value: ValueVector
-    slot2_value: ValueVector
     as_value: ValueVector
     root_value: ValueVector
     slot1_residual: bool
@@ -96,8 +96,9 @@ class AlgebraValueData:
     """Joint value data of a tensor word at one partial valuation.
 
     pairs lists (i, j) with slot1 of factor i reciprocal to slot2 of
-    factor j; the difference of the corresponding generators then has
-    value v(slot1_i)/p^2, which replaces v(x_i) in the monomial basis.
+    factor j; then x_i - 1/y_j has p-th power x_i, so its value
+    v(slot1_i)/p^2 replaces v(x_i) = v(slot1_i)/p in the monomial basis.
+    refined_values lists the 2k generator values so refined, in order.
     """
 
     degree: int
@@ -105,6 +106,7 @@ class AlgebraValueData:
     factors: tuple[SymbolValueData, ...]
     pairs: tuple[tuple[int, int], ...]
     base_group: Lattice
+    refined_values: tuple[ValueVector, ...]
     value_group: Lattice
 
     @property
@@ -116,28 +118,9 @@ class AlgebraValueData:
         """[value_group : base_group], answered once per pair of groups by index_over."""
         return self.value_group.index_over(self.base_group)
 
-    def basis_values(self) -> tuple[ValueVector, ...]:
-        """Values of the 2k monomial generators, composite-refined."""
-        return _refined_basis_values(self.factors, self.pairs, self.degree)
-
     def natural_values(self) -> tuple[ValueVector, ...]:
         """Values of the plain x_i, y_i generators, no refinement."""
         return tuple(v for f in self.factors for v in (f.as_value, f.root_value))
-
-
-def _refined_basis_values(
-    factors: tuple[SymbolValueData, ...], pairs: tuple[tuple[int, int], ...], p: int
-) -> tuple[ValueVector, ...]:
-    """v(x_i), v(y_i) per factor, with v(slot1_i)/p^2 for paired x_i.
-
-    A reciprocal pair (i, j) contributes x_i - 1/y_j, whose p-th power
-    is x_i, so its value v(slot1_i)/p^2 replaces v(x_i) = v(slot1_i)/p.
-    """
-    paired = {i for i, _ in pairs}
-    out = []
-    for i, f in enumerate(factors):
-        out += [f.slot1_value / (p * p) if i in paired else f.as_value, f.root_value]
-    return tuple(out)
 
 
 @memoised
@@ -154,7 +137,6 @@ def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData
     return SymbolValueData(
         term=term,
         slot1_value=va,
-        slot2_value=vb,
         as_value=va / p if va < zero else zero,
         root_value=vb / p,
         slot1_residual=va == zero,
@@ -182,13 +164,20 @@ def algebra_value_data(
                 break
     p = spec.tower.char
     base = spec.value_group()
+    paired = {i for i, _ in pairs}
+    refined = tuple(
+        v
+        for i, f in enumerate(factors)
+        for v in (f.slot1_value / (p * p) if i in paired else f.as_value, f.root_value)
+    )
     return AlgebraValueData(
         degree=p,
         depth=spec.depth,
         factors=factors,
         pairs=tuple(pairs),
         base_group=base,
-        value_group=base.extended(_refined_basis_values(factors, tuple(pairs), p)),
+        refined_values=refined,
+        value_group=base.extended(refined),
     )
 
 
@@ -226,7 +215,7 @@ def independence_division(data: AlgebraValueData) -> Certificate:
     p = data.degree
     if data.dim > MAX_CLASS_WORK:
         raise UnsupportedConfiguration("class enumeration exceeds the work bound")
-    coords = [data.base_group.scaled_coords(v) for v in data.basis_values()]
+    coords = [data.base_group.scaled_coords(v) for v in data.refined_values]
     den = lcm(*(m for _, m in coords))
     seen = {(0,) * data.depth}
     for nums, m in coords:
@@ -339,7 +328,7 @@ def symbol_division(
         _, kind, rbar = residual[0]
         f = data.factors[0]
         ramified_value = f.root_value if kind == ARTIN_SCHREIER else f.as_value
-        res_cert = _residue_extension_certificate(spec.residue_tower(), rbar, kind)
+        res_cert = _residue_extension_certificate(residue_tower(spec), rbar, kind)
         ram_group = data.base_group.extended((ramified_value,))
         e = ram_group.index_over(data.base_group)
         ok = e == p and res_cert.ok
@@ -370,7 +359,7 @@ def symbol_division(
                 "reason": "residue symbol has trivial class",
             },
         )
-    res_tower = spec.residue_tower()
+    res_tower = residue_tower(spec)
     inertial = {
         "route": "inertial",
         "value_group": data.base_group,
@@ -434,7 +423,7 @@ def _residual_slots(
         if residual
     ]
     if len(slots) == 1:
-        spec.residue_tower()
+        residue_tower(spec)
     return [(i, kind, residue_of(slot, spec)) for i, kind, slot in slots]
 
 
@@ -526,7 +515,7 @@ def residue_tensor_certificate(
     fully residual symbol handled recursively.
     """
     p = spec.tower.char
-    res_tower = spec.residue_tower()
+    res_tower = residue_tower(spec)
     e_slots = [(kind, rbar) for _, kind, rbar in _residual_slots(e_data, spec)]
     slots = ([d_residual] if d_residual else []) + e_slots
 
@@ -650,7 +639,7 @@ def morandi_step(
 
     if residual:
         _, kind, rbar = residual[0]
-        f_cert = _residue_extension_certificate(spec.residue_tower(), rbar, kind)
+        f_cert = _residue_extension_certificate(residue_tower(spec), rbar, kind)
         children.append(f_cert)
         f_d = p if f_cert.ok else 1
         d_residual = (kind, rbar)
@@ -772,7 +761,7 @@ def chain_division(
 
 def trace_zero_value_classes(
     members: list[AlgebraValueData] | tuple[AlgebraValueData, ...],
-    window: Lattice | None = None,
+    window: Lattice,
 ) -> frozenset[ValueVector]:
     """Value classes available to trace-zero elements of every member.
 
@@ -789,11 +778,12 @@ def trace_zero_value_classes(
     classes, found from one lattice meet instead of one box per member.
     That precondition and base <= W are checked first; the census raises
     when either fails, since the meet would then differ from the boxes.
+    To bound the census by the members alone, pass one member's H_m as W.
     """
     if not members:
         raise UnsupportedConfiguration("the class census needs at least one member")
     base = members[0].base_group
-    if window is not None and not window.contains_lattice(base):
+    if not window.contains_lattice(base):
         raise NonContainment("the window does not contain the base group")
     groups: set[Lattice] = set()
     excluded: set[ValueVector] = set()
@@ -809,7 +799,7 @@ def trace_zero_value_classes(
         excluded.add(excluded_trace_class(data))
     meet = window
     for group in groups:
-        meet = group if meet is None else meet.intersect(group)
+        meet = meet.intersect(group)
     # both Hermite bases are lower triangular, so the box of diagonal
     # ratios over the meet's basis covers every class of meet/base
     ratios = [
@@ -838,13 +828,12 @@ def excluded_trace_class(data: AlgebraValueData) -> ValueVector:
 class TraceProfile:
     """Trace valuation profile of a degree-p Artin-Schreier generator.
 
-    minimum is min over i of v(Tr(x^i)) - i * v(x), the closed form is
-    -(p-1) * v(x), and the table keeps the per-power evidence.
+    minimum is min over i of v(Tr(x^i)) - i * v(x), over the powers i
+    whose trace is nonzero, and the closed form is -(p-1) * v(x).
     """
 
     minimum: ValueVector
     closed_form: ValueVector
-    table: tuple[tuple[int, ValueVector | None], ...]
 
 
 def trace_profile(tower: FieldTower, rhs: FormalElement) -> TraceProfile:
@@ -856,14 +845,11 @@ def trace_profile(tower: FieldTower, rhs: FormalElement) -> TraceProfile:
         raise UnsupportedConfiguration("trace profile needs a ramified generator")
     gen_value = v_rhs / p
     best: ValueVector | None = None
-    rows: list[tuple[int, ValueVector | None]] = []
     for i in range(1, p):
         tr = trace_power_oracle(rhs, i, p)
         if tr.is_zero():
-            rows.append((i, None))
             continue
         diff = value_of(tr, spec) - gen_value.scale(i)
-        rows.append((i, diff))
         if best is None or diff < best:
             best = diff
     if best is None:
@@ -871,5 +857,4 @@ def trace_profile(tower: FieldTower, rhs: FormalElement) -> TraceProfile:
     return TraceProfile(
         minimum=best,
         closed_form=gen_value.scale(-(p - 1)),
-        table=tuple(rows),
     )

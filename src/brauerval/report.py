@@ -9,7 +9,6 @@ produced it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -21,12 +20,6 @@ from .verify import Verdict
 
 SCHEMA = "brauerval.report/1"
 ENGINE_VERSION = "0.1.0"
-
-
-@dataclass(frozen=True, slots=True)
-class Report:
-    verdict: Verdict
-    timing: float | None = None
 
 
 def encode(value: object) -> Any:
@@ -55,8 +48,7 @@ def encode(value: object) -> Any:
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 
-def report_dict(report: Report) -> dict[str, Any]:
-    v = report.verdict
+def report_dict(v: Verdict) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
         "engine_version": ENGINE_VERSION,
@@ -70,8 +62,8 @@ def report_dict(report: Report) -> dict[str, Any]:
     }
 
 
-def render_json(report: Report) -> str:
-    return json.dumps(report_dict(report), indent=2) + "\n"
+def render_json(verdict: Verdict) -> str:
+    return json.dumps(report_dict(verdict), indent=2) + "\n"
 
 
 def _text_payload_lines(payload: dict[str, object], indent: str) -> list[str]:
@@ -106,8 +98,8 @@ def _certificate_lines(cert: Certificate, indent: str) -> list[str]:
     return lines
 
 
-def render_text(report: Report) -> str:
-    v = report.verdict
+def render_text(v: Verdict, timing: float | None = None) -> str:
+    """The verdict as indented text, closed by a line for timing (seconds) if given."""
     lines = [f"task: {v.task}"]
     if v.parameters:
         params = " ".join(f"{k}={_text_value(x)}" for k, x in v.parameters.items())
@@ -120,17 +112,19 @@ def render_text(report: Report) -> str:
         lines.append("steps:")
         for cert in v.certificates:
             lines.extend(_certificate_lines(cert, "  "))
-    if report.timing is not None:
-        lines.append(f"timing: {report.timing:.3f}s")
+    if timing is not None:
+        lines.append(f"timing: {timing:.3f}s")
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, format: str = "json", out: str | None = None) -> str:
-    """Render and optionally write the report; returns the rendered text."""
+def emit_report(
+    verdict: Verdict, format: str = "json", out: str | None = None, timing: float | None = None
+) -> str:
+    """Render the verdict, and write it to out if given; timing reaches text only."""
     if format == "json":
-        rendered = render_json(report)
+        rendered = render_json(verdict)
     elif format == "text":
-        rendered = render_text(report)
+        rendered = render_text(verdict, timing)
     else:
         raise ValueError(f"unknown report format {format!r}")
     if out is not None:

@@ -71,9 +71,6 @@ class Scenario:
     chain_on: str | None = None
     expect: str | None = None
 
-    def param(self, key: str) -> int | None:
-        return self.params.get(key)
-
     def algebra(self, name: str) -> SymbolSum:
         try:
             return self.algebras[name]

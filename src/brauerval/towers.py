@@ -94,9 +94,6 @@ class FormalElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == (((), 1),)
-
     def is_inverse_of(self, other: FormalElement) -> bool:
         """Whether self * other is 1, without the product: units are single terms."""
         return len(other.terms) == 1 and self == other.inverse()
@@ -327,9 +324,6 @@ class ValuationSpec:
             tuple(generator_value(self, g.name) for g in self.tower.generators)
         )
 
-    def residue_tower(self) -> FieldTower:
-        return residue_tower(self)
-
     def in_p_value_group(self, v: ValueVector) -> bool:
         """Whether v lies in p times the value group."""
         return self.value_group().contains(v / self.tower.char)
@@ -512,7 +506,7 @@ def adjoin(tower: FieldTower, name: str, kind: str, rhs: FormalElement) -> Field
     v = value_of(rhs, spec)
     if v.is_zero():
         rbar = residue_of(rhs, spec)
-        just = _residue_degree_p_justification(spec.residue_tower(), rbar, kind)
+        just = _residue_degree_p_justification(residue_tower(spec), rbar, kind)
     elif kind == ARTIN_SCHREIER and not v < ValueVector.zero(spec.depth):
         raise UnsupportedConfiguration(
             f"rhs for {name!r} has positive value; the equation splits"

@@ -112,17 +112,6 @@ class FamilyMember:
     word: SymbolSum
 
 
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
-    n: int
-    p: int
-    members: tuple[FamilyMember, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 def family_size_formula(n: int, p: int) -> int:
     return n - 2 + p**n - p ** (n - 2)
 
@@ -183,8 +172,9 @@ def _twist_word(n: int, p: int, d: tuple[int, ...]) -> SymbolSum:
     return SymbolSum.of(head, *tail, last)
 
 
-def build_family(n: int, p: int) -> FamilySpec:
-    """All n-2+p^n-p^(n-2) members over the standard tower.
+def build_family(n: int, p: int) -> tuple[FamilyMember, ...]:
+    """All n-2+p^n-p^(n-2) members over the standard tower, shift
+    members first, then the twists in the order of their weight vectors.
 
     The shift members run over 2 <= i <= n-1 only: the weight vector
     (0,...,0,1) already produces the i=1 word, so it stays in the twist
@@ -201,9 +191,8 @@ def build_family(n: int, p: int) -> FamilySpec:
             continue
         name = "B" + "".join(str(x) for x in d)
         members.append(FamilyMember(name, "twist", _twist_word(n, p, d)))
-    spec = FamilySpec(n, p, tuple(members))
-    assert spec.size == family_size_formula(n, p)
-    return spec
+    assert len(members) == family_size_formula(n, p)
+    return tuple(members)
 
 
 # ------------------------------------------------------------ families
@@ -314,20 +303,19 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     need.  At (n, p) = (2, 2) the count equals the bound, so nothing
     follows and the verdict is Inconclusive.
     """
-    _require_prime(p)
     params = {"n": n, "p": p}
     family = build_family(n, p)
     tower = standard_tower(n, p)
 
-    certs = [chain_division(m.word, tower) for m in family.members]
-    statuses = {m.name: c.status for m, c in zip(family.members, certs)}
+    certs = [chain_division(m.word, tower) for m in family]
+    statuses = {m.name: c.status for m, c in zip(family, certs)}
     all_division = all(c.ok for c in certs)
 
     window = shared_value_window(n, p)
     window_ok = window == Lattice.diagonal([Fraction(1, p)] * n)
 
     twists = [
-        algebra_value_data(m.word, tower) for m in family.members if m.kind == "twist"
+        algebra_value_data(m.word, tower) for m in family if m.kind == "twist"
     ]
     allowed = trace_zero_value_classes(twists, window)
     count = len(allowed)
@@ -335,7 +323,7 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     predicted = p ** (n - 2)
 
     payload = {
-        "family_size": family.size,
+        "family_size": len(family),
         "family_size_formula": family_size_formula(n, p),
         "member_status": statuses,
         "window": window,
@@ -351,17 +339,18 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     return Verdict("no-common-splitting", INCONCLUSIVE, params, payload)
 
 
-def verify_count_identities(
-    n_range: range | tuple[int, ...] = range(2, 7),
-    p_range: tuple[int, ...] = (2, 3, 5, 7),
-) -> Verdict:
-    """p^n - (p-1)(p^(n-1) + p^(n-2)) = p^(n-2), strict except at (2,2)."""
+# the (n, p) grid of the count identities; n >= 2 keeps each p^(n-2) an integer
+COUNT_N_RANGE = range(2, 7)
+COUNT_P_RANGE = (2, 3, 5, 7)
+
+
+def verify_count_identities() -> Verdict:
+    """p^n - (p-1)(p^(n-1) + p^(n-2)) = p^(n-2) on that grid, strict except at (2,2)."""
     rows = []
     identities_ok = True
     strict_failures = []
-    for n in n_range:
-        for p in p_range:
-            _require_prime(p)
+    for n in COUNT_N_RANGE:
+        for p in COUNT_P_RANGE:
             lhs = p**n - (p - 1) * (p ** (n - 1) + p ** (n - 2))
             identity = lhs == p ** (n - 2)
             strict = p ** (n - 2) < p ** (n - 1) - 1
@@ -369,14 +358,14 @@ def verify_count_identities(
             if not strict:
                 strict_failures.append((n, p))
             rows.append(((n, p), lhs, identity, strict))
-    expected_failures = [(2, 2)] if 2 in n_range and 2 in p_range else []
+    expected_failures = [(2, 2)]
     ok = identities_ok and strict_failures == expected_failures
     payload = {
         "rows": tuple(rows),
         "strict_failures": tuple(strict_failures),
         "expected_failures": tuple(expected_failures),
     }
-    params = {"n_range": tuple(n_range), "p_range": tuple(p_range)}
+    params = {"n_range": tuple(COUNT_N_RANGE), "p_range": COUNT_P_RANGE}
     return Verdict("counts", VERIFIED if ok else REFUTED, params, payload)
 
 
@@ -434,7 +423,7 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     upper = Lattice.diagonal([Fraction(1, p)] * (n - 1) + [Fraction(1)])
     upper_rank = len(_pivot_columns_mod_p(upper.dual().rows, p))
     upper_wedges_vanish = upper_rank < 2
-    ok = all_witnessed and upper_rank <= 1 and upper_wedges_vanish
+    ok = all_witnessed and upper_wedges_vanish
     payload = {
         "lattice_count": len(lattices),
         "max_index": q,
@@ -575,10 +564,6 @@ def verify_lemma72(part: int, p: int) -> Verdict:
     )
 
 
-def _inverse_mod(k: int, p: int) -> int:
-    return pow(k, -1, p)
-
-
 def _vanishing_chain_shift(p: int) -> RewriteChain:
     """[1/c, 1/d) proves zero over the extension by a root of 2/d - 1/c.
 
@@ -603,7 +588,7 @@ def _vanishing_chain_shift(p: int) -> RewriteChain:
             s1,
             s2,
             target_index=1,
-            witness=FormalElement.symbol(p, "X", 1, _inverse_mod(2, p)),
+            witness=FormalElement.symbol(p, "X", 1, pow(2, -1, p)),
         ),
         RewriteStep("negate", s2, s3, target_index=0),
         RewriteStep(

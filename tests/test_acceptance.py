@@ -78,7 +78,7 @@ def test_ac3_division_certificates():
         tower = standard_tower(n, p)
         family = build_family(n, p)
         started = time.perf_counter()
-        for member in family.members:
+        for member in family:
             cert = chain_division(member.word, tower)
             assert cert.ok, (n, p, member.name)
             peel = cert.find("peel")

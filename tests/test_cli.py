@@ -22,6 +22,8 @@ CORPUS = ROOT / "scenarios"
 # sha256 of the json reports of the benchmark tasks (the 42 corpus scenarios
 # and the workload sizes), recorded by the benchmark; read only
 GOLDEN_DIGESTS = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+# sha256 of the same tasks' text reports with the closing timing line removed
+TEXT_DIGESTS = json.loads((ROOT / "tests" / "text_digests.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *args: str) -> tuple[int, str, str]:
@@ -243,6 +245,14 @@ class TestOutput:
         code, out, _ = run(capsys, *task.split(), "--format", "json")
         assert code == json.loads(out)["exit_code"]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[task]
+
+    @pytest.mark.parametrize("task", sorted(GOLDEN_DIGESTS))
+    def test_text_report_matches_pinned_digest(self, capsys, monkeypatch, task):
+        monkeypatch.chdir(ROOT)
+        _, out, _ = run(capsys, *task.split(), "--format", "text")
+        *body, last = out.splitlines(keepends=True)
+        assert last.startswith("timing: ")
+        assert hashlib.sha256("".join(body).encode("utf-8")).hexdigest() == TEXT_DIGESTS[task]
 
     @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.scn")), ids=lambda path: path.name)
     def test_report_names_the_scenario_task(self, capsys, path):

@@ -41,6 +41,7 @@ from brauerval.towers import (
     GroundField,
     adjoin,
     generator_value,
+    trace_power_oracle,
 )
 from brauerval.verify import (
     VERIFIED,
@@ -97,6 +98,12 @@ def trace_zero_oracle(
 
 def as_key(classes: frozenset[ValueVector]) -> set[tuple[Fraction, ...]]:
     return {tuple(c % 1 for c in rep.coords) for rep in classes}
+
+
+def own_group(data: AlgebraValueData) -> Lattice:
+    """H = base + <natural values>: the window that bounds one member's
+    census by nothing beyond the member itself."""
+    return data.base_group.extended(data.natural_values())
 
 
 def member_box_classes(
@@ -169,8 +176,8 @@ class TestValueData:
         ext = adjoin(ext, "t", ARTIN_SCHREIER, mono(p, {"y": -1}))
         expected = generator_value(ext.spec(), "t")
         assert expected == ValueVector.of(Fraction(-1, p * p), 0)
-        assert data.basis_values()[0] == expected
-        assert data.value_group == Lattice.integers(2).extended(data.basis_values())
+        assert data.refined_values[0] == expected
+        assert data.value_group == Lattice.integers(2).extended(data.refined_values)
 
     def test_positive_slot1_rejected(self):
         t = tower(3, "u")
@@ -208,7 +215,7 @@ class TestIndependence:
             word(3, ({"u": -1}, {"w": 1}), ({"u": -1}, {"w": 1})), t
         )
         cert = independence_division(data)
-        oracle = box_classes_oracle(data.basis_values(), 3)
+        oracle = box_classes_oracle(data.refined_values, 3)
         assert cert.get("distinct_classes") == len(oracle)
         assert not cert.ok
 
@@ -218,7 +225,7 @@ class TestIndependence:
             word(2, ({"a3": -1}, {"a1": 1}), ({"a1": -1}, {"a2": 1})), t
         )
         cert = independence_division(data)
-        oracle = box_classes_oracle(data.basis_values(), 2)
+        oracle = box_classes_oracle(data.refined_values, 2)
         assert cert.get("distinct_classes") == len(oracle) == 16
         assert cert.ok
 
@@ -586,7 +593,7 @@ class TestTraceZeroClasses:
     def test_single_symbol_classes_frozen(self):
         t = tower(2, "a1", "a2")
         data = algebra_value_data(word(2, ({"a2": -1}, {"a1": 1})), t)
-        classes = trace_zero_value_classes([data])
+        classes = trace_zero_value_classes([data], own_group(data))
         assert as_key(classes) == {
             (Fraction(0), Fraction(0)),
             (Fraction(1, 2), Fraction(0)),
@@ -600,7 +607,8 @@ class TestTraceZeroClasses:
             word(2, ({"a3": -1}, {"a1": 1}), ({"a1": -1}, {"a2": 1})), t
         )
         pairs = [(f.as_value, f.root_value) for f in data.factors]
-        assert as_key(trace_zero_value_classes([data])) == trace_zero_oracle(pairs, 2)
+        classes = trace_zero_value_classes([data], own_group(data))
+        assert as_key(classes) == trace_zero_oracle(pairs, 2)
 
     def test_excluded_classes_32_frozen(self):
         t = tower(2, "a1", "a2", "a3")
@@ -634,7 +642,7 @@ class TestTraceZeroClasses:
         window = shared_value_window(n, p)
         members = [
             algebra_value_data(m.word, t)
-            for m in build_family(n, p).members
+            for m in build_family(n, p)
             if m.kind == "twist"
         ]
         expected = frozenset.intersection(
@@ -649,7 +657,6 @@ class TestTraceZeroClasses:
         factor = SymbolValueData(
             term=symbol(p, mono(p, {"u": -1}), mono(p, {"w": 1})),
             slot1_value=slot1,
-            slot2_value=ValueVector.of(0, 1),
             as_value=slot1 / (p * p),
             root_value=ValueVector.of(0, Fraction(1, p)),
             slot1_residual=False,
@@ -661,11 +668,12 @@ class TestTraceZeroClasses:
             factors=(factor,),
             pairs=(),
             base_group=base,
+            refined_values=(factor.as_value, factor.root_value),
             value_group=Lattice.diagonal([Fraction(1, p * p), Fraction(1, p)]),
         )
         assert base.order_of_class(data.natural_values()[0]) == p * p
         with pytest.raises(UnsupportedConfiguration, match="order"):
-            trace_zero_value_classes([data])
+            trace_zero_value_classes([data], own_group(data))
 
     def test_work_bound_counts_the_census_box(self, monkeypatch):
         # the census walks the [meet : base] box, not any member's p^(2k) monomials
@@ -674,7 +682,7 @@ class TestTraceZeroClasses:
         window = shared_value_window(n, p)
         members = [
             algebra_value_data(m.word, t)
-            for m in build_family(n, p).members
+            for m in build_family(n, p)
             if m.kind == "twist"
         ]
         base = members[0].base_group
@@ -706,12 +714,13 @@ class TestTraceProfile:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_inner_variable_profile(self, p):
         t = tower(p, "d", "c")
-        profile = trace_profile(t, mono(p, {"d": -1}))
+        rhs = mono(p, {"d": -1})
+        profile = trace_profile(t, rhs)
         expected = ValueVector.of(Fraction(p - 1, p), 0)
         assert profile.minimum == expected
         assert profile.closed_form == expected
         # traces of the first p-2 powers vanish identically
-        assert all(row[1] is None for row in profile.table[: p - 2])
+        assert all(trace_power_oracle(rhs, i, p).is_zero() for i in range(1, p - 1))
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_outer_variable_profile_dominates(self, p):
@@ -759,7 +768,7 @@ def test_independence_counts_match_oracle(case):
     except UnsupportedConfiguration:
         return
     cert = independence_division(data)
-    oracle = box_classes_oracle(data.basis_values(), p)
+    oracle = box_classes_oracle(data.refined_values, p)
     assert cert.get("distinct_classes") == len(oracle)
     assert cert.ok == (len(oracle) == data.dim)
     if cert.ok:
@@ -777,7 +786,7 @@ def test_trace_zero_classes_match_oracle(case):
         return
     pair_values = [(f.as_value, f.root_value) for f in data.factors]
     oracle = trace_zero_oracle(pair_values, p)
-    assert as_key(trace_zero_value_classes([data])) == oracle
+    assert as_key(trace_zero_value_classes([data], own_group(data))) == oracle
     window = Lattice.diagonal([Fraction(1, p)] * 2)
     in_window = {key for key in oracle if all((c * p).denominator == 1 for c in key)}
     assert as_key(trace_zero_value_classes([data], window)) == in_window

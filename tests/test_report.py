@@ -11,7 +11,6 @@ from brauerval.lattices import Lattice, ValueVector
 from brauerval.report import (
     ENGINE_VERSION,
     SCHEMA,
-    Report,
     encode,
     render_json,
     render_text,
@@ -55,12 +54,12 @@ class TestEncode:
 
 class TestJson:
     def test_double_render_is_byte_identical(self):
-        one = render_json(Report(verify_value_groups(3, 2)))
-        two = render_json(Report(verify_value_groups(3, 2)))
+        one = render_json(verify_value_groups(3, 2))
+        two = render_json(verify_value_groups(3, 2))
         assert one == two
 
     def test_round_trips_through_json_loads(self):
-        parsed = json.loads(render_json(Report(verify_lemma72(1, 3))))
+        parsed = json.loads(render_json(verify_lemma72(1, 3)))
         assert parsed["schema"] == SCHEMA
         assert parsed["engine_version"] == ENGINE_VERSION
         assert parsed["result"] == "Verified"
@@ -68,7 +67,7 @@ class TestJson:
         assert parsed["parameters"] == {"part": 1, "p": 3}
 
     def test_top_level_key_order_is_fixed(self):
-        parsed = json.loads(render_json(Report(verify_lemma72(2, 3))))
+        parsed = json.loads(render_json(verify_lemma72(2, 3)))
         assert list(parsed) == [
             "schema",
             "engine_version",
@@ -82,18 +81,18 @@ class TestJson:
         ]
 
     def test_timing_is_always_null_in_json(self):
-        parsed = json.loads(render_json(Report(verify_lemma72(1, 3), timing=1.5)))
+        parsed = json.loads(emit_report(verify_lemma72(1, 3), "json", timing=1.5))
         assert parsed["timing"] is None
 
     def test_certificates_nest_their_children(self):
-        parsed = json.loads(render_json(Report(verify_example73(1, 3))))
+        parsed = json.loads(render_json(verify_example73(1, 3)))
         certs = parsed["certificates"]
         assert certs, "expected at least one certificate"
         top = certs[0]
         assert {"rule", "status", "payload", "children"} <= set(top)
 
     def test_allowed_classes_encode_as_coordinate_strings(self):
-        parsed = json.loads(render_json(Report(verify_no_common_splitting(3, 2))))
+        parsed = json.loads(render_json(verify_no_common_splitting(3, 2)))
         assert parsed["payload"]["allowed_classes"] == [
             ["0", "0", "0"],
             ["1/2", "0", "0"],
@@ -102,17 +101,17 @@ class TestJson:
 
 class TestText:
     def test_text_shows_result_and_payload(self):
-        text = render_text(Report(verify_lemma72(1, 3)))
+        text = render_text(verify_lemma72(1, 3))
         assert "result: Verified" in text
         assert "conclusion: NotSubfield" in text
 
     def test_text_indents_certificate_children(self):
-        text = render_text(Report(verify_value_groups(3, 2)))
+        text = render_text(verify_value_groups(3, 2))
         assert "task: value-groups" in text
 
     def test_timing_only_when_given(self):
-        with_timing = render_text(Report(verify_lemma72(1, 3), timing=0.25))
-        without = render_text(Report(verify_lemma72(1, 3)))
+        with_timing = render_text(verify_lemma72(1, 3), timing=0.25)
+        without = render_text(verify_lemma72(1, 3))
         assert "timing: 0.250s" in with_timing
         assert "timing" not in without
 
@@ -120,10 +119,10 @@ class TestText:
 class TestEmit:
     def test_writes_the_rendered_report(self, tmp_path):
         target = tmp_path / "report.json"
-        rendered = emit_report(Report(verify_lemma72(1, 3)), "json", str(target))
+        rendered = emit_report(verify_lemma72(1, 3), "json", str(target))
         assert target.read_text() == rendered
         assert json.loads(rendered)["task"] == "lemma72"
 
     def test_rejects_unknown_formats(self):
         with pytest.raises(ValueError):
-            emit_report(Report(verify_lemma72(1, 3)), "yaml")
+            emit_report(verify_lemma72(1, 3), "yaml")

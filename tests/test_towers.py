@@ -38,6 +38,7 @@ from brauerval.towers import (
     norm_element_oracle,
     rebase_pth_root,
     residue_of,
+    residue_tower,
     trace_power_oracle,
     value_of,
 )
@@ -65,7 +66,7 @@ def test_element_normalisation():
 def test_element_inverse_and_powers():
     e = mono(3, {"u": -1, "w": 2}, 2)
     assert e.inverse() == mono(3, {"u": 1, "w": -2}, 2)
-    assert (e * e.inverse()).is_one()
+    assert e * e.inverse() == FormalElement.one(3)
     with pytest.raises(UnsupportedConfiguration):
         (e + FormalElement.one(3)).inverse()
     cube = (mono(3, {"u": 1}) + FormalElement.one(3)) ** 3
@@ -132,8 +133,8 @@ def test_inverse_test_matches_the_product(triple, k):
     if len(a.terms) == 1:
         pairs += [(a.inverse(), a), (a.inverse().scale(k), a), (a.inverse() + b, a)]
     for x, y in pairs:
-        assert x.is_inverse_of(y) == (x * y).is_one()
-        assert y.is_inverse_of(x) == (x * y).is_one()
+        assert x.is_inverse_of(y) == (x * y == FormalElement.one(p))
+        assert y.is_inverse_of(x) == (x * y == FormalElement.one(p))
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,7 +243,7 @@ def test_residual_generic_constant_adjunction():
     t = adjoin(tower3("u", constants=("a",)), "w", ARTIN_SCHREIER, mono(3, {"a": 1}))
     assert t.generator("w").justification == "residue-generic"
     assert generator_value(t.spec(), "w") == V(0)
-    res = t.spec(1).residue_tower()
+    res = residue_tower(t.spec(1))
     assert res.variables == ()
     assert res.generator("w").rhs == mono(3, {"a": 1})
 
@@ -327,7 +328,7 @@ def test_residue_tower_recertifies_surviving_generators():
     assert t.generator("y").justification == "ramified"
     spec = t.spec(1)
     assert generator_value(spec, "y") == V(0)
-    res = spec.residue_tower()
+    res = residue_tower(spec)
     assert res.variables == ("u",)
     assert res.generator("y").justification == "residue-laurent"
     assert generator_value(res.spec(), "y") == V(F(1, 3))
@@ -338,7 +339,7 @@ def test_residue_artin_schreier_of_positive_value_is_not_recertified():
     # residual value certifies a p-th root but never an Artin-Schreier root
     gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": 1}), "ramified")
     with pytest.raises(UnsupportedConfiguration, match="degree p"):
-        tower3("u", "w", gens=(gx,)).spec(1).residue_tower()
+        residue_tower(tower3("u", "w", gens=(gx,)).spec(1))
 
 
 def test_rebase_pth_root():
