@@ -95,16 +95,15 @@ class SymbolValueData:
 class AlgebraValueData:
     """Joint value data of a tensor word at one partial valuation.
 
-    pairs lists (i, j) with slot1 of factor i reciprocal to slot2 of
-    factor j; then x_i - 1/y_j has p-th power x_i, so its value
-    v(slot1_i)/p^2 replaces v(x_i) = v(slot1_i)/p in the monomial basis.
+    When slot1 of factor i is reciprocal to slot2 of some factor j,
+    x_i - 1/y_j has p-th power x_i, so its value v(slot1_i)/p^2
+    replaces v(x_i) = v(slot1_i)/p in the monomial basis.
     refined_values lists the 2k generator values so refined, in order.
     """
 
     degree: int
     depth: int
     factors: tuple[SymbolValueData, ...]
-    pairs: tuple[tuple[int, int], ...]
     base_group: Lattice
     refined_values: tuple[ValueVector, ...]
     value_group: Lattice
@@ -152,19 +151,17 @@ def algebra_value_data(
     spec = tower.spec(depth)
     factors = tuple(_symbol_value_data(t, spec) for t in word.terms)
     zero = ValueVector.zero(spec.depth)
-    pairs: list[tuple[int, int]] = []
-    for i, fi in enumerate(factors):
-        if not fi.slot1_value < zero:
-            continue
-        for j, fj in enumerate(factors):
-            if i == j:
-                continue
-            if fi.term.slot1.is_inverse_of(fj.term.slot2):
-                pairs.append((i, j))
-                break
+    paired = {
+        i
+        for i, fi in enumerate(factors)
+        if fi.slot1_value < zero
+        and any(
+            i != j and fi.term.slot1.is_inverse_of(fj.term.slot2)
+            for j, fj in enumerate(factors)
+        )
+    }
     p = spec.tower.char
     base = spec.value_group()
-    paired = {i for i, _ in pairs}
     refined = tuple(
         v
         for i, f in enumerate(factors)
@@ -174,7 +171,6 @@ def algebra_value_data(
         degree=p,
         depth=spec.depth,
         factors=factors,
-        pairs=tuple(pairs),
         base_group=base,
         refined_values=refined,
         value_group=base.extended(refined),
@@ -436,6 +432,30 @@ def _plain_variable(element: FormalElement, tower: FieldTower) -> str | None:
     return names[0][0] if names[0][0] in tower.variables else None
 
 
+def rebase_shift(
+    tower: FieldTower,
+    variable: str,
+    root: str,
+    slot1: FormalElement,
+    slot2: FormalElement,
+) -> tuple[FormalElement, FormalElement, Certificate]:
+    """Lemma 7.2's rebase and shift of [slot1, slot2), slot1 = 1/variable.
+
+    Rebasing variable to a p-th root turns slot1 into root^-p; adding the
+    Artin-Schreier image of the witness (p-1)/root leaves 1/root.  Returns
+    the witness, the shifted slot and the division certificate of
+    [shifted, slot2) over the rebased tower.
+    """
+    p = tower.char
+    rebased, mapper = rebase_pth_root(tower, variable, root)
+    witness = FormalElement.symbol(p, root, -1, p - 1)
+    shifted = mapper(slot1) + artin_schreier_image(witness)
+    if shifted != FormalElement.symbol(p, root, -1):
+        reason = {"reason": "shift did not reduce the rebased slot"}
+        return witness, shifted, Certificate("rebase-shift", NOT_CERTIFIED, payload=reason)
+    return witness, shifted, symbol_division(symbol(p, shifted, mapper(slot2)), rebased)
+
+
 def _over_extension_certificate(
     res_tower: FieldTower,
     ext_kind: str,
@@ -571,18 +591,9 @@ def residue_tensor_certificate(
         (_, e_rbar1), (_, e_rbar2) = e_slots
         variable = _plain_variable(d_rbar, res_tower)
         if d_kind == PTH_ROOT and variable and e_rbar1.is_inverse_of(d_rbar):
-            root_name = _fresh(res_tower, "rho")
-            rebased, mapper = rebase_pth_root(res_tower, variable, root_name)
-            slot1 = mapper(e_rbar1)
-            shift_witness = FormalElement.symbol(p, root_name, -1, p - 1)
-            shifted = slot1 + artin_schreier_image(shift_witness)
-            if shifted != FormalElement.symbol(p, root_name, -1):
-                return Certificate(
-                    "residue-tensor",
-                    NOT_CERTIFIED,
-                    payload={"reason": "shift did not reduce the rebased slot"},
-                )
-            child = symbol_division(symbol(p, shifted, mapper(e_rbar2)), rebased)
+            shift_witness, _, child = rebase_shift(
+                res_tower, variable, _fresh(res_tower, "rho"), e_rbar1, e_rbar2
+            )
             return Certificate(
                 "residue-tensor",
                 child.status,
@@ -653,8 +664,9 @@ def morandi_step(
     children.append(e_cert)
     conditions["right-division"] = e_cert.ok
 
-    # D, E contain the base: they meet in it iff [D+E : base] = [D : base][E : base]
-    joint = d_data.value_group.sum_with(e_data.value_group).index_over(d_data.base_group)
+    # D, E contain the base: they meet in it iff [D+E : base] = [D : base][E : base],
+    # and D+E is D grown by E's refined values, since E is the base grown by them
+    joint = d_data.value_group.extended(e_data.refined_values).index_over(d_data.base_group)
     conditions["value-groups-meet-in-base"] = joint == left_ram * e_data.ram_index
 
     r_cert = residue_tensor_certificate(spec, d_residual, e_data, residue_hypothesis)

@@ -320,15 +320,6 @@ class Lattice:
             raise NonContainment("diagonal ratio is not an integer")
         return index
 
-    @memoised
-    def sum_with(self, other: Lattice) -> Lattice:
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
-        den = lcm(self.denominator, other.denominator)
-        rows = [[x * den // lat.denominator for x in r] for lat in (self, other)
-                for r in lat.rows]
-        return Lattice._from_integer_rows(self.dim, den, rows)
-
     def dual(self) -> Lattice:
         """{y : <x, y> in Z for all x in self}: the columns of (rows/denominator)^-1."""
         det = prod(self.rows[i][i] for i in range(self.dim))
@@ -338,7 +329,9 @@ class Lattice:
         )
 
     def intersect(self, other: Lattice) -> Lattice:
-        return self.dual().sum_with(other.dual()).dual()
+        dual = other.dual()
+        rows = tuple(ValueVector(r, dual.denominator) for r in dual.rows)
+        return self.dual().extended(rows).dual()
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)

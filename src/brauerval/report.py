@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
+from . import __version__ as ENGINE_VERSION
 from .division import Certificate
 from .lattices import Lattice, ValueVector
 from .symbols import SymbolSum, SymbolTerm
@@ -19,7 +20,6 @@ from .towers import FormalElement
 from .verify import Verdict
 
 SCHEMA = "brauerval.report/1"
-ENGINE_VERSION = "0.1.0"
 
 
 def encode(value: object) -> Any:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .division import HYPOTHESIS_STATUS
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
-from .symbols import RewriteChain, RewriteStep, SymbolSum, SymbolTerm, symbol
+from .symbols import WITNESS_ROOT, RewriteChain, RewriteStep, SymbolSum, SymbolTerm, symbol
 from .towers import (
     KINDS,
     FieldTower,
@@ -308,7 +308,7 @@ class _Parser:
         if rest and rest[0] == "witness":
             wtext = head.split("witness", 1)[1]
             wcol = line.index("witness") + len("witness") + 1
-            witness = self._element(wtext, wcol, extra=("X",))
+            witness = self._element(wtext, wcol, extra=(WITNESS_ROOT,))
             rest = []
         if rest:
             self._fail(f"unexpected step tokens {rest}")
@@ -348,6 +348,9 @@ class _Parser:
             at = len(line) - len(rest) + 1
             if self.in_chain and key not in ("step", "end"):
                 self._fail("chain block must close with 'end'")
+            # the tower is built at 'variables', so later tower inputs would never reach it
+            if key in ("prime", "ground") and self.tower is not None:
+                self._fail(f"a {key!r} line must come before 'variables'")
             if key == "task":
                 self._directive_task(rest, at)
             elif key == "prime":

@@ -19,6 +19,7 @@ AmbiguousValuation rather than guessing.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb, isqrt
 
@@ -522,7 +523,7 @@ def adjoin(tower: FieldTower, name: str, kind: str, rhs: FormalElement) -> Field
 
 def rebase_pth_root(
     tower: FieldTower, variable: str, new_name: str
-) -> tuple[FieldTower, "ElementMap"]:
+) -> tuple[FieldTower, Callable[[FormalElement], FormalElement]]:
     """Present F(y) with y^p = variable as a Laurent tower in y.
 
     The variable is replaced in place by new_name and every occurrence
@@ -531,25 +532,16 @@ def rebase_pth_root(
     """
     if variable not in tower.variables:
         raise UnsupportedConfiguration(f"{variable!r} is not a tower variable")
-    mapper = ElementMap(variable, new_name, tower.char)
+
+    def mapper(e: FormalElement) -> FormalElement:
+        return e.substitute_monomial(variable, new_name, tower.char)
+
     variables = tuple(new_name if v == variable else v for v in tower.variables)
     gens = tuple(
         ExtensionGenerator(g.name, g.kind, mapper(g.rhs), g.justification)
         for g in tower.generators
     )
     return FieldTower(tower.ground, variables, gens), mapper
-
-
-@dataclass(frozen=True, slots=True)
-class ElementMap:
-    """Substitution old -> new^p used when rebasing a p-th root."""
-
-    old: str
-    new: str
-    char: int
-
-    def __call__(self, e: FormalElement) -> FormalElement:
-        return e.substitute_monomial(self.old, self.new, self.char)
 
 
 def reduce_generator_powers(e: FormalElement, tower: FieldTower) -> FormalElement:

@@ -40,6 +40,7 @@ from .division import (
     chain_division,
     independence_division,
     morandi_step,
+    rebase_shift,
     symbol_division,
     trace_profile,
     trace_zero_value_classes,
@@ -51,6 +52,7 @@ from .lattices import (
     overlattice_count,
 )
 from .symbols import (
+    WITNESS_ROOT,
     RewriteChain,
     RewriteStep,
     SymbolSum,
@@ -67,9 +69,7 @@ from .towers import (
     FormalElement,
     GroundField,
     adjoin,
-    artin_schreier_image,
     is_prime,
-    rebase_pth_root,
 )
 
 if TYPE_CHECKING:
@@ -543,13 +543,8 @@ def verify_lemma72(part: int, p: int) -> Verdict:
             "lemma72", VERIFIED if ok else NOT_CERTIFIED, params, payload, (ind,)
         )
     root = "y"
-    rebased, mapper = rebase_pth_root(tower, "d", root)
-    slot1 = mapper(dinv)
-    witness = FormalElement.symbol(p, root, -1, p - 1)
-    shifted = slot1 + artin_schreier_image(witness)
-    shift_ok = shifted == FormalElement.symbol(p, root, -1)
-    cert = symbol_division(symbol(p, shifted, mapper(FormalElement.symbol(p, "c"))), rebased)
-    ok = shift_ok and cert.ok
+    witness, shifted, cert = rebase_shift(tower, "d", root, dinv, FormalElement.symbol(p, "c"))
+    ok = cert.ok
     payload = {
         "rebased_variable": "d",
         "root_name": root,
@@ -588,7 +583,7 @@ def _vanishing_chain_shift(p: int) -> RewriteChain:
             s1,
             s2,
             target_index=1,
-            witness=FormalElement.symbol(p, "X", 1, pow(2, -1, p)),
+            witness=FormalElement.symbol(p, WITNESS_ROOT, 1, pow(2, -1, p)),
         ),
         RewriteStep("negate", s2, s3, target_index=0),
         RewriteStep(

@@ -25,6 +25,7 @@ from brauerval.division import (
     independence_division,
     morandi_step,
     peel_depths,
+    rebase_shift,
     symbol_division,
     trace_profile,
     trace_zero_value_classes,
@@ -141,7 +142,7 @@ class TestValueData:
         assert f.as_value == ValueVector.of(Fraction(-1, 3), 0)
         assert f.root_value == ValueVector.of(0, Fraction(1, 3))
         assert not f.slot1_residual and not f.slot2_residual
-        assert data.pairs == ()
+        assert data.refined_values == (f.as_value, f.root_value)
         assert data.value_group == Lattice.diagonal([Fraction(1, 3), Fraction(1, 3)])
 
     def test_reciprocal_pair_refines_group(self):
@@ -149,8 +150,8 @@ class TestValueData:
         data = algebra_value_data(
             word(3, ({"w": -1}, {"u": 1}), ({"u": -1}, {"w": 1})), t
         )
-        # both cross pairs are reciprocal, so both composites appear
-        assert data.pairs == ((0, 1), (1, 0))
+        # both cross pairs are reciprocal, so both factors carry v(slot1)/p^2
+        assert data.refined_values[::2] == tuple(f.slot1_value / 9 for f in data.factors)
         assert data.value_group == Lattice.diagonal([Fraction(1, 9), Fraction(1, 9)])
         assert data.ram_index == 81
         assert data.ram_index == data.dim
@@ -160,7 +161,9 @@ class TestValueData:
         data = algebra_value_data(
             word(3, ({"w": -1}, {"u": 1}), ({"u": -1}, {"w": 2})), t
         )
-        assert data.pairs == ((1, 0),)
+        # only factor 1's slot1 u^-1 is reciprocal to a slot2 (factor 0's u)
+        first, second = data.factors
+        assert data.refined_values[::2] == (first.as_value, second.slot1_value / 9)
         assert data.value_group == Lattice.diagonal([Fraction(1, 9), Fraction(1, 3)])
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -171,7 +174,7 @@ class TestValueData:
         data = algebra_value_data(
             word(p, ({"u": -1}, {"w": 1}), ({"w": -1}, {"u": 1})), base
         )
-        assert data.pairs == ((0, 1), (1, 0))
+        assert data.refined_values[::2] == tuple(f.slot1_value / (p * p) for f in data.factors)
         ext = adjoin(base, "y", PTH_ROOT, mono(p, {"u": 1}))
         ext = adjoin(ext, "t", ARTIN_SCHREIER, mono(p, {"y": -1}))
         expected = generator_value(ext.spec(), "t")
@@ -509,6 +512,18 @@ class TestPeeling:
         peel = cert.find("peel")
         assert peel.find("residue-tensor").get("shape") == "rebase-shift-independence"
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rebase_shift_certifies_only_a_reduced_slot(self, p):
+        t = tower(p, "d", "c")
+        witness, shifted, cert = rebase_shift(t, "d", "y", mono(p, {"d": -1}), mono(p, {"c": 1}))
+        assert witness == FormalElement.symbol(p, "y", -1, p - 1)
+        assert shifted == mono(p, {"y": -1})
+        assert cert.ok and cert.get("route") == "value-independence"
+        # 1/d^2 rebases to y^-2p, which the shift by (p-1)/y does not reduce
+        _, shifted, cert = rebase_shift(t, "d", "y", mono(p, {"d": -2}), mono(p, {"c": 1}))
+        assert shifted != mono(p, {"y": -1})
+        assert (cert.rule, cert.status) == ("rebase-shift", division.NOT_CERTIFIED)
+
     def test_b_second_family_uses_inner_drop(self):
         t = tower(2, "a1", "a2", "a3")
         w = word(2, ({"a2": -1}, {"a1": 1}), ({"a1": -1}, {"a3": 1}))
@@ -666,7 +681,6 @@ class TestTraceZeroClasses:
             degree=p,
             depth=2,
             factors=(factor,),
-            pairs=(),
             base_group=base,
             refined_values=(factor.as_value, factor.root_value),
             value_group=Lattice.diagonal([Fraction(1, p * p), Fraction(1, p)]),

@@ -475,6 +475,11 @@ def test_intersection_properties_dim3(a, b):
     assert a.intersect(a) == a
 
 
+def row_values(lat: Lattice) -> tuple[ValueVector, ...]:
+    """lat's basis rows as values, so extended grows a lattice by another."""
+    return tuple(ValueVector(r, lat.denominator) for r in lat.rows)
+
+
 @st.composite
 def lattice_pairs(draw):
     """Two lattices of one dimension 1-3: unrelated, nested, or one diagonal."""
@@ -482,7 +487,7 @@ def lattice_pairs(draw):
     a, b = draw(overlattices(dim)), draw(overlattices(dim))
     shape = draw(st.sampled_from(["free", "nested", "diagonal"]))
     if shape == "nested":
-        return a.sum_with(b), b
+        return a.extended(row_values(b)), b
     if shape == "diagonal":
         # need not contain Z^dim, so either side may miss the other
         scales = draw(st.lists(small_fraction.filter(bool), min_size=dim, max_size=dim))
@@ -498,8 +503,8 @@ def test_containment_and_index_match_fraction_oracles(pair):
 
     a, b = pair
     # a contains b exactly when adding b to a changes nothing
-    assert a.contains_lattice(b) == (a.sum_with(b) == a)
-    assert b.contains_lattice(a) == (b.sum_with(a) == b)
+    assert a.contains_lattice(b) == (a.extended(row_values(b)) == a)
+    assert b.contains_lattice(a) == (b.extended(row_values(a)) == b)
     meet = a.intersect(b)
     assert a.index_over(meet) == covolume(meet) / covolume(a)
 
@@ -513,7 +518,7 @@ def stacked_hermite_oracle(dim: int, parts: list[tuple[int, tuple[tuple[int, ...
 
 @settings(max_examples=100, deadline=None)
 @given(lattice_pairs(), st.lists(st.tuples(small_fraction, small_fraction, small_fraction), max_size=3))
-def test_extended_and_sum_with_match_a_fresh_hermite_form(pair, extra):
+def test_extended_matches_a_fresh_hermite_form(pair, extra):
     a, b = pair
     values = tuple(V(*t[: a.dim]) for t in extra)
 
@@ -524,8 +529,8 @@ def test_extended_and_sum_with_match_a_fresh_hermite_form(pair, extra):
             assert a.extended(values[:k]) == stacked_hermite_oracle(a.dim, parts)
         for x, y in ((a, b), (b, a), (a, a), (b, b)):
             parts = [(x.denominator, x.rows), (y.denominator, y.rows)]
-            assert x.sum_with(y) == stacked_hermite_oracle(a.dim, parts)
-        assert a.sum_with(b) == b.sum_with(a)
+            assert x.extended(row_values(y)) == stacked_hermite_oracle(a.dim, parts)
+        assert a.extended(row_values(b)) == b.extended(row_values(a))
 
     check()  # the tables still hold earlier examples' answers
     forget_memos()
@@ -549,25 +554,25 @@ def test_index_over_a_non_sublattice_raises_on_every_call():
 
 @st.composite
 def groups_over_a_base(draw):
-    """A base B and two groups D, E containing it, of dimension 1-3."""
+    """A base B of dimension 1-3, a group D containing it, and values growing B to E."""
     dim = draw(st.integers(min_value=1, max_value=3))
     base = draw(overlattices(dim))
 
-    def over_base():
+    def values():
         count = draw(st.integers(min_value=1, max_value=2))
-        return base.extended(
-            tuple(ValueVector.of(*(draw(small_fraction) for _ in range(dim))) for _ in range(count))
-        )
+        return tuple(ValueVector.of(*(draw(small_fraction) for _ in range(dim))) for _ in range(count))
 
-    return base, over_base(), over_base()
+    return base, base.extended(values()), values()
 
 
 @settings(max_examples=150, deadline=None)
 @given(groups_over_a_base())
 def test_groups_meet_in_the_base_iff_indices_multiply(case):
-    # the peel's meet test: D meet E = B exactly when [D+E : B] = [D : B][E : B]
-    base, d, e = case
-    by_index = d.sum_with(e).index_over(base) == d.index_over(base) * e.index_over(base)
+    # the peel's meet test: D meet E = B exactly when [D+E : B] = [D : B][E : B],
+    # with D+E grown from D by the values that grow B to E
+    base, d, e_values = case
+    e = base.extended(e_values)
+    by_index = d.extended(e_values).index_over(base) == d.index_over(base) * e.index_over(base)
     assert (d.intersect(e) == base) == by_index
 
 

@@ -192,6 +192,16 @@ class TestDiagnostics:
         assert parse_scenario(text.replace("ground closed\n", "")).tower.generators
         self.check(text, "bad.scn:7:1: cannot certify", line=7)
 
+    @pytest.mark.parametrize("line", ["prime 5", "ground closed", "ground constants a"])
+    def test_tower_inputs_come_before_variables(self, line):
+        # the tower is built at 'variables', so a later tower input would never reach it
+        key = line.split()[0]
+        self.check(
+            "version 1\ntask custom-scenario\nprime 3\nground constants a\nvariables t\n"
+            f"  {line}\ngenerator x = artin-schreier(a)\nalgebra A = [t^-1, t)\nword A\n",
+            f"bad.scn:6:3: a '{key}' line must come before 'variables'",
+        )
+
     # columns count from the raw line, indentation and extra spaces included
     def test_generator_column_points_at_the_factor(self):
         self.check(

@@ -500,7 +500,6 @@ def test_norm_closed_form_property(triple):
         (towers, towers.generator_value),
         (towers, ValuationSpec.value_group),
         (lattices, Lattice.extended),
-        (lattices, Lattice.sum_with),
         (lattices, Lattice.index_over),
         (division, division._symbol_value_data),
         (division, division.symbol_division),
