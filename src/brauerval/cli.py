@@ -15,11 +15,11 @@ import argparse
 import sys
 import time
 
-from .errors import EngineError, ScenarioError
+from .errors import EngineError, EnumerationBound, ScenarioError
 from .lattices import WORK_BUDGET, forget_memos
 from .report import emit_report
 from .scenario import Scenario, load_scenario
-from .verify import TASKS
+from .verify import INCONCLUSIVE, TASKS, Verdict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +69,16 @@ def run_task(args: argparse.Namespace) -> int:
             )
     started = time.perf_counter()
     verifier, inputs = TASKS[args.task]
+    values = [_input(args, scenario, key) for key in inputs]
     try:
-        verdict = verifier(*(_input(args, scenario, key) for key in inputs))
+        verdict = verifier(*values)
+    except EnumerationBound as err:
+        # a work budget that runs out is a verdict, reported with the inputs
+        params = {
+            key: scenario.path if key == "scenario" else value
+            for key, value in zip(inputs, values)
+        }
+        verdict = Verdict(args.task, INCONCLUSIVE, params, err.payload)
     finally:
         forget_memos()
     elapsed = time.perf_counter() - started

@@ -27,7 +27,13 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm, prod
 
-from .errors import EngineError, NonContainment, UnsupportedConfiguration, ZeroElement
+from .errors import (
+    EngineError,
+    EnumerationBound,
+    NonContainment,
+    UnsupportedConfiguration,
+    ZeroElement,
+)
 from .lattices import Lattice, ValueVector
 from .symbols import SymbolSum, SymbolTerm, normal_form, symbol
 from .towers import (
@@ -50,6 +56,7 @@ CERTIFIED = "certified"
 NOT_CERTIFIED = "not-certified"
 REFUTED = "refuted"
 
+# the most value classes independence_division or the census may walk
 MAX_CLASS_WORK = 1_000_000
 
 
@@ -210,7 +217,7 @@ def independence_division(data: AlgebraValueData) -> Certificate:
     """
     p = data.degree
     if data.dim > MAX_CLASS_WORK:
-        raise UnsupportedConfiguration("class enumeration exceeds the work bound")
+        raise EnumerationBound("class-work", MAX_CLASS_WORK, data.dim)
     coords = [data.base_group.scaled_coords(v) for v in data.refined_values]
     den = lcm(*(m for _, m in coords))
     seen = {(0,) * data.depth}
@@ -749,6 +756,8 @@ def chain_division(
             cert = morandi_step(
                 tower, depth, d_word, e_term, d_cert, residue_hypothesis
             )
+        except EnumerationBound:
+            raise  # a budget that runs out ends the task; it is no failed peel
         except EngineError as err:
             attempts[f"depth-{depth}"] = str(err)
             continue
@@ -818,8 +827,9 @@ def trace_zero_value_classes(
         (b[i] * meet.denominator) // (m[i] * base.denominator)
         for i, (b, m) in enumerate(zip(base.rows, meet.rows))
     ]
-    if prod(ratios) > MAX_CLASS_WORK:
-        raise UnsupportedConfiguration("class enumeration exceeds the work bound")
+    work = prod(ratios)
+    if work > MAX_CLASS_WORK:
+        raise EnumerationBound("class-work", MAX_CLASS_WORK, work)
     classes = set()
     for coeffs in itertools.product(*(range(r) for r in ratios)):
         nums = [sum(c * row[j] for c, row in zip(coeffs, meet.rows)) for j in range(base.dim)]

@@ -21,7 +21,15 @@ class NonContainment(EngineError):
 
 
 class EnumerationBound(EngineError):
-    """An enumeration would exceed the configured work bound."""
+    """An enumeration would exceed its work budget.
+
+    payload names the budget, its bound and the estimated work, which is
+    what the Inconclusive verdict of a task that runs out reports.
+    """
+
+    def __init__(self, budget: str, max_work: int, estimated_work: int) -> None:
+        super().__init__(f"estimated work {estimated_work} exceeds the {budget} bound {max_work}")
+        self.payload = {"budget": budget, "max_work": max_work, "estimated_work": estimated_work}
 
 
 class ZeroElement(EngineError):

@@ -244,6 +244,8 @@ class Lattice:
                 if k:
                     rows[i] = [a - k * b for a, b in zip(rows[i], rows[c])]
         g = gcd(denominator, *itertools.chain.from_iterable(rows))
+        if g == 1:
+            return cls(dim, denominator, tuple(map(tuple, rows)))
         return cls(dim, denominator // g, tuple(tuple(x // g for x in r) for r in rows))
 
     @classmethod
@@ -416,7 +418,7 @@ def enumerate_overlattices(
     q = max_index
     expected = overlattice_count(dim, p, q)
     if expected > bound:
-        raise EnumerationBound(f"overlattice count {expected} exceeds bound {bound}")
+        raise EnumerationBound("max-work", bound, expected)
     k = _log_exact(q, p)
     found: list[tuple[Lattice, tuple[tuple[int, ...], ...]]] = []
     for j in range(k + 1):

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from brauerval import cli, lattices
+from brauerval import cli, division, lattices
 from brauerval.cli import main
 from brauerval.errors import ScenarioError
 from brauerval.scenario import load_scenario
@@ -151,6 +151,34 @@ class TestExitCodes:
         code, out, _ = run(capsys, "char-not-p", "--n", "5", "--p", "3", "--max-work", "1000")
         assert code == 2
         assert "result: Inconclusive" in out and "estimated_work: 936904" in out
+
+    @pytest.mark.parametrize(
+        "argv, parameters",
+        [
+            (("shift", "--n", "2", "--p", "1009", "--i", "1"), {"n": 2, "p": 1009, "i": 1}),
+            (("lemma72", "--part", "1", "--p", "1009"), {"part": 1, "p": 1009}),
+        ],
+    )
+    def test_class_work_overrun_is_two_with_a_report(self, capsys, argv, parameters):
+        # one symbol of degree 1009 has 1009^2 monomial classes to tell apart
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert err == ""
+        report = json.loads(out)
+        assert (report["result"], report["exit_code"]) == ("Inconclusive", 2)
+        assert report["parameters"] == parameters
+        assert report["payload"] == {
+            "budget": "class-work", "max_work": 1_000_000, "estimated_work": 1009**2
+        }
+
+    def test_census_work_overrun_is_two_with_a_report(self, capsys, monkeypatch):
+        # at (5, 2) the members certify with a bound of 31, but the census box has 32 classes
+        monkeypatch.setattr(division, "MAX_CLASS_WORK", 31)
+        code, out, _ = run(capsys, "no-common-splitting", "--n", "5", "--p", "2", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["payload"] == {
+            "budget": "class-work", "max_work": 31, "estimated_work": 32
+        }
 
     def test_budget_below_one_is_three(self, capsys):
         code, out, err = run(capsys, "char-not-p", "--n", "5", "--p", "3", "--max-work", "0")

@@ -30,9 +30,8 @@ from brauerval.division import (
     trace_profile,
     trace_zero_value_classes,
 )
-from brauerval.errors import NonContainment, UnsupportedConfiguration
+from brauerval.errors import EnumerationBound, NonContainment, UnsupportedConfiguration
 from brauerval.lattices import Lattice, ValueVector
-from brauerval.report import encode
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import (
     ARTIN_SCHREIER,
@@ -51,6 +50,7 @@ from brauerval.verify import (
     standard_tower,
     verify_no_common_splitting,
 )
+from report_oracle import encode
 
 
 def tower(p: int, *variables: str, constants: tuple[str, ...] = ()) -> FieldTower:
@@ -231,6 +231,16 @@ class TestIndependence:
         oracle = box_classes_oracle(data.refined_values, 2)
         assert cert.get("distinct_classes") == len(oracle) == 16
         assert cert.ok
+
+    def test_work_bound_counts_the_p_2k_monomials(self, monkeypatch):
+        t = tower(2, "a1", "a2")
+        data = algebra_value_data(word(2, ({"a2": -1}, {"a1": 1})), t)
+        monkeypatch.setattr(division, "MAX_CLASS_WORK", 4)
+        assert independence_division(data).ok
+        monkeypatch.setattr(division, "MAX_CLASS_WORK", 3)
+        with pytest.raises(EnumerationBound) as raised:
+            independence_division(data)
+        assert raised.value.payload == {"budget": "class-work", "max_work": 3, "estimated_work": 4}
 
 
 class TestMemberValueGroups:
@@ -503,6 +513,26 @@ class TestPeeling:
         assert peel.get("left_ramification_index") == 3
         assert peel.get("left_residue_degree") == 3
 
+    def test_a_budget_overrun_in_a_peel_is_not_a_failed_attempt(self, monkeypatch):
+        # any other engine error of a peel becomes one `attempts` entry
+        t = tower(2, "a1", "a2", "a3")
+        w = word(2, ({"a3": -1}, {"a1": 1}), ({"a1": -1}, {"a2": 1}))
+
+        def peel_fails(*args):
+            raise UnsupportedConfiguration("no peel")
+
+        monkeypatch.setattr(division, "morandi_step", peel_fails)
+        cert = chain_division(w, t)
+        assert cert.status == NOT_CERTIFIED
+        assert cert.payload == {"depth-2": "no peel", "depth-1": "no peel"}
+
+        def peel_runs_out(*args):
+            raise EnumerationBound("class-work", 1, 2)
+
+        monkeypatch.setattr(division, "morandi_step", peel_runs_out)
+        with pytest.raises(EnumerationBound):
+            chain_division(w, t)
+
     def test_b_first_family_uses_outer_drop(self):
         t = tower(2, "a1", "a2", "a3")
         w = word(2, ({"a3": -1}, {"a2": 1}), ({"a2": -1}, {"a1": 1}))
@@ -711,8 +741,11 @@ class TestTraceZeroClasses:
             assert trace_zero_value_classes(members, window) == expected
         assert verify_no_common_splitting(n, p).result == VERIFIED
         monkeypatch.setattr(division, "MAX_CLASS_WORK", box - 1)
-        with pytest.raises(UnsupportedConfiguration, match="work bound"):
+        with pytest.raises(EnumerationBound, match="class-work") as raised:
             trace_zero_value_classes(members, window)
+        assert raised.value.payload == {
+            "budget": "class-work", "max_work": box - 1, "estimated_work": box
+        }
 
     def test_window_must_contain_base(self):
         t = tower(2, "a1", "a2")

@@ -12,7 +12,6 @@ import brauerval.verify as verify_mod
 from brauerval.errors import UnsupportedConfiguration
 from brauerval.division import algebra_value_data, chain_division
 from brauerval.lattices import Lattice, ValueVector, enumerate_overlattices, forget_memos
-from brauerval.report import encode
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import FormalElement
 from brauerval.verify import (
@@ -32,6 +31,7 @@ from brauerval.verify import (
     verify_shift_lemma,
     verify_value_groups,
 )
+from report_oracle import encode
 
 
 def mono(p, spec_):
