@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return run_task(args)
-    except (ScenarioError, EngineError) as err:
+    except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except Exception as err:

@@ -143,7 +143,7 @@ def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData
     return SymbolValueData(
         term=term,
         slot1_value=va,
-        as_value=va / p if va < zero else zero,
+        as_value=va / p,
         root_value=vb / p,
         slot1_residual=va == zero,
         slot2_residual=vb == zero,

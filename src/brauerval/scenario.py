@@ -107,7 +107,6 @@ class _Parser:
         self.params: dict[str, int] = {}
         self.constants: list[str] = []
         self.closed = False
-        self.variables: list[str] | None = None
         self.tower: FieldTower | None = None
         self.algebras: dict[str, SymbolSum] = {}
         self.word: tuple[str, ...] = ()
@@ -206,11 +205,12 @@ class _Parser:
             self._fail(f"{key} wants an integer, got {rest.strip()!r}")
         return int(rest.strip())
 
-    def _directive_task(self, rest: str, at: int) -> None:
+    def _known(self, rest: str, at: int, table: dict, what: str) -> str:
+        """The name rest holds, which must be a key of table."""
         name = rest.strip()
-        if name not in TASKS:
-            self._fail(f"unknown task {name!r}", at)
-        self.task = name
+        if name not in table:
+            self._fail(f"unknown {what} {name!r}", at)
+        return name
 
     def _directive_ground(self, rest: str) -> None:
         tokens = rest.split()
@@ -225,14 +225,13 @@ class _Parser:
             self._fail(f"bad ground clause {rest.strip()!r}")
 
     def _directive_variables(self, rest: str) -> None:
-        if self.variables is not None:
+        if self.tower is not None:
             self._fail("duplicate 'variables' line")
         names = rest.split()
         for name in names:
             if not _NAME.match(name):
                 self._fail(f"bad variable name {name!r}")
         p = self._need_prime()
-        self.variables = names
         try:
             self.tower = FieldTower(
                 GroundField(p, frozenset(self.constants), self.closed), tuple(names)
@@ -322,12 +321,6 @@ class _Parser:
         self.chain_steps.append(step)
         self.chain_current = after
 
-    def _directive_expect(self, rest: str, at: int) -> None:
-        name = rest.strip()
-        if name not in EXIT_CODES:
-            self._fail(f"unknown verdict {name!r}", at)
-        self.expect = name
-
     # ------------------------------------------------------------ driver
 
     def parse(self) -> Scenario:
@@ -352,7 +345,7 @@ class _Parser:
             if key in ("prime", "ground") and self.tower is not None:
                 self._fail(f"a {key!r} line must come before 'variables'")
             if key == "task":
-                self._directive_task(rest, at)
+                self.task = self._known(rest, at, TASKS, "task")
             elif key == "prime":
                 value = self._int_value(rest, "prime")
                 if not is_prime(value):
@@ -384,7 +377,7 @@ class _Parser:
                     self._fail("'end' outside a chain block")
                 self.in_chain = False
             elif key == "expect":
-                self._directive_expect(rest, at)
+                self.expect = self._known(rest, at, EXIT_CODES, "verdict")
             else:
                 self._fail(f"unknown directive {key!r}")
         self.ln, self.start = max(len(self.lines), 1), 1

@@ -100,15 +100,6 @@ def symbol(p: int, slot1: FormalElement, slot2: FormalElement) -> SymbolTerm:
     return SymbolTerm(p, slot1, slot2)
 
 
-def _slot2_monomial(term: SymbolTerm) -> tuple[tuple[str, int], ...]:
-    if len(term.slot2.terms) != 1:
-        raise UnsupportedConfiguration(
-            "slot2 must be a monomial to be expanded multiplicatively"
-        )
-    names, _coeff = term.slot2.terms[0]
-    return names
-
-
 def normal_form(s: SymbolSum) -> SymbolSum:
     """Canonical form of a sum of Artin-Schreier symbols.
 
@@ -120,7 +111,11 @@ def normal_form(s: SymbolSum) -> SymbolSum:
     p = s.degree
     buckets: dict[str, FormalElement] = {}
     for term in s.terms:
-        for name, exp in _slot2_monomial(term):
+        if len(term.slot2.terms) != 1:
+            raise UnsupportedConfiguration(
+                "slot2 must be a monomial to be expanded multiplicatively"
+            )
+        for name, exp in term.slot2.terms[0][0]:
             prev = buckets.get(name, FormalElement.zero(p))
             buckets[name] = prev + term.slot1.scale(exp)
     terms = tuple(
@@ -217,10 +212,16 @@ def _split_witness_linear(
     )
 
 
-def _monomial_quotient(before: SymbolTerm, after: SymbolTerm) -> FormalElement:
-    if after.slot1 != before.slot1:
+def _removed_slot2_factor(step: RewriteStep) -> tuple[SymbolTerm, FormalElement]:
+    """The target term of a slot2 factor rule and the factor it removes from slot2."""
+    removed_term = len(step.after.terms) == len(step.before.terms) - 1
+    t = _require_context_fixed(step, removed=removed_term)
+    if removed_term:
+        return t, t.slot2
+    after = step.after.terms[step.target_index]
+    if after.slot1 != t.slot1:
         raise UnsupportedConfiguration("slot1 must be preserved by slot2 factor rules")
-    return before.slot2 * after.slot2.inverse()
+    return t, t.slot2 * after.slot2.inverse()
 
 
 def _exponent_vector(e: FormalElement, names: list[str]) -> list[int]:
@@ -272,12 +273,7 @@ def check_rewrite_step(step: RewriteStep, tower: FieldTower) -> None:
         if step.witness is None:
             raise UnsupportedConfiguration("slot2-norm needs a witness element")
         _require_witness_names(step.witness, tower, allow_root=True)
-        removed_term = len(step.after.terms) == len(step.before.terms) - 1
-        t = _require_context_fixed(step, removed=removed_term)
-        if removed_term:
-            removed = t.slot2
-        else:
-            removed = _monomial_quotient(t, step.after.terms[step.target_index])
+        t, removed = _removed_slot2_factor(step)
         a, b = _split_witness_linear(step.witness, p)
         if norm_element_oracle(t.slot1, a, b, p) != removed:
             raise UnsupportedConfiguration(
@@ -286,12 +282,7 @@ def check_rewrite_step(step: RewriteStep, tower: FieldTower) -> None:
         return
 
     if step.rule == "slot2-pthpower":
-        removed_term = len(step.after.terms) == len(step.before.terms) - 1
-        t = _require_context_fixed(step, removed=removed_term)
-        if removed_term:
-            removed = t.slot2
-        else:
-            removed = _monomial_quotient(t, step.after.terms[step.target_index])
+        _, removed = _removed_slot2_factor(step)
         if len(removed.terms) != 1:
             raise UnsupportedConfiguration("removed factor must be a monomial")
         root_rhs = [

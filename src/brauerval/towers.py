@@ -555,24 +555,19 @@ def reduce_generator_powers(e: FormalElement, tower: FieldTower) -> FormalElemen
     gens = {g.name: g for g in tower.generators}
     acc = e
     while True:
-        hit: tuple[Monomial, int, str, int] | None = None
-        for m, c in acc.terms:
-            for name, exp in m:
-                g = gens.get(name)
-                if g is None:
-                    continue
-                if exp <= -p:
-                    raise UnsupportedConfiguration(
-                        f"power {name}^{exp} cannot be reduced to monomials"
-                    )
-                if exp >= p:
-                    hit = (m, c, name, exp)
-                    break
-            if hit:
-                break
+        # the first generator power outside (-p, p), in term order
+        hit = next(
+            ((m, c, name, exp) for m, c in acc.terms for name, exp in m
+             if name in gens and not -p < exp < p),
+            None,
+        )
         if hit is None:
             return acc
         m, c, name, exp = hit
+        if exp <= -p:
+            raise UnsupportedConfiguration(
+                f"power {name}^{exp} cannot be reduced to monomials"
+            )
         g = gens[name]
         lowered = FormalElement(
             acc.char,

@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import prod
 from typing import TYPE_CHECKING
 
+from . import division
 from .division import (
     CERTIFIED,
     Certificate,
@@ -46,10 +47,9 @@ from .division import (
     trace_zero_value_classes,
 )
 from .division import NOT_CERTIFIED as CERT_NOT_CERTIFIED, REFUTED as CERT_REFUTED
-from .errors import ScenarioError, UnsupportedConfiguration
+from .errors import EnumerationBound, ScenarioError, UnsupportedConfiguration
 from .lattices import (
     WORK_BUDGET, Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices,
-    overlattice_count,
 )
 from .symbols import (
     WITNESS_ROOT,
@@ -97,12 +97,16 @@ class Verdict:
     payload: dict[str, object] = field(default_factory=dict)
     certificates: tuple[Certificate, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.result not in EXIT_CODES:
+            raise ValueError(f"unknown verdict result {self.result!r}")
+
     def get(self, key: str) -> object:
         return self.payload[key]
 
     @property
     def exit_code(self) -> int:
-        return EXIT_CODES.get(self.result, 2)
+        return EXIT_CODES[self.result]
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,6 +309,9 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     """
     params = {"n": n, "p": p}
     family = build_family(n, p)
+    # the census walks at most the p^n classes of (1/p)Z^n over Z^n: check that bound first
+    if p**n > division.MAX_CLASS_WORK:
+        raise EnumerationBound("class-work", division.MAX_CLASS_WORK, p**n)
     tower = standard_tower(n, p)
 
     certs = [chain_division(m.word, tower) for m in family]
@@ -391,9 +398,9 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     rank(S mod p) >= n - j, where p^j = [L : Z^n] = [Z^n : S] (at
     most j elementary divisors of S are divisible by p); a form below it
     means a wrong enumerator and fails an assertion.  max_work bounds
-    the closed-form overlattice count, checked before any lattice is
-    built: over budget the verdict is Inconclusive, and its payload
-    names the budget and the estimated work.
+    the closed-form overlattice count, which the enumerator checks before
+    any lattice is built: over budget the verdict is Inconclusive, and
+    its payload names the budget and the estimated work.
     """
     _require_prime(p)
     params = {"n": n, "p": p}
@@ -402,28 +409,23 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     if max_work < 1:
         raise UnsupportedConfiguration(f"max_work must be at least 1, got {max_work}")
     q = p ** (n - 2)
-    estimated = overlattice_count(n, p, q)
-    if estimated > max_work:
-        payload = {"budget": "max-work", "max_work": max_work, "estimated_work": estimated}
-        return Verdict("char-not-p", INCONCLUSIVE, params, payload)
-    lattices = enumerate_overlattices(n, p, q, bound=max_work)
+    try:
+        lattices = enumerate_overlattices(n, p, q, bound=max_work)
+    except EnumerationBound as err:
+        return Verdict("char-not-p", INCONCLUSIVE, params, err.payload)
     min_rank = None
-    all_witnessed = True
     witnesses = []
     for _, u in lattices:
         index = prod(u[i][i] for i in range(n))
         pivots = _pivot_columns_mod_p(u, p)
         rank = len(pivots)
+        # index = p^j with j <= n-2, so the Smith bound forces rank >= 2: every form has a pair
         assert p ** (n - rank) <= index, f"rank {rank} mod {p} breaks the Smith bound at {u}"
         min_rank = rank if min_rank is None else min(min_rank, rank)
-        if rank < 2:
-            all_witnessed = False
-        else:
-            witnesses.append((index, (pivots[0] + 1, pivots[1] + 1)))
+        witnesses.append((index, (pivots[0] + 1, pivots[1] + 1)))
     upper = Lattice.diagonal([Fraction(1, p)] * (n - 1) + [Fraction(1)])
     upper_rank = len(_pivot_columns_mod_p(upper.dual().rows, p))
     upper_wedges_vanish = upper_rank < 2
-    ok = all_witnessed and upper_wedges_vanish
     payload = {
         "lattice_count": len(lattices),
         "max_index": q,
@@ -433,17 +435,10 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
         "upper_unit_rank": upper_rank,
         "upper_wedges_vanish": upper_wedges_vanish,
     }
-    return Verdict("char-not-p", VERIFIED if ok else REFUTED, params, payload)
+    return Verdict("char-not-p", VERIFIED if upper_wedges_vanish else REFUTED, params, payload)
 
 
 # ----------------------------------------------------------- two-factor
-
-
-def _two_factor_setup(p: int) -> tuple[FieldTower, dict[str, FormalElement]]:
-    g = GroundField(p, frozenset({"a", "c", "d"}))
-    tower = FieldTower(g, ("t",))
-    e = {name: FormalElement.symbol(p, name) for name in ("a", "c", "d", "t")}
-    return tower, e
 
 
 def verify_prop71(variant: int, p: int) -> Verdict:
@@ -461,8 +456,8 @@ def verify_prop71(variant: int, p: int) -> Verdict:
         raise UnsupportedConfiguration("the decomposition needs odd p")
     if variant not in (1, 2):
         raise UnsupportedConfiguration(f"variant must be 1 or 2, got {variant}")
-    tower, e = _two_factor_setup(p)
-    a, c, d, t = e["a"], e["c"], e["d"], e["t"]
+    tower = FieldTower(GroundField(p, frozenset({"a", "c", "d"})), ("t",))
+    a, c, d, t = (FormalElement.symbol(p, name) for name in ("a", "c", "d", "t"))
     if variant == 1:
         left = symbol(p, a, t)
         right = symbol(p, c, d * t)

@@ -11,11 +11,11 @@ import sys
 
 import pytest
 
-from brauerval import cli, division, lattices
+from brauerval import cli, division, lattices, verify
 from brauerval.cli import main
 from brauerval.errors import ScenarioError
 from brauerval.scenario import load_scenario
-from brauerval.verify import TASKS, verify_char_not_p
+from brauerval.verify import TASKS, Verdict, verify_char_not_p
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "scenarios"
@@ -179,6 +179,52 @@ class TestExitCodes:
         assert json.loads(out)["payload"] == {
             "budget": "class-work", "max_work": 31, "estimated_work": 32
         }
+
+    def test_census_budget_is_checked_before_any_member(self, capsys, monkeypatch):
+        # the census box of (1/p)Z^n over Z^n has p^n = 32 classes at (5, 2)
+        monkeypatch.setattr(division, "MAX_CLASS_WORK", 31)
+        certified = []
+        real = verify.chain_division
+
+        def counting(*args, **kwargs):
+            certified.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "chain_division", counting)
+        code, out, _ = run(capsys, "no-common-splitting", "--n", "5", "--p", "2", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["payload"] == {
+            "budget": "class-work", "max_work": 31, "estimated_work": 32
+        }
+        assert certified == []
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_over_budget_parameters_are_the_task_inputs(self, capsys, fmt):
+        code, out, _ = run(
+            capsys, "char-not-p", "--n", "5", "--p", "3", "--max-work", "1000", "--format", fmt
+        )
+        assert code == 2
+        if fmt == "json":
+            assert json.loads(out)["parameters"] == {"n": 5, "p": 3}
+        else:
+            assert "parameters: n=5 p=3\n" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unknown_verdict_result_is_four_with_no_report(self, capsys, monkeypatch, fmt):
+        monkeypatch.setitem(TASKS, "counts", (lambda: Verdict("counts", "Maybe"), ()))
+        code, out, err = run(capsys, "counts", "--format", fmt)
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: ValueError: unknown verdict result 'Maybe'\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_rank_below_the_smith_bound_is_four(self, capsys, monkeypatch, fmt):
+        # one pivot mod p breaks rank >= n - j for every form, so no report, never Refuted
+        monkeypatch.setattr(verify, "_pivot_columns_mod_p", lambda rows, p: [0])
+        code, out, err = run(capsys, "char-not-p", "--n", "4", "--p", "2", "--format", fmt)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: AssertionError: rank 1 mod 2 breaks the Smith")
 
     def test_budget_below_one_is_three(self, capsys):
         code, out, err = run(capsys, "char-not-p", "--n", "5", "--p", "3", "--max-work", "0")

@@ -47,3 +47,25 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"brauerval.{module}"
+
+
+# prints the top-level names of the modules that importing the CLI loads
+NEWLY_LOADED = """
+import sys
+
+before = set(sys.modules)
+import brauerval.cli
+print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_needs_nothing_outside_the_standard_library():
+    # the package declares no runtime dependencies, so nothing else may load
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", NEWLY_LOADED], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "brauerval" in loaded
+    assert loaded - {"brauerval"} <= set(sys.stdlib_module_names), loaded

@@ -169,6 +169,11 @@ class TestDiagnostics:
             "unknown algebra",
         )
 
+    def test_second_variables_line(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario("version 1\ntask counts\nprime 3\nvariables d\n  variables c\n")
+        assert str(err.value) == "<scenario>:5:3: duplicate 'variables' line"
+
     def test_unknown_verdict_in_expect(self):
         self.check("version 1\ntask counts\nexpect Maybe\n", "unknown verdict")
 

@@ -138,6 +138,17 @@ def test_reduce_generator_powers():
         reduce_generator_powers(mono({"x": -3}), t)
 
 
+def test_reduce_generator_powers_over_an_artin_schreier_root():
+    # x^3 - x = d^-1 over F_3((d))((c))
+    t = adjoin(laurent_tower("d", "c"), "x", ARTIN_SCHREIER, mono({"d": -1}))
+    for e in (mono({"x": -3}), mono({"x": -3}) + mono({"x": 3})):
+        with pytest.raises(UnsupportedConfiguration) as err:
+            reduce_generator_powers(e, t)
+        assert str(err.value) == "power x^-3 cannot be reduced to monomials"
+    got = reduce_generator_powers(mono({"c": 1, "x": 4}), t)
+    assert got == mono({"c": 1, "d": -1, "x": 1}) + mono({"c": 1, "x": 2})
+
+
 def test_full_chain_slot1_split_norm_shift():
     """[1/c, 1/d) dies over the field extended by a root of its slot1 shift.
 
@@ -262,6 +273,20 @@ def test_slot2_pthpower_validation():
         check_rewrite_step(
             RewriteStep("slot2-pthpower", bad, SymbolSum.zero(3)), tower
         )
+
+
+def test_slot2_factor_rules_preserve_slot1():
+    tower = adjoin(laurent_tower("d", "c"), "w", PTH_ROOT, mono({"d": 2, "c": -1}))
+    before = SymbolSum.of(sym(mono({"d": -1}), mono({"d": 2, "c": 1})))
+    after = SymbolSum.of(sym(mono({"d": -1}, 2), mono({"c": 1})))
+    steps = (
+        RewriteStep("slot2-norm", before, after, witness=mono({"X": 1})),
+        RewriteStep("slot2-pthpower", before, after),
+    )
+    for step in steps:
+        with pytest.raises(UnsupportedConfiguration) as err:
+            check_rewrite_step(step, tower)
+        assert str(err.value) == "slot1 must be preserved by slot2 factor rules"
 
 
 def test_slot2_self_validation():
