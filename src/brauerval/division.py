@@ -473,42 +473,20 @@ def _over_extension_certificate(
     """Residue symbol base-changed to the left factor's residue field.
 
     The tensor of the residue algebras is the residue symbol over the
-    degree-p extension cut out by ext_rhs.  When both the symbol and
-    the extension are totally ramified over a residue tower with
-    variables, a trace-value comparison can rule the extension out as
-    a maximal subfield, which keeps the symbol division after the base
-    change.  Otherwise the verdict is whatever the caller hypothesises
-    about the extended symbol.
+    degree-p extension cut out by ext_rhs, which `adjoin` must certify
+    first.  When the extension is a ramified Artin-Schreier one and the
+    symbol is totally ramified, a trace-value comparison (Lemma 7.2,
+    which holds for Artin-Schreier roots only) can rule the extension
+    out as a maximal subfield, which keeps the symbol division after the
+    base change.  Otherwise the verdict is whatever the caller
+    hypothesises about the extended symbol.
     """
-    p = res_tower.char
     payload: dict[str, object] = {
         "shape": "residue-symbol-over-extension",
         "extension_kind": ext_kind,
         "extension_rhs": ext_rhs,
         "residue_symbol": residue_symbol,
     }
-    if res_tower.variables:
-        res_spec = res_tower.spec()
-        zero = ValueVector.zero(res_tower.depth)
-        v_ext = value_of(ext_rhs, res_spec)
-        v_slot1 = value_of(residue_symbol.slot1, res_spec)
-        field_order = res_spec.value_group().order_of_class(v_ext / p)
-        if v_ext < zero and v_slot1 < zero and field_order == p:
-            data = algebra_value_data(SymbolSum.of(residue_symbol), res_tower)
-            ind = independence_division(data)
-            if ind.ok and ind.get("totally_ramified"):
-                algebra_w = trace_profile(res_tower, residue_symbol.slot1)
-                field_w = trace_profile(res_tower, ext_rhs)
-                if field_w.minimum < algebra_w.minimum:
-                    payload["justification"] = "trace-value-obstruction"
-                    payload["algebra_trace_value"] = algebra_w.minimum
-                    payload["field_trace_value"] = field_w.minimum
-                    return Certificate(
-                        "residue-tensor",
-                        CERTIFIED,
-                        payload=payload,
-                        children=(ind,),
-                    )
     ext_cert = _residue_extension_certificate(res_tower, ext_rhs, ext_kind)
     if not ext_cert.ok:
         return Certificate(
@@ -517,6 +495,26 @@ def _over_extension_certificate(
             payload={**payload, "reason": "extension is not certified degree p"},
             children=(ext_cert,),
         )
+    if (
+        ext_kind == ARTIN_SCHREIER
+        and ext_cert.get("justification") == "ramified"
+        and value_of(residue_symbol.slot1, res_tower.spec()) < ValueVector.zero(res_tower.depth)
+    ):
+        data = algebra_value_data(SymbolSum.of(residue_symbol), res_tower)
+        ind = independence_division(data)
+        if ind.ok and ind.get("totally_ramified"):
+            algebra_w = trace_profile(res_tower, residue_symbol.slot1)
+            field_w = trace_profile(res_tower, ext_rhs)
+            if field_w.minimum < algebra_w.minimum:
+                payload["justification"] = "trace-value-obstruction"
+                payload["algebra_trace_value"] = algebra_w.minimum
+                payload["field_trace_value"] = field_w.minimum
+                return Certificate(
+                    "residue-tensor",
+                    CERTIFIED,
+                    payload=payload,
+                    children=(ind,),
+                )
     status, entry = _hypothesis_verdict(
         residue_hypothesis,
         "extended residue symbol",

@@ -4,10 +4,13 @@ A tower is F_0((u_1))((u_2))...((u_n)) together with a list of certified
 degree-p extension generators.  `adjoin` is the one way to add a
 generator: its kind (ARTIN_SCHREIER or PTH_ROOT) is an argument, and the
 value of the right hand side alone decides whether the extension is
-ramified, residual or refused.  Elements are kept as formal sums of
-Laurent monomials in named symbols; no series tails are ever needed
-because every computation the verifier checks stays inside the subring
-generated by finitely many monomials.
+ramified, residual or refused.  That rule (`_ramification_refusal`)
+holds at every depth: `generator_value` and `residue_tower` apply it
+again under each partial valuation, so a generator that ramifies at
+full depth but not at some depth is refused there.  Elements are kept
+as formal sums of Laurent monomials in named symbols; no series tails
+are ever needed because every computation the verifier checks stays
+inside the subring generated by finitely many monomials.
 
 The valuation is the standard rank-n one: the value of a monomial is
 read off the exponents of the active variables, and the outermost
@@ -37,12 +40,7 @@ ARTIN_SCHREIER = "artin-schreier"
 PTH_ROOT = "pth-root"
 
 KINDS = (ARTIN_SCHREIER, PTH_ROOT)
-_JUSTIFICATIONS = (
-    "ramified",
-    "residue-laurent",
-    "residue-generic",
-    "hypothesis",
-)
+_JUSTIFICATIONS = ("ramified", "residue-laurent", "residue-generic")
 
 
 def _merge_monomial(entries: list[tuple[str, int]]) -> Monomial:
@@ -217,9 +215,9 @@ class ExtensionGenerator:
     kind pth-root:       gen^p = rhs
 
     justification records why the extension really has degree p: a
-    ramified value, a residue-level Laurent value, a generic constant,
-    or an explicit hypothesis the caller takes responsibility for (only
-    a generator list built by hand carries one).
+    ramified value, a residue-level Laurent value or a generic constant.
+    The record is not trusted: `generator_value` and `residue_tower`
+    re-certify the rhs at every depth they are asked about.
     """
 
     name: str
@@ -326,7 +324,7 @@ class ValuationSpec:
         )
 
     def in_p_value_group(self, v: ValueVector) -> bool:
-        """Whether v lies in p times the value group."""
+        """Whether v is p times an element of the value group."""
         return self.value_group().contains(v / self.tower.char)
 
 
@@ -334,30 +332,22 @@ class ValuationSpec:
 def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
     """Value of a generator under spec, recomputed from its rhs.
 
-    Ramification is re-certified at this depth: a negative rhs value
-    must avoid p times the value group of everything adjoined before.
+    The degree-p rule is re-certified at this depth, against the value
+    group of everything adjoined before: a nonzero rhs value must
+    ramify, exactly as `adjoin` demands at full depth.
     """
     tower = spec.tower
-    p = tower.char
     index = next(i for i, g in enumerate(tower.generators) if g.name == name)
     gen = tower.generators[index]
     below = FieldTower(tower.ground, tower.variables, tower.generators[:index])
     sub = ValuationSpec(below, spec.depth)
     v = value_of(gen.rhs, sub)
     if v.is_zero():
-        return ValueVector.zero(spec.depth)
-    if gen.kind == PTH_ROOT:
-        return v / p
-    # artin-schreier: only a negative rhs value outside p * Gamma ramifies
-    if not v < ValueVector.zero(spec.depth):
-        raise UnsupportedConfiguration(
-            f"generator {name!r} has positive rhs value under this valuation"
-        )
-    if sub.in_p_value_group(v):
-        raise UnsupportedConfiguration(
-            f"generator {name!r} has rhs value in p times the base value group"
-        )
-    return v / p
+        return v
+    refusal = _ramification_refusal(sub, name, gen.kind, v)
+    if refusal is not None:
+        raise UnsupportedConfiguration(refusal)
+    return v / tower.char
 
 
 def _term_value_and_active(
@@ -449,8 +439,8 @@ def residue_tower(spec: ValuationSpec) -> FieldTower:
 
     Generators of value 0 survive with their rhs replaced by its residue
     and are re-certified against the partially built residue tower;
-    ramified generators disappear into the value group.  Hypotheses pass
-    through on the caller's responsibility.
+    ramified generators disappear into the value group.  Every generator
+    is held to the degree-p rule of `adjoin`; none passes unchecked.
     """
     tower = spec.tower
     out = FieldTower(tower.ground, spec.inactive_variables)
@@ -459,29 +449,39 @@ def residue_tower(spec: ValuationSpec) -> FieldTower:
             continue
         below = FieldTower(tower.ground, tower.variables, tower.generators[:i])
         rhs_bar = residue_of(g.rhs, ValuationSpec(below, spec.depth))
-        just = (
-            g.justification
-            if g.justification == "hypothesis"
-            else _residue_degree_p_justification(out, rhs_bar, g.kind)
-        )
+        just = _residue_degree_p_justification(out, g.name, rhs_bar, g.kind)
         out = out.with_generator(ExtensionGenerator(g.name, g.kind, rhs_bar, just))
     return out
 
 
+def _ramification_refusal(
+    spec: ValuationSpec, name: str, kind: str, v: ValueVector
+) -> str | None:
+    """Why a root of rhs value v over spec does not ramify, or None if it does.
+
+    A positive Artin-Schreier value would split by lifting the trivial
+    residue equation, and a value in p * Gamma gives no new value, so
+    both are refused; so is 0, which never ramifies.  Any other value
+    ramifies totally.
+    """
+    if kind == ARTIN_SCHREIER and not v < ValueVector.zero(spec.depth):
+        return f"rhs for {name!r} has positive value; the equation splits"
+    if spec.in_p_value_group(v):
+        return f"value of rhs for {name!r} lies in p times the value group"
+    return None
+
+
 def _residue_degree_p_justification(
-    tower: FieldTower, rhs: FormalElement, kind: str
+    tower: FieldTower, name: str, rhs: FormalElement, kind: str
 ) -> str:
     """Why x with the given residual equation generates a degree-p extension."""
     spec = tower.spec()
-    zero = ValueVector.zero(spec.depth)
     try:
         v = value_of(rhs, spec)
     except AmbiguousValuation:
         v = None
-    if v is not None:
-        ramified = v < zero if kind == ARTIN_SCHREIER else v != zero
-        if ramified and not spec.in_p_value_group(v):
-            return "residue-laurent"
+    if v is not None and _ramification_refusal(spec, name, kind, v) is None:
+        return "residue-laurent"
     constants = tower.ground.constants
     names = rhs.names()
     if names and names <= constants and not tower.ground.algebraically_closed:
@@ -497,9 +497,7 @@ def adjoin(tower: FieldTower, name: str, kind: str, rhs: FormalElement) -> Field
 
     The degree is certified from the value of rhs.  A value of 0 pushes
     the equation to the residue field, where it must itself be
-    certified.  A positive Artin-Schreier value would split by lifting
-    the trivial residue equation, and a value in p * Gamma gives no new
-    value, so both are refused.  Any other value ramifies totally.
+    certified; any other value must ramify (`_ramification_refusal`).
     """
     if kind not in KINDS:
         raise UnsupportedConfiguration(f"unknown generator kind {kind!r}")
@@ -507,15 +505,9 @@ def adjoin(tower: FieldTower, name: str, kind: str, rhs: FormalElement) -> Field
     v = value_of(rhs, spec)
     if v.is_zero():
         rbar = residue_of(rhs, spec)
-        just = _residue_degree_p_justification(residue_tower(spec), rbar, kind)
-    elif kind == ARTIN_SCHREIER and not v < ValueVector.zero(spec.depth):
-        raise UnsupportedConfiguration(
-            f"rhs for {name!r} has positive value; the equation splits"
-        )
-    elif spec.in_p_value_group(v):
-        raise UnsupportedConfiguration(
-            f"value of rhs for {name!r} lies in p times the value group"
-        )
+        just = _residue_degree_p_justification(residue_tower(spec), name, rbar, kind)
+    elif (refusal := _ramification_refusal(spec, name, kind, v)) is not None:
+        raise UnsupportedConfiguration(refusal)
     else:
         just = "ramified"
     return tower.with_generator(ExtensionGenerator(name, kind, rhs, just))

@@ -125,10 +125,15 @@ def _require_prime(p: int) -> None:
         raise UnsupportedConfiguration(f"{p} is not prime")
 
 
-def standard_tower(n: int, p: int) -> FieldTower:
-    """F_0((a1))...((an)) over the prime field, innermost first."""
+def _require_prime_and_depth(n: int, p: int) -> None:
+    """The inputs of every family and lattice task, p checked before n."""
+    _require_prime(p)
     if n < 2:
         raise UnsupportedConfiguration("need at least two Laurent variables")
+
+
+def standard_tower(n: int, p: int) -> FieldTower:
+    """F_0((a1))...((an)) over the prime field, innermost first."""
     return FieldTower(GroundField(p), tuple(f"a{i}" for i in range(1, n + 1)))
 
 
@@ -184,9 +189,7 @@ def build_family(n: int, p: int) -> tuple[FamilyMember, ...]:
     (0,...,0,1) already produces the i=1 word, so it stays in the twist
     list and is not added twice.
     """
-    _require_prime(p)
-    if n < 2:
-        raise UnsupportedConfiguration("need at least two Laurent variables")
+    _require_prime_and_depth(n, p)
     members = [
         FamilyMember(f"A{i}", "shift", _shift_word(n, p, i)) for i in range(2, n)
     ]
@@ -209,7 +212,7 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
     p^(2n-5) and a degree-p residue extension on the left part; for
     n = 2 the single symbol must be totally ramified of index p^2.
     """
-    _require_prime(p)
+    _require_prime_and_depth(n, p)
     params = {"n": n, "p": p, "i": i}
     if n == 2 and i != 1:
         raise UnsupportedConfiguration("n = 2 has only the i = 1 member")
@@ -258,7 +261,7 @@ def verify_value_groups(n: int, p: int) -> Verdict:
     totally ramified of index p^(2n-2); the intersection over all i
     collapses to (1/p)Z^n because each place is pinned by one member.
     """
-    _require_prime(p)
+    _require_prime_and_depth(n, p)
     tower = standard_tower(n, p)
     params = {"n": n, "p": p}
     rows: dict[str, object] = {}
@@ -402,10 +405,8 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     any lattice is built: over budget the verdict is Inconclusive, and
     its payload names the budget and the estimated work.
     """
-    _require_prime(p)
+    _require_prime_and_depth(n, p)
     params = {"n": n, "p": p}
-    if n < 2:
-        raise UnsupportedConfiguration("need at least two Laurent variables")
     if max_work < 1:
         raise UnsupportedConfiguration(f"max_work must be at least 1, got {max_work}")
     q = p ** (n - 2)

@@ -172,7 +172,7 @@ class TestExitCodes:
         }
 
     def test_census_work_overrun_is_two_with_a_report(self, capsys, monkeypatch):
-        # at (5, 2) the members certify with a bound of 31, but the census box has 32 classes
+        # at (5, 2) the census box has 32 classes, over a bound of 31, and no member is certified
         monkeypatch.setattr(division, "MAX_CLASS_WORK", 31)
         code, out, _ = run(capsys, "no-common-splitting", "--n", "5", "--p", "2", "--format", "json")
         assert code == 2
@@ -394,6 +394,25 @@ class TestNegativeControls:
         )
         assert code != 0
         assert json.loads(out)["result"] != "Verified"
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # d = (w/t)^3 is a cube, so [c^-1, d) splits: w ramifies at full depth
+            # but not under the valuation of t alone, where it must be refused
+            ("generator w = pth-root(d*t^3)", "algebra A = [t^-1, c) * [c^-1, d)"),
+            # the class is [t^-1 - c^-1, d^-1), of index at most 3; the trace-value
+            # obstruction holds over Artin-Schreier extensions, not over d^(-1/3)
+            ("algebra A = [t^-1, d^-1) * [c^-1, d)",),
+        ],
+        ids=["pth-root-in-p-gamma-at-depth-1", "trace-obstruction-over-a-pth-root"],
+    )
+    def test_degree_nine_word_of_smaller_index_is_not_certified(self, capsys, tmp_path, lines):
+        head = ("version 1", "task custom-scenario", "prime 3", "variables d c t")
+        path = tmp_path / "word.scn"
+        path.write_text("\n".join((*head, *lines, "word A", "")), encoding="utf-8")
+        code, out, _ = run(capsys, "custom-scenario", "--scenario", str(path), "--format", "json")
+        assert (code, json.loads(out)["result"]) == (2, "NotCertified")
 
     def test_tampered_parameter_is_rejected(self, capsys, tmp_path):
         code, _, err = corrupted_run(

@@ -13,12 +13,13 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brauerval import division, lattices, towers
 from brauerval.errors import (
     AmbiguousValuation,
+    EngineError,
     UnsupportedConfiguration,
     ZeroElement,
 )
@@ -284,28 +285,21 @@ def test_adjoin_outcome_is_pinned(kind, rhs, constants, closed, outcome):
     assert got == outcome
 
 
-def tensor_pair_tower():
-    """x and y from the two sides of a tensor product, held formally.
-
-    The pair cannot be certified into one valued field (the second rhs
-    value falls into p times the enlarged value group), so the test
-    builds the generator list directly.
-    """
-    gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
-    gy = ExtensionGenerator("y", PTH_ROOT, mono(3, {"u": 1}), "hypothesis")
-    return tower3("u", gens=(gx, gy))
-
-
 def test_ambiguous_value_of_raw_difference():
-    spec = tensor_pair_tower().spec()
-    assert generator_value(spec, "x") == value_of(mono(3, {"y": -1}), spec)
+    # x and x^-2 * u^-1 both have value -1/3 but different active parts
+    spec = adjoin(tower3("u"), "x", ARTIN_SCHREIER, mono(3, {"u": -1})).spec()
+    assert generator_value(spec, "x") == value_of(mono(3, {"x": -2, "u": -1}), spec)
     with pytest.raises(AmbiguousValuation):
-        value_of(mono(3, {"x": 1}) + mono(3, {"y": -1}, 2), spec)
+        value_of(mono(3, {"x": 1}) + mono(3, {"x": -2, "u": -1}, 2), spec)
 
 
 def test_unit_with_active_part_has_no_formal_residue():
-    spec = tensor_pair_tower().spec()
-    with pytest.raises(UnsupportedConfiguration):
+    # x * y would be a unit with a nontrivial active part, but the hand-built
+    # pair never gets that far: y's rhs value 1 lies in p times x's value group
+    gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
+    gy = ExtensionGenerator("y", PTH_ROOT, mono(3, {"u": 1}), "ramified")
+    spec = tower3("u", gens=(gx, gy)).spec()
+    with pytest.raises(UnsupportedConfiguration, match="^value of rhs for 'y' lies in p times"):
         residue_of(mono(3, {"x": 1, "y": 1}), spec)
 
 
@@ -340,6 +334,72 @@ def test_residue_artin_schreier_of_positive_value_is_not_recertified():
     gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": 1}), "ramified")
     with pytest.raises(UnsupportedConfiguration, match="degree p"):
         residue_tower(tower3("u", "w", gens=(gx,)).spec(1))
+
+
+@st.composite
+def adjoin_recipes(draw):
+    """A prime, variables, constants and up to three generators to adjoin.
+
+    Each rhs may use the variables (multiples of p included, so that
+    p * Gamma is hit), the constant and every earlier generator name.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    variables = ("u1", "u2", "u3")[: draw(st.integers(1, 3))]
+    constants = draw(st.sampled_from([(), ("a",)]))
+    steps = []
+    for k in range(draw(st.integers(1, 3))):
+        gens = [f"x{j}" for j in range(k)]
+        rhs = []
+        for _ in range(draw(st.integers(1, 2))):
+            exps = {v: draw(st.integers(-2 * p, 2 * p)) for v in variables}
+            exps.update({g: draw(st.integers(1 - p, p - 1)) for g in gens})
+            exps.update({c: draw(st.integers(0, 1)) for c in constants})
+            rhs.append((exps, draw(st.integers(1, p - 1))))
+        steps.append((f"x{k}", draw(st.sampled_from([ARTIN_SCHREIER, PTH_ROOT])), rhs))
+    return p, variables, constants, steps
+
+
+def build_by_adjoin(recipe):
+    """The tower adjoin builds from a recipe, skipping each step it refuses."""
+    p, variables, constants, steps = recipe
+    tower = FieldTower(GroundField(p, frozenset(constants)), variables)
+    for name, kind, rhs in steps:
+        element = FormalElement.zero(p)
+        for exps, coeff in rhs:
+            element = element + mono(p, exps, coeff)
+        try:
+            tower = adjoin(tower, name, kind, element)
+        except EngineError:
+            pass
+    return tower
+
+
+# w^3 = d * t^3 ramifies over F_3((d))((c))((t)), but d = (w/t)^3 is a cube
+CUBE_OF_D = (3, ("d", "c", "t"), (), [("w", PTH_ROOT, [({"d": 1, "t": 3}, 1)])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjoin_recipes())
+@example(CUBE_OF_D)
+def test_fundamental_equality_at_every_depth(recipe):
+    """[Gamma_d : Z^d] * f_d = p^(generators) at every depth d, or a refusal.
+
+    A degree-p^k extension of a complete discretely valued field of rank
+    d splits its degree into ramification and residue degree; the engine
+    must either agree or refuse the depth, and at full depth, where
+    adjoin certified every generator, it must agree.
+    """
+    tower = build_by_adjoin(recipe)
+    p = tower.char
+    for depth in range(tower.depth + 1):
+        spec = tower.spec(depth)
+        try:
+            index = spec.value_group().index_over(Lattice.integers(depth))
+            residual = len(residue_tower(spec).generators)
+        except EngineError:
+            assert depth < tower.depth
+            continue
+        assert index * p**residual == p ** len(tower.generators)
 
 
 def test_rebase_pth_root():
