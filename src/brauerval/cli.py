@@ -1,25 +1,28 @@
 """Command line front end.
 
 The first argument names the verification task, a key of verify.TASKS,
-which also lists the inputs its verifier takes; each input comes from its
-flag or else from the scenario file (flags win on conflict).  Exit status
-encodes the verdict: 0 Verified, 1 Refuted, 2 Inconclusive (a work
-budget that runs out included) or NotCertified, 3 a problem with the
-input itself or with writing the report, 4 an internal error (a failed
-assertion or any other unexpected exception), with no report written.
+which also lists the inputs its verifier takes; the integer flags are
+the keys of verify.INPUTS.  Each input comes from its flag, else from the
+scenario file, else from the verifier's own default; a flag or scenario
+line the task does not take is malformed input.  Exit status encodes the
+verdict: 0 Verified, 1 Refuted, 2 Inconclusive (a work budget that runs
+out included) or NotCertified, 3 a problem with the input itself or with
+writing the report, 4 an internal error (a failed assertion or any other
+unexpected exception), with no report written.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
 from .errors import EngineError, EnumerationBound, ScenarioError
-from .lattices import WORK_BUDGET, forget_memos
+from .lattices import forget_memos
 from .report import emit_report
 from .scenario import Scenario, load_scenario
-from .verify import INCONCLUSIVE, TASKS, Verdict
+from .verify import INCONCLUSIVE, INPUTS, TASKS, Verdict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,33 +32,43 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="brauerval", description=__doc__)
     parser.add_argument("task", choices=TASKS)
-    parser.add_argument("--n", type=int, help="tower depth")
-    parser.add_argument("--p", type=int, help="symbol degree, a prime")
-    parser.add_argument("--i", type=int, help="distinguished place for shift tasks")
-    parser.add_argument("--part", type=int, help="statement part or variant")
+    for key, text in INPUTS.items():
+        parser.add_argument(_flag(key), type=int, help=text)
     parser.add_argument("--scenario", metavar="FILE", help="scenario file with inputs")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--out", metavar="FILE", help="write the report here")
-    parser.add_argument(
-        "--max-work", type=int, default=WORK_BUDGET, help="enumeration budget"
-    )
     return parser
 
 
-def _input(args: argparse.Namespace, scenario: Scenario | None, key: str) -> object:
-    """The flag, else the scenario's value ('p' falls back to its prime);
-    the input 'scenario' is the parsed file itself."""
-    value = scenario if key == "scenario" else getattr(args, key)
-    if value is None and scenario is not None:
-        value = scenario.params.get(key)
-        if key == "p" and value is None:
-            value = scenario.prime
-    if value is None:
-        raise ScenarioError(f"task {args.task} needs --{key}")
-    return value
+def _inputs(args: argparse.Namespace, scenario: Scenario | None) -> list[object]:
+    """Refuse, in INPUTS order, a flag or scenario line the task does not take;
+    then each input: its flag, else the scenario's value or prime, else the
+    verifier's default by position (verify_prop71 calls 'part' 'variant')."""
+    verifier, inputs = TASKS[args.task]
+    given = {} if scenario is None else scenario.params
+    for key in INPUTS:
+        if key not in inputs and getattr(args, key) is not None:
+            raise ScenarioError(f"task {args.task} takes no {_flag(key)}")
+        if key not in inputs and key in given:
+            raise ScenarioError(f"{args.scenario}: task {args.task} takes no '{key}' line")
+    values = []
+    for position, key in enumerate(inputs):
+        value = scenario if key == "scenario" else getattr(args, key)
+        if value is None and scenario is not None:
+            value = given.get(key, scenario.prime if key == "p" else None)
+        if value is None:
+            value = list(inspect.signature(verifier).parameters.values())[position].default
+            if value is inspect.Parameter.empty:
+                raise ScenarioError(f"task {args.task} needs {_flag(key)}")
+        values.append(value)
+    return values
 
 
 def run_task(args: argparse.Namespace) -> int:
@@ -67,9 +80,9 @@ def run_task(args: argparse.Namespace) -> int:
                 f"{scenario.path}: scenario task {scenario.task!r} does not match"
                 f" command line task {args.task!r}"
             )
+    values = _inputs(args, scenario)
     started = time.perf_counter()
     verifier, inputs = TASKS[args.task]
-    values = [_input(args, scenario, key) for key in inputs]
     try:
         verdict = verifier(*values)
     except EnumerationBound as err:

@@ -18,17 +18,15 @@ Format (version 1), one directive per line, '#' starts a comment:
       step slot1-add -> [c^-1 + -2*d^-1, d^-1) + [2*d^-1, d^-1)
       step slot2-norm at 1 witness 2*X -> [c^-1 + -2*d^-1, d^-1)
     end
-    n 3                           # family-task parameters
-    p 2
-    i 2
-    part 1
     expect Verified               # golden verdict for replays
 
 Elements are sums of signed-integer-exponent monomials: factors like
 2, d, c^-1, joined by '*', terms joined by '+' (so a negative term is
 written '+ -2*c^-1').  A bare 0 is the zero element or the empty sum
 of symbols.  Every name must come from the tower, except the reserved
-norm variable X inside witnesses.
+norm variable X inside witnesses.  A line 'n 3', 'p 2', 'i 2', 'part 1'
+or 'max_work 1000' (a key of verify.INPUTS) gives the task an input; the
+CLI refuses one the task does not take.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .towers import (
     adjoin,
     is_prime,
 )
-from .verify import EXIT_CODES, TASKS
+from .verify import EXIT_CODES, INPUTS, TASKS
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT = re.compile(r"[+-]?\d+\Z")
@@ -173,19 +171,12 @@ class _Parser:
         except EngineError as err:
             self._fail(str(err), shift)
 
-    def _tensor(self, text: str, col: int) -> SymbolSum:
-        terms = [
-            self._symbol(piece, col + off) for off, piece in _split_top(text, "*")
-        ]
-        return SymbolSum.of(*terms)
-
-    def _sum(self, text: str, col: int) -> SymbolSum:
+    def _terms(self, text: str, col: int, sep: str) -> SymbolSum:
+        """Symbols joined by sep ('*' in an algebra, '+' in a step); a bare 0 is the empty sum."""
         p = self._need_prime(col)
         if text.strip() == "0":
             return SymbolSum.zero(p)
-        terms = [
-            self._symbol(piece, col + off) for off, piece in _split_top(text, "+")
-        ]
+        terms = [self._symbol(piece, col + off) for off, piece in _split_top(text, sep)]
         return SymbolSum.of(*terms)
 
     # -------------------------------------------------------- directives
@@ -258,7 +249,7 @@ class _Parser:
         if name in self.algebras:
             self._fail(f"duplicate algebra {name!r}")
         col = at + m.start(2)
-        word = self._tensor(body, col)
+        word = self._terms(body, col, "*")
         if not word.terms:
             self._fail("empty algebra", col)
         self.algebras[name] = word
@@ -311,7 +302,7 @@ class _Parser:
             rest = []
         if rest:
             self._fail(f"unexpected step tokens {rest}")
-        after = self._sum(after_text, line.index("->") + 3)
+        after = self._terms(after_text, line.index("->") + 3, "+")
         try:
             step = RewriteStep(
                 rule, self.chain_current, after, target_index=target, witness=witness
@@ -351,7 +342,7 @@ class _Parser:
                 if not is_prime(value):
                     self._fail(f"{value} is not prime", at)
                 self.prime = value
-            elif key in ("n", "p", "i", "part"):
+            elif key in INPUTS:
                 self.params[key] = self._int_value(rest, key)
             elif key == "ground":
                 self._directive_ground(rest)

@@ -22,7 +22,7 @@ The checks fall into four groups:
                residue hypothesis, read from a scenario file.
 
 TASKS declares every CLI task once: its verifier and the inputs it
-takes, in order.
+takes, in order.  INPUTS names every integer input any task takes.
 """
 
 from __future__ import annotations
@@ -214,8 +214,6 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
     """
     _require_prime_and_depth(n, p)
     params = {"n": n, "p": p, "i": i}
-    if n == 2 and i != 1:
-        raise UnsupportedConfiguration("n = 2 has only the i = 1 member")
     tower = standard_tower(n, p)
     word = _shift_word(n, p, i)
     cert = chain_division(word, tower)
@@ -231,7 +229,6 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
         ok = cert.children[0].get("ramification_index") == p * p
         return Verdict("shift", VERIFIED if ok else REFUTED, params, payload, (cert,))
     peel = cert.find("peel")
-    tensor = cert.find("residue-tensor")
     left_ram = peel.get("left_ramification_index")
     left_deg = peel.get("left_residue_degree")
     ok = left_ram == p ** (2 * n - 5) and left_deg == p
@@ -241,7 +238,7 @@ def verify_shift_lemma(n: int, p: int, i: int) -> Verdict:
         "left_ramification_index": left_ram,
         "expected_ramification": p ** (2 * n - 5),
         "left_residue_degree": left_deg,
-        "residue_shape": tensor.get("shape") if tensor else None,
+        "residue_shape": cert.find("residue-tensor").get("shape"),
     }
     return Verdict("shift", VERIFIED if ok else REFUTED, params, payload, (cert,))
 
@@ -478,16 +475,15 @@ def verify_prop71(variant: int, p: int) -> Verdict:
     )
     split_leg = morandi_step(tower, 1, SymbolSum.of(d_term), e_term, d_cert, "split")
     split_tensor = split_leg.find("residue-tensor")
-    split_ok = split_tensor is not None and split_tensor.status == CERT_REFUTED
-    ok = nf_ok and d_cert.ok and division_leg.ok and split_ok
+    ok = nf_ok and d_cert.ok and division_leg.ok and split_tensor.status == CERT_REFUTED
     payload = {
         "normal_form_identity": nf_ok,
         "left_factor": SymbolSum.of(d_term),
         "right_factor": SymbolSum.of(e_term),
-        "extension_kind": split_tensor.get("extension_kind") if split_tensor else None,
-        "extension_rhs": split_tensor.get("extension_rhs") if split_tensor else None,
+        "extension_kind": split_tensor.get("extension_kind"),
+        "extension_rhs": split_tensor.get("extension_rhs"),
         "division_toggle": division_leg.status,
-        "split_toggle": split_tensor.status if split_tensor else None,
+        "split_toggle": split_tensor.status,
     }
     params = {"variant": variant, "p": p}
     certs = (d_cert, division_leg, split_leg)
@@ -638,8 +634,7 @@ def _refuting_peel(
         flag for name, flag in conditions.items() if name != "residue-tensor-division"
     )
     shape_ok = (
-        tensor is not None
-        and tensor.get("shape") == "residue-symbol-over-extension"
+        tensor.get("shape") == "residue-symbol-over-extension"
         and tensor.status == CERT_REFUTED
     )
     gen = chain.tower.generators[-1]
@@ -712,7 +707,6 @@ def verify_example73(part: int, p: int) -> Verdict:
 
     d_cert = symbol_division(d_term, tower, 1)
     division_peel = morandi_step(tower, 1, SymbolSum.of(d_term), e_term, d_cert, None)
-    division_tensor = division_peel.find("residue-tensor")
 
     split_ok, split_peel, split_detail = _refuting_peel(tower, d2_term, e_term, chain)
 
@@ -722,7 +716,7 @@ def verify_example73(part: int, p: int) -> Verdict:
     payload = {
         "left_right_division": division_peel.status,
         "division_decomposition": division_nf,
-        "division_residue_shape": division_tensor.get("shape") if division_tensor else None,
+        "division_residue_shape": division_peel.find("residue-tensor").get("shape"),
         "scalar_relation": scalar_nf,
         "scalar_factor": 2,
         "split_decomposition": split_nf,
@@ -792,8 +786,17 @@ def verify_custom_scenario(scenario: Scenario) -> Verdict:
     )
 
 
+# every integer input a task can take, with the help text of its flag
+INPUTS = {
+    "n": "tower depth",
+    "p": "symbol degree, a prime",
+    "i": "distinguished place for shift tasks",
+    "part": "statement part or variant",
+    "max_work": "enumeration budget",
+}
+
 # every task: its verifier and the inputs it takes, in order ("scenario"
-# is the parsed scenario file, any other input an integer)
+# is the parsed scenario file, any other input a key of INPUTS)
 TASKS = {
     "shift": (verify_shift_lemma, ("n", "p", "i")),
     "value-groups": (verify_value_groups, ("n", "p")),

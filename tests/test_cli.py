@@ -15,7 +15,7 @@ from brauerval import cli, division, lattices, verify
 from brauerval.cli import main
 from brauerval.errors import ScenarioError
 from brauerval.scenario import load_scenario
-from brauerval.verify import TASKS, Verdict, verify_char_not_p
+from brauerval.verify import INPUTS, TASKS, Verdict, verify_char_not_p
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "scenarios"
@@ -24,6 +24,10 @@ CORPUS = ROOT / "scenarios"
 GOLDEN_DIGESTS = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
 # sha256 of the same tasks' text reports with the closing timing line removed
 TEXT_DIGESTS = json.loads((ROOT / "tests" / "text_digests.json").read_text(encoding="utf-8"))
+# every (task, integer input) pair that verify.TASKS does not declare
+UNDECLARED = [
+    (task, key) for task, (_, inputs) in TASKS.items() for key in INPUTS if key not in inputs
+]
 
 
 def run(capsys, *args: str) -> tuple[int, str, str]:
@@ -82,6 +86,13 @@ class TestExitCodes:
         assert code == 3
         assert f"{bad}:3:7" in err
 
+    def test_zero_algebra_is_empty(self, capsys, tmp_path):
+        path = tmp_path / "zero.scn"
+        lines = ("version 1", "task custom-scenario", "prime 3", "variables d c", "algebra A = 0")
+        path.write_text("\n".join((*lines, "word A", "")), encoding="utf-8")
+        code, out, err = run(capsys, "custom-scenario", "--scenario", str(path))
+        assert (code, out, err) == (3, "", f"error: {path}:5:13: empty algebra\n")
+
     def test_scenario_that_is_not_utf8_is_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_bytes(b"version 1\ntask counts\n\xff\n")
@@ -94,6 +105,8 @@ class TestExitCodes:
         code, _, err = run(capsys, "shift", "--n", "3", "--p", "2", "--i", "7")
         assert code == 3
         assert err.startswith("error:")
+        code, out, err = run(capsys, "shift", "--n", "2", "--p", "3", "--i", "2")
+        assert (code, out, err) == (3, "", "error: index 2 outside 1..1\n")
 
     def test_unwritable_out_is_three(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -104,7 +117,7 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_internal_error_is_four(self, capsys, monkeypatch):
-        def broken(*args, **kwargs):
+        def broken(n, p, max_work=1):
             raise AssertionError("enumerated 3 lattices, expected 4")
 
         monkeypatch.setitem(TASKS, "char-not-p", (broken, TASKS["char-not-p"][1]))
@@ -274,14 +287,70 @@ class TestParameters:
         assert code == 0
         assert "result: Verified" in out
 
-    def test_work_budget_has_one_default(self):
+    def test_work_budget_has_one_default(self, capsys, monkeypatch):
         assert lattices.WORK_BUDGET == 1 << 24
-        assert cli.build_parser().get_default("max_work") == lattices.WORK_BUDGET
+        assert cli.build_parser().get_default("max_work") is None
+        assert not hasattr(cli, "WORK_BUDGET")
         for fn, key in [
             (verify_char_not_p, "max_work"),
             (lattices.enumerate_overlattices, "bound"),
         ]:
             assert inspect.signature(fn).parameters[key].default == lattices.WORK_BUDGET
+        # a run without --max-work hands the verifier's default to the enumerator
+        bounds = []
+        real = verify.enumerate_overlattices
+
+        def recording(*args, bound):
+            bounds.append(bound)
+            return real(*args, bound=bound)
+
+        monkeypatch.setattr(verify, "enumerate_overlattices", recording)
+        code, _, _ = run(capsys, "char-not-p", "--n", "3", "--p", "2")
+        assert code == 0
+        assert bounds == [lattices.WORK_BUDGET]
+
+
+class TestInputs:
+    def test_inputs_are_the_integer_inputs_of_the_tasks(self):
+        declared = {key for _, inputs in TASKS.values() for key in inputs}
+        assert set(INPUTS) == declared - {"scenario"}
+        assert len(UNDECLARED) == 34
+
+    @pytest.mark.parametrize("task, key", UNDECLARED, ids=lambda value: value)
+    def test_undeclared_flag_is_three_with_no_report(self, capsys, tmp_path, task, key):
+        # a corpus run of the task that succeeds without the flag
+        scenario = next(
+            path for path in sorted(CORPUS.glob("*.scn")) if load_scenario(str(path)).task == task
+        )
+        target = tmp_path / "report.json"
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run(
+            capsys, task, "--scenario", str(scenario), flag, "1", "--format", "json",
+            "--out", str(target),
+        )
+        assert (code, out, err) == (3, "", f"error: task {task} takes no {flag}\n")
+        assert not target.exists()
+
+    def test_strays_are_refused_in_table_order(self, capsys):
+        code, out, err = run(capsys, "counts", "--max-work", "1", "--part", "1", "--n", "99")
+        assert (code, out, err) == (3, "", "error: task counts takes no --n\n")
+
+    def test_stray_scenario_line_is_three(self, capsys, tmp_path):
+        path = tmp_path / "counts.scn"
+        path.write_text("version 1\ntask counts\nn 3\n", encoding="utf-8")
+        code, out, err = run(capsys, "counts", "--scenario", str(path))
+        assert (code, out, err) == (3, "", f"error: {path}: task counts takes no 'n' line\n")
+
+    def test_max_work_scenario_line_bounds_char_not_p(self, capsys, tmp_path):
+        path = tmp_path / "budget.scn"
+        path.write_text(
+            "version 1\ntask char-not-p\nn 5\np 3\nmax_work 1000\n", encoding="utf-8"
+        )
+        code, out, _ = run(capsys, "char-not-p", "--scenario", str(path), "--format", "json")
+        assert code == 2
+        assert json.loads(out)["payload"] == {
+            "budget": "max-work", "max_work": 1000, "estimated_work": 936904
+        }
 
 
 class TestOutput:
