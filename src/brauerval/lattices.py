@@ -359,25 +359,15 @@ def _pivot_columns_mod_p(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]
     return pivots
 
 
-def _log_exact(q: int, p: int) -> int:
-    """The k with q == p**k; UnsupportedConfiguration if there is none."""
-    k = 0
-    while p > 1 and p**k < q:
-        k += 1
-    if p**k != q:
-        raise UnsupportedConfiguration(f"max_index {q} is not a power of {p}")
-    return k
-
-
-def overlattice_count(dim: int, p: int, q: int) -> int:
-    """Number of lattices Z^dim <= L <= (1/q)Z^dim with [L : Z^dim] | q.
+def overlattice_count(dim: int, p: int, k: int) -> int:
+    """Number of lattices Z^dim <= L <= (1/p^k)Z^dim with [L : Z^dim] | p^k.
 
     Duality matches them with the sublattices of Z^dim of index p^j,
-    j <= log_p q, and there are [dim+j-1 choose j]_p of those (the zeta
+    j <= k, and there are [dim+j-1 choose j]_p of those (the zeta
     function of Z^dim, Grunewald-Segal-Smith 1988).
     """
     total = 0
-    for j in range(_log_exact(q, p) + 1):
+    for j in range(k + 1):
         top = prod(p ** (dim + j - i) - 1 for i in range(1, j + 1))
         total += top // prod(p**i - 1 for i in range(1, j + 1))
     return total
@@ -399,27 +389,25 @@ def _scaled_inverse_columns(rows: tuple[tuple[int, ...], ...], q: int) -> list[l
 
 
 def enumerate_overlattices(
-    dim: int, p: int, max_index: int, bound: int = WORK_BUDGET
+    dim: int, p: int, k: int, bound: int = WORK_BUDGET
 ) -> list[tuple[Lattice, tuple[tuple[int, ...], ...]]]:
-    """All lattices L with Z^dim <= L <= (1/q) Z^dim and [L : Z^dim] | q.
+    """All lattices L with Z^dim <= L <= (1/q) Z^dim and [L : Z^dim] | q = p^k.
 
-    q = max_index must be a power of p.  L is reached through its dual
-    S = L*, a sublattice of Z^dim of index p^j with j <= log_p q: S runs
-    over the upper Hermite forms U (a lower form read backwards) with
-    diagonal p^e, sum of e = j, and entries above the diagonal p^e_c of
-    column c in range(p^e_c).  The rows of q * U^-T are lower triangular
-    and span qL, so reducing them gives L's canonical form with no
-    Hermite elimination.  Every form gives a different valid L, so no
-    candidate is rejected.  Each L comes paired with its U, a basis of
-    L.dual(); the pairs are sorted by index p^j, then by the canonical
-    form of L.  Raises EnumerationBound, before any lattice is built, if
-    overlattice_count exceeds bound.
+    L is reached through its dual S = L*, a sublattice of Z^dim of index
+    p^j with j <= k: S runs over the upper Hermite forms U (a lower form
+    read backwards) with diagonal p^e, sum of e = j, and entries above
+    the diagonal p^e_c of column c in range(p^e_c).  The rows of
+    q * U^-T are lower triangular and span qL, so reducing them gives
+    L's canonical form with no Hermite elimination.  Every form gives a
+    different valid L, so no candidate is rejected.  Each L comes paired
+    with its U, a basis of L.dual(); the pairs are sorted by index p^j,
+    then by the canonical form of L.  Raises EnumerationBound, before
+    any lattice is built, if overlattice_count exceeds bound.
     """
-    q = max_index
-    expected = overlattice_count(dim, p, q)
+    expected = overlattice_count(dim, p, k)
     if expected > bound:
         raise EnumerationBound("max-work", bound, expected)
-    k = _log_exact(q, p)
+    q = p**k
     found: list[tuple[Lattice, tuple[tuple[int, ...], ...]]] = []
     for j in range(k + 1):
         bucket = []

@@ -596,12 +596,11 @@ def trace_power_oracle(m: FormalElement, i: int, p: int) -> FormalElement:
     """
     if i < 0:
         raise UnsupportedConfiguration("trace oracle wants a nonnegative power")
-    zero = FormalElement.zero(p)
-    total = [zero for _ in range(i + 1)]
-    for j in range(p):
-        for k in range(i + 1):
-            c = (comb(i, k) * pow(j, i - k, p)) % p
-            total[k] = total[k] + FormalElement.constant(p, c)
+    # every coefficient of x^k is the prime-field constant comb(i, k) * sum_j j^(i-k)
+    total = [
+        FormalElement.constant(p, comb(i, k) * sum(pow(j, i - k, p) for j in range(p)))
+        for k in range(i + 1)
+    ]
     reduced = _poly_reduce(total, m, p)
     if any(not c.is_zero() for c in reduced[1:]):
         raise AssertionError("trace did not reduce into the base field")

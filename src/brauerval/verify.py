@@ -406,9 +406,8 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     params = {"n": n, "p": p}
     if max_work < 1:
         raise UnsupportedConfiguration(f"max_work must be at least 1, got {max_work}")
-    q = p ** (n - 2)
     try:
-        lattices = enumerate_overlattices(n, p, q, bound=max_work)
+        lattices = enumerate_overlattices(n, p, n - 2, bound=max_work)
     except EnumerationBound as err:
         return Verdict("char-not-p", INCONCLUSIVE, params, err.payload)
     min_rank = None
@@ -426,7 +425,7 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     upper_wedges_vanish = upper_rank < 2
     payload = {
         "lattice_count": len(lattices),
-        "max_index": q,
+        "max_index": p ** (n - 2),
         "min_unit_rank": min_rank,
         "wedge_witnesses": tuple(witnesses),
         "upper_witness": upper,
@@ -518,7 +517,6 @@ def verify_lemma72(part: int, p: int) -> Verdict:
         obstruction = field_w.minimum < algebra_w.minimum
         ok = (
             ind.ok
-            and ind.get("totally_ramified")
             and algebra_w.minimum == algebra_w.closed_form == expected_algebra
             and field_w.minimum == field_w.closed_form == expected_field
             and obstruction

@@ -173,7 +173,8 @@ class TestExitCodes:
         ],
     )
     def test_class_work_overrun_is_two_with_a_report(self, capsys, argv, parameters):
-        # one symbol of degree 1009 has 1009^2 monomial classes to tell apart
+        # one symbol of degree 1009 has 1009^2 monomial classes: one index counts
+        # them, but a count above MAX_CLASS_WORK still ends the task
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == 2
         assert err == ""
@@ -412,6 +413,27 @@ class TestOutput:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "43aae0eeb3e4b3420856a612cf8ec790450552946440f5bec658b68ed51ef3ff"
         )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # 997^2 value classes, just under MAX_CLASS_WORK, counted by one index
+            (
+                ("shift", "--n", "2", "--p", "997", "--i", "1"),
+                "99755fee9f32a4de7af53a591bc18b4126725192558bcde27e17aa158fdcc9ce",
+            ),
+            # trace profiles of powers 1 .. 100, each summed over the 101 conjugates
+            (
+                ("lemma72", "--part", "1", "--p", "101"),
+                "e7087cc1c9d4732c67519ce27039683a70952fee69653795051e35db23f7bf3c",
+            ),
+        ],
+        ids=["shift-997", "lemma72-101"],
+    )
+    def test_large_p_report_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_text_report_carries_timing(self, capsys):
         _, out, _ = run(capsys, "lemma72", "--part", "2", "--p", "3")

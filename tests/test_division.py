@@ -30,7 +30,12 @@ from brauerval.division import (
     trace_profile,
     trace_zero_value_classes,
 )
-from brauerval.errors import EnumerationBound, NonContainment, UnsupportedConfiguration
+from brauerval.errors import (
+    EngineError,
+    EnumerationBound,
+    NonContainment,
+    UnsupportedConfiguration,
+)
 from brauerval.lattices import Lattice, ValueVector
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import (
@@ -212,25 +217,13 @@ class TestIndependence:
         assert cert.get("totally_ramified") is True
         assert data.value_group == Lattice.diagonal([Fraction(1, 2), Fraction(1, 2)])
 
-    def test_matches_oracle_on_collisions(self):
+    def test_refuses_more_than_one_factor(self):
         t = tower(3, "u", "w")
         data = algebra_value_data(
             word(3, ({"u": -1}, {"w": 1}), ({"u": -1}, {"w": 1})), t
         )
-        cert = independence_division(data)
-        oracle = box_classes_oracle(data.refined_values, 3)
-        assert cert.get("distinct_classes") == len(oracle)
-        assert not cert.ok
-
-    def test_refined_basis_classes_match_oracle(self):
-        t = tower(2, "a1", "a2", "a3")
-        data = algebra_value_data(
-            word(2, ({"a3": -1}, {"a1": 1}), ({"a1": -1}, {"a2": 1})), t
-        )
-        cert = independence_division(data)
-        oracle = box_classes_oracle(data.refined_values, 2)
-        assert cert.get("distinct_classes") == len(oracle) == 16
-        assert cert.ok
+        with pytest.raises(UnsupportedConfiguration, match="one symbol"):
+            independence_division(data)
 
     def test_work_bound_counts_the_p_2k_monomials(self, monkeypatch):
         t = tower(2, "a1", "a2")
@@ -790,10 +783,10 @@ small_exp = st.integers(min_value=-2, max_value=2)
 
 
 @st.composite
-def ramified_words(draw):
+def ramified_words(draw, max_factors: int = 2):
     p = draw(st.sampled_from([2, 3]))
     names = ["u", "w"]
-    k = draw(st.integers(min_value=1, max_value=2))
+    k = draw(st.integers(min_value=1, max_value=max_factors))
     pairs = []
     for _ in range(k):
         e1 = {n: draw(small_exp) for n in names}
@@ -805,7 +798,7 @@ def ramified_words(draw):
     return p, pairs
 
 
-@given(ramified_words())
+@given(ramified_words(max_factors=1))
 @settings(max_examples=60, deadline=None)
 def test_independence_counts_match_oracle(case):
     p, pairs = case
@@ -820,6 +813,51 @@ def test_independence_counts_match_oracle(case):
     assert cert.ok == (len(oracle) == data.dim)
     if cert.ok:
         assert data.value_group.index_over(data.base_group) == data.dim
+
+
+@st.composite
+def symbols_over_adjoined_towers(draw):
+    """A prime, a tower grown by adjoin, and the slots of one symbol over it.
+
+    Each rhs and each slot is a monomial in the variables and the earlier
+    generators, so generator values enter the base group and the slots.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    t = tower(p, *("u1", "u2", "u3")[: draw(st.integers(1, 3))])
+
+    def monomial():
+        exps = {v: draw(st.integers(-2 * p, 2 * p)) for v in t.variables}
+        exps.update({g.name: draw(st.integers(1 - p, p - 1)) for g in t.generators})
+        return mono(p, exps)
+
+    for k in range(draw(st.integers(0, 2))):
+        try:
+            t = adjoin(t, f"x{k}", draw(st.sampled_from([ARTIN_SCHREIER, PTH_ROOT])), monomial())
+        except EngineError:
+            pass
+    return p, t, monomial(), monomial()
+
+
+@given(symbols_over_adjoined_towers())
+@settings(max_examples=80, deadline=None)
+def test_independence_counts_match_box_at_every_depth(case):
+    """distinct_classes is the number of classes of the p^2 monomial values,
+    told apart by base-group membership of their differences."""
+    p, t, slot1, slot2 = case
+    for depth in range(t.depth + 1):
+        try:
+            data = algebra_value_data(SymbolSum.of(symbol(p, slot1, slot2)), t, depth)
+        except EngineError:
+            continue
+        f = data.factors[0]
+        reps: list[ValueVector] = []
+        for s, u in itertools.product(range(p), repeat=2):
+            v = f.as_value.scale(s) + f.root_value.scale(u)
+            if not any(data.base_group.contains(v - r) for r in reps):
+                reps.append(v)
+        cert = independence_division(data)
+        assert cert.get("distinct_classes") == len(reps)
+        assert cert.ok == (len(reps) == p * p)
 
 
 @given(ramified_words())

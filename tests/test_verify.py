@@ -83,7 +83,7 @@ def char_not_p_oracle(n: int, p: int) -> dict:
         return rank, pair
 
     ranks, witnesses = [], []
-    for lat, _ in enumerate_overlattices(n, p, p ** (n - 2)):
+    for lat, _ in enumerate_overlattices(n, p, n - 2):
         rank, pair = read(lat)
         ranks.append(rank)
         if rank >= 2 and pair is not None:
