@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _inputs(args: argparse.Namespace, scenario: Scenario | None) -> list[object]:
     """Refuse, in INPUTS order, a flag or scenario line the task does not take;
     then each input: its flag, else the scenario's value or prime, else the
-    verifier's default by position (verify_prop71 calls 'part' 'variant')."""
+    default of the verifier's parameter of that name."""
     verifier, inputs = TASKS[args.task]
     given = {} if scenario is None else scenario.params
     for key in INPUTS:
@@ -59,12 +59,12 @@ def _inputs(args: argparse.Namespace, scenario: Scenario | None) -> list[object]
         if key not in inputs and key in given:
             raise ScenarioError(f"{args.scenario}: task {args.task} takes no '{key}' line")
     values = []
-    for position, key in enumerate(inputs):
+    for key in inputs:
         value = scenario if key == "scenario" else getattr(args, key)
         if value is None and scenario is not None:
             value = given.get(key, scenario.prime if key == "p" else None)
         if value is None:
-            value = list(inspect.signature(verifier).parameters.values())[position].default
+            value = inspect.signature(verifier).parameters[key].default
             if value is inspect.Parameter.empty:
                 raise ScenarioError(f"task {args.task} needs {_flag(key)}")
         values.append(value)
@@ -87,9 +87,11 @@ def run_task(args: argparse.Namespace) -> int:
         verdict = verifier(*values)
     except EnumerationBound as err:
         # a work budget that runs out is a verdict, reported with the inputs
+        # but the budget, which its payload already names
         params = {
             key: scenario.path if key == "scenario" else value
             for key, value in zip(inputs, values)
+            if key != "max_work"
         }
         verdict = Verdict(args.task, INCONCLUSIVE, params, err.payload)
     finally:

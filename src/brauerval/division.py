@@ -739,8 +739,6 @@ def chain_division(
             cert = morandi_step(
                 tower, depth, d_word, e_term, d_cert, residue_hypothesis
             )
-        except EnumerationBound:
-            raise  # a budget that runs out ends the task; it is no failed peel
         except EngineError as err:
             attempts[f"depth-{depth}"] = str(err)
             continue

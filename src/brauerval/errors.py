@@ -2,7 +2,8 @@
 
 Every failure mode that a caller might want to branch on gets its own
 class.  Anything raised out of this package is an EngineError unless it
-is a plain bug (TypeError, AssertionError, ...).
+is a plain bug (TypeError, AssertionError, ...) or EnumerationBound: a
+work budget that runs out is a verdict, not an engine failure.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ class NonContainment(EngineError):
     """An index or quotient was requested for lattices without containment."""
 
 
-class EnumerationBound(EngineError):
+class EnumerationBound(Exception):
     """An enumeration would exceed its work budget.
 
-    payload names the budget, its bound and the estimated work, which is
-    what the Inconclusive verdict of a task that runs out reports.
+    Not an EngineError, so no handler of failed input or failed peels can
+    swallow it: the task ends, and its Inconclusive verdict reports the
+    payload, which names the budget, its bound and the estimated work.
     """
 
     def __init__(self, budget: str, max_work: int, estimated_work: int) -> None:

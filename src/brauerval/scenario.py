@@ -55,10 +55,12 @@ _GENERATOR = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Scenario:
-    task: str
+    """What a scenario file says; the parser fills it in line by line."""
+
     path: str
+    task: str | None = None
     prime: int | None = None
     params: dict[str, int] = field(default_factory=dict)
     tower: FieldTower | None = None
@@ -68,12 +70,6 @@ class Scenario:
     chain: RewriteChain | None = None
     chain_on: str | None = None
     expect: str | None = None
-
-    def algebra(self, name: str) -> SymbolSum:
-        try:
-            return self.algebras[name]
-        except KeyError:
-            raise ScenarioError(f"{self.path}: no algebra named {name!r}") from None
 
 
 def _split_top(text: str, sep: str) -> list[tuple[int, str]]:
@@ -95,29 +91,20 @@ def _split_top(text: str, sep: str) -> list[tuple[int, str]]:
 
 class _Parser:
     def __init__(self, text: str, path: str) -> None:
-        self.path = path
         self.lines = text.splitlines()
         self.ln = 0  # the line being parsed
         self.start = 1  # the column of its first non-blank character
+        self.out = Scenario(path)
         self.version: int | None = None
-        self.task: str | None = None
-        self.prime: int | None = None
-        self.params: dict[str, int] = {}
         self.constants: list[str] = []
         self.closed = False
-        self.tower: FieldTower | None = None
-        self.algebras: dict[str, SymbolSum] = {}
-        self.word: tuple[str, ...] = ()
-        self.hypothesis: str | None = None
-        self.expect: str | None = None
-        self.chain_on: str | None = None
         self.chain_steps: list[RewriteStep] = []
         self.in_chain = False
         self.chain_current: SymbolSum | None = None
 
     def _fail(self, msg: str, col: int | None = None) -> None:
         """Raise at col, or at the start of the line when no token is to blame."""
-        raise ScenarioError(f"{self.path}:{self.ln}:{col or self.start}: {msg}")
+        raise ScenarioError(f"{self.out.path}:{self.ln}:{col or self.start}: {msg}")
 
     # ---------------------------------------------------------- elements
 
@@ -182,14 +169,14 @@ class _Parser:
     # -------------------------------------------------------- directives
 
     def _need_prime(self, col: int | None = None) -> int:
-        if self.prime is None:
+        if self.out.prime is None:
             self._fail("a 'prime' line must come first", col)
-        return self.prime
+        return self.out.prime
 
     def _need_tower(self) -> FieldTower:
-        if self.tower is None:
+        if self.out.tower is None:
             self._fail("a 'variables' line must come first")
-        return self.tower
+        return self.out.tower
 
     def _int_value(self, rest: str, key: str) -> int:
         if not _INT.match(rest.strip()):
@@ -216,7 +203,7 @@ class _Parser:
             self._fail(f"bad ground clause {rest.strip()!r}")
 
     def _directive_variables(self, rest: str) -> None:
-        if self.tower is not None:
+        if self.out.tower is not None:
             self._fail("duplicate 'variables' line")
         names = rest.split()
         for name in names:
@@ -224,7 +211,7 @@ class _Parser:
                 self._fail(f"bad variable name {name!r}")
         p = self._need_prime()
         try:
-            self.tower = FieldTower(
+            self.out.tower = FieldTower(
                 GroundField(p, frozenset(self.constants), self.closed), tuple(names)
             )
         except UnsupportedConfiguration as err:
@@ -237,7 +224,7 @@ class _Parser:
         name, kind, body = m.group(1), m.group(2), m.group(3)
         rhs = self._element(body, at + m.start(3))
         try:
-            self.tower = adjoin(self._need_tower(), name, kind, rhs)
+            self.out.tower = adjoin(self._need_tower(), name, kind, rhs)
         except UnsupportedConfiguration as err:
             self._fail(str(err))
 
@@ -246,34 +233,34 @@ class _Parser:
         if not m:
             self._fail("algebra wants: name = [a, b) * ...")
         name, body = m.group(1), m.group(2)
-        if name in self.algebras:
+        if name in self.out.algebras:
             self._fail(f"duplicate algebra {name!r}")
         col = at + m.start(2)
         word = self._terms(body, col, "*")
         if not word.terms:
             self._fail("empty algebra", col)
-        self.algebras[name] = word
+        self.out.algebras[name] = word
 
     def _directive_word(self, rest: str) -> None:
         names = rest.split()
         if not names:
             self._fail("word wants at least one algebra name")
         for name in names:
-            if name not in self.algebras:
+            if name not in self.out.algebras:
                 self._fail(f"word references unknown algebra {name!r}")
-        self.word = tuple(names)
+        self.out.word = tuple(names)
 
     def _directive_chain(self, rest: str) -> None:
         m = re.match(r"\s*on\s+([A-Za-z_][A-Za-z0-9_]*)\s*\Z", rest)
         if not m:
             self._fail("chain wants: chain on <algebra>")
         name = m.group(1)
-        if name not in self.algebras:
+        if name not in self.out.algebras:
             self._fail(f"chain references unknown algebra {name!r}")
-        if self.chain_on is not None:
+        if self.out.chain_on is not None:
             self._fail("only one chain per scenario")
-        self.chain_on = name
-        self.chain_current = self.algebras[name]
+        self.out.chain_on = name
+        self.chain_current = self.out.algebras[name]
         self.in_chain = True
 
     def _directive_step(self, line: str) -> None:
@@ -333,17 +320,17 @@ class _Parser:
             if self.in_chain and key not in ("step", "end"):
                 self._fail("chain block must close with 'end'")
             # the tower is built at 'variables', so later tower inputs would never reach it
-            if key in ("prime", "ground") and self.tower is not None:
+            if key in ("prime", "ground") and self.out.tower is not None:
                 self._fail(f"a {key!r} line must come before 'variables'")
             if key == "task":
-                self.task = self._known(rest, at, TASKS, "task")
+                self.out.task = self._known(rest, at, TASKS, "task")
             elif key == "prime":
                 value = self._int_value(rest, "prime")
                 if not is_prime(value):
                     self._fail(f"{value} is not prime", at)
-                self.prime = value
+                self.out.prime = value
             elif key in INPUTS:
-                self.params[key] = self._int_value(rest, key)
+                self.out.params[key] = self._int_value(rest, key)
             elif key == "ground":
                 self._directive_ground(rest)
             elif key == "variables":
@@ -358,7 +345,7 @@ class _Parser:
                 value = rest.strip()
                 if value not in HYPOTHESIS_STATUS:
                     self._fail("hypothesis must be " + " or ".join(HYPOTHESIS_STATUS))
-                self.hypothesis = value
+                self.out.hypothesis = value
             elif key == "chain":
                 self._directive_chain(rest)
             elif key == "step":
@@ -368,36 +355,23 @@ class _Parser:
                     self._fail("'end' outside a chain block")
                 self.in_chain = False
             elif key == "expect":
-                self.expect = self._known(rest, at, EXIT_CODES, "verdict")
+                self.out.expect = self._known(rest, at, EXIT_CODES, "verdict")
             else:
                 self._fail(f"unknown directive {key!r}")
         self.ln, self.start = max(len(self.lines), 1), 1
         if self.in_chain:
             self._fail("unterminated chain block")
-        if self.task is None:
+        if self.out.task is None:
             self._fail("scenario has no task")
-        chain = None
-        if self.chain_on is not None:
+        if self.out.chain_on is not None:
             if not self.chain_steps:
                 self._fail("chain block has no steps")
-            chain = RewriteChain(
+            self.out.chain = RewriteChain(
                 self._need_tower(),
-                self.algebras[self.chain_on],
+                self.out.algebras[self.out.chain_on],
                 tuple(self.chain_steps),
             )
-        return Scenario(
-            task=self.task,
-            path=self.path,
-            prime=self.prime,
-            params=self.params,
-            tower=self.tower,
-            algebras=self.algebras,
-            word=self.word,
-            hypothesis=self.hypothesis,
-            chain=chain,
-            chain_on=self.chain_on,
-            expect=self.expect,
-        )
+        return self.out
 
 
 def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:

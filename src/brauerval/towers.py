@@ -587,6 +587,12 @@ def _poly_reduce(
     return coeffs
 
 
+@memoised
+def _power_sum(e: int, p: int) -> int:
+    """sum_j j^e mod p over j in F_p, term by term (0^0 = 1)."""
+    return sum(pow(j, e, p) for j in range(p)) % p
+
+
 def trace_power_oracle(m: FormalElement, i: int, p: int) -> FormalElement:
     """Tr(x^i) for the degree-p extension by x with x^p - x = m.
 
@@ -597,10 +603,7 @@ def trace_power_oracle(m: FormalElement, i: int, p: int) -> FormalElement:
     if i < 0:
         raise UnsupportedConfiguration("trace oracle wants a nonnegative power")
     # every coefficient of x^k is the prime-field constant comb(i, k) * sum_j j^(i-k)
-    total = [
-        FormalElement.constant(p, comb(i, k) * sum(pow(j, i - k, p) for j in range(p)))
-        for k in range(i + 1)
-    ]
+    total = [FormalElement.constant(p, comb(i, k) * _power_sum(i - k, p)) for k in range(i + 1)]
     reduced = _poly_reduce(total, m, p)
     if any(not c.is_zero() for c in reduced[1:]):
         raise AssertionError("trace did not reduce into the base field")

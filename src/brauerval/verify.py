@@ -399,17 +399,13 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
     most j elementary divisors of S are divisible by p); a form below it
     means a wrong enumerator and fails an assertion.  max_work bounds
     the closed-form overlattice count, which the enumerator checks before
-    any lattice is built: over budget the verdict is Inconclusive, and
-    its payload names the budget and the estimated work.
+    any lattice is built: over budget it raises EnumerationBound.
     """
     _require_prime_and_depth(n, p)
     params = {"n": n, "p": p}
     if max_work < 1:
         raise UnsupportedConfiguration(f"max_work must be at least 1, got {max_work}")
-    try:
-        lattices = enumerate_overlattices(n, p, n - 2, bound=max_work)
-    except EnumerationBound as err:
-        return Verdict("char-not-p", INCONCLUSIVE, params, err.payload)
+    lattices = enumerate_overlattices(n, p, n - 2, bound=max_work)
     min_rank = None
     witnesses = []
     for _, u in lattices:
@@ -438,7 +434,7 @@ def verify_char_not_p(n: int, p: int, max_work: int = WORK_BUDGET) -> Verdict:
 # ----------------------------------------------------------- two-factor
 
 
-def verify_prop71(variant: int, p: int) -> Verdict:
+def verify_prop71(part: int, p: int) -> Verdict:
     """The two-factor decomposition equivalence over F_0((t)).
 
     The tensor of the two inputs rewrites to D tensor E with D
@@ -451,11 +447,11 @@ def verify_prop71(variant: int, p: int) -> Verdict:
     _require_prime(p)
     if p == 2:
         raise UnsupportedConfiguration("the decomposition needs odd p")
-    if variant not in (1, 2):
-        raise UnsupportedConfiguration(f"variant must be 1 or 2, got {variant}")
+    if part not in (1, 2):
+        raise UnsupportedConfiguration(f"variant must be 1 or 2, got {part}")
     tower = FieldTower(GroundField(p, frozenset({"a", "c", "d"})), ("t",))
     a, c, d, t = (FormalElement.symbol(p, name) for name in ("a", "c", "d", "t"))
-    if variant == 1:
+    if part == 1:
         left = symbol(p, a, t)
         right = symbol(p, c, d * t)
         d_term = symbol(p, a + c, t)
@@ -484,7 +480,7 @@ def verify_prop71(variant: int, p: int) -> Verdict:
         "division_toggle": division_leg.status,
         "split_toggle": split_tensor.status,
     }
-    params = {"variant": variant, "p": p}
+    params = {"variant": part, "p": p}
     certs = (d_cert, division_leg, split_leg)
     return Verdict("prop71", VERIFIED if ok else NOT_CERTIFIED, params, payload, certs)
 
@@ -768,7 +764,7 @@ def verify_custom_scenario(scenario: Scenario) -> Verdict:
         raise ScenarioError(f"{scenario.path}: custom-scenario needs a 'word' line")
     word = SymbolSum.zero(scenario.prime)
     for name in scenario.word:
-        word = word + scenario.algebra(name)
+        word = word + scenario.algebras[name]
     cert = chain_division(word, scenario.tower, scenario.hypothesis)
     return Verdict(
         task="custom-scenario",
@@ -793,8 +789,9 @@ INPUTS = {
     "max_work": "enumeration budget",
 }
 
-# every task: its verifier and the inputs it takes, in order ("scenario"
-# is the parsed scenario file, any other input a key of INPUTS)
+# every task: its verifier and the inputs it takes, which are the names of
+# the verifier's parameters in order ("scenario" is the parsed scenario
+# file, any other input a key of INPUTS)
 TASKS = {
     "shift": (verify_shift_lemma, ("n", "p", "i")),
     "value-groups": (verify_value_groups, ("n", "p")),

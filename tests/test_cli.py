@@ -185,6 +185,24 @@ class TestExitCodes:
             "budget": "class-work", "max_work": 1_000_000, "estimated_work": 1009**2
         }
 
+    def test_class_work_overrun_inside_a_peel_is_two_with_a_report(self, capsys, tmp_path):
+        # peeling E off D certifies [c^-1, d^-1) by its 1009^2 value classes, which
+        # end the task: no failed peel may stand in for the overrun
+        path = tmp_path / "peel.scn"
+        path.write_text(
+            "version 1\ntask custom-scenario\nprime 1009\nground constants a\n"
+            "variables d c t\nalgebra D = [t^-1, a)\nalgebra E = [c^-1, d^-1)\nword D E\n"
+        )
+        code, out, err = run(capsys, "custom-scenario", "--scenario", str(path), "--format", "json")
+        assert code == 2
+        assert err == ""
+        report = json.loads(out)
+        assert (report["result"], report["exit_code"]) == ("Inconclusive", 2)
+        assert report["parameters"] == {"scenario": str(path)}
+        assert report["payload"] == {
+            "budget": "class-work", "max_work": 1_000_000, "estimated_work": 1018081
+        }
+
     def test_census_work_overrun_is_two_with_a_report(self, capsys, monkeypatch):
         # at (5, 2) the census box has 32 classes, over a bound of 31, and no member is certified
         monkeypatch.setattr(division, "MAX_CLASS_WORK", 31)
@@ -317,6 +335,12 @@ class TestInputs:
         assert set(INPUTS) == declared - {"scenario"}
         assert len(UNDECLARED) == 34
 
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_input_is_a_parameter_of_its_verifier(self, task):
+        # the CLI reads a missing input's default by the parameter's name
+        verifier, inputs = TASKS[task]
+        assert list(inspect.signature(verifier).parameters) == list(inputs)
+
     @pytest.mark.parametrize("task, key", UNDECLARED, ids=lambda value: value)
     def test_undeclared_flag_is_three_with_no_report(self, capsys, tmp_path, task, key):
         # a corpus run of the task that succeeds without the flag
@@ -427,8 +451,13 @@ class TestOutput:
                 ("lemma72", "--part", "1", "--p", "101"),
                 "e7087cc1c9d4732c67519ce27039683a70952fee69653795051e35db23f7bf3c",
             ),
+            # each power sum over the 211 conjugates is computed once per task
+            (
+                ("lemma72", "--part", "1", "--p", "211"),
+                "2f2c35090e744095331869d239aebd060df8821d20296c5465a93a523d552353",
+            ),
         ],
-        ids=["shift-997", "lemma72-101"],
+        ids=["shift-997", "lemma72-101", "lemma72-211"],
     )
     def test_large_p_report_is_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv, "--format", "json")

@@ -38,7 +38,7 @@ class TestElements:
             f"version 1\ntask custom-scenario\nprime {p}\n"
             f"variables {variables}\nalgebra A = {body}\nword A\n"
         )
-        return parse_scenario(text).algebra("A")
+        return parse_scenario(text).algebras["A"]
 
     def test_coefficients_reduce_mod_p(self):
         got = self.parse_algebra("[2*d^-1 + -2*c^-1, t)")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import brauerval.verify as verify_mod
-from brauerval.errors import UnsupportedConfiguration
+from brauerval.errors import EnumerationBound, UnsupportedConfiguration
 from brauerval.division import algebra_value_data, chain_division
 from brauerval.lattices import Lattice, ValueVector, enumerate_overlattices, forget_memos
 from brauerval.symbols import SymbolSum, symbol
@@ -279,9 +279,9 @@ class TestCharNotP:
         assert {key: v.get(key) for key in want} == want
 
     def test_enumeration_bound_propagates(self):
-        v = verify_char_not_p(4, 2, max_work=2)
-        assert v.result == INCONCLUSIVE and v.exit_code == 2
-        assert v.payload == {"budget": "max-work", "max_work": 2, "estimated_work": 171}
+        with pytest.raises(EnumerationBound) as raised:
+            verify_char_not_p(4, 2, max_work=2)
+        assert raised.value.payload == {"budget": "max-work", "max_work": 2, "estimated_work": 171}
         # the budget is inclusive: (3, 2) has exactly 8 overlattices
         assert verify_char_not_p(3, 2, max_work=8).result == VERIFIED
 
@@ -292,10 +292,10 @@ class TestCharNotP:
         # every lattice, the enumerator's included, ends in this constructor
         monkeypatch.setattr(Lattice, "_from_triangular", classmethod(refuse))
         # closed-form count at (5, 3) is 936,904 overlattices
-        v = verify_char_not_p(5, 3, max_work=10**5)
-        assert v.result == INCONCLUSIVE
-        assert v.get("estimated_work") == 936904
-        assert v.get("max_work") == 10**5
+        with pytest.raises(EnumerationBound) as raised:
+            verify_char_not_p(5, 3, max_work=10**5)
+        assert raised.value.payload["estimated_work"] == 936904
+        assert raised.value.payload["max_work"] == 10**5
 
 
 class TestProp71:
