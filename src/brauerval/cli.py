@@ -14,6 +14,7 @@ unexpected exception), with no report written.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 import time
@@ -36,7 +37,9 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
     parser = _Parser(prog="brauerval", description=__doc__)
     parser.add_argument("task", choices=TASKS)
     for key, text in INPUTS.items():

@@ -510,6 +510,7 @@ def _over_extension_certificate(
     )
 
 
+@memoised
 def residue_tensor_certificate(
     spec: ValuationSpec,
     d_residual: tuple[str, FormalElement] | None,
@@ -605,6 +606,13 @@ def residue_tensor_certificate(
     )
 
 
+def _groups_meet_in_base(d_data: AlgebraValueData, e_data: AlgebraValueData) -> bool:
+    """D, E contain the base: they meet in it iff [D+E : base] = [D : base][E : base],
+    and D+E is D grown by E's refined values, since E is the base grown by them."""
+    joint = d_data.value_group.extended(e_data.refined_values).index_over(d_data.base_group)
+    return joint == d_data.ram_index * e_data.ram_index
+
+
 def morandi_step(
     tower: FieldTower,
     depth: int,
@@ -654,10 +662,7 @@ def morandi_step(
     children.append(e_cert)
     conditions["right-division"] = e_cert.ok
 
-    # D, E contain the base: they meet in it iff [D+E : base] = [D : base][E : base],
-    # and D+E is D grown by E's refined values, since E is the base grown by them
-    joint = d_data.value_group.extended(e_data.refined_values).index_over(d_data.base_group)
-    conditions["value-groups-meet-in-base"] = joint == left_ram * e_data.ram_index
+    conditions["value-groups-meet-in-base"] = _groups_meet_in_base(d_data, e_data)
 
     r_cert = residue_tensor_certificate(spec, d_residual, e_data, residue_hypothesis)
     children.append(r_cert)
@@ -733,29 +738,44 @@ def chain_division(
             payload={"reason": str(err)},
             children=(d_cert,),
         )
-    attempts: dict[str, object] = {}
-    for depth in depths:
+
+    def attempt(depth: int) -> Certificate | str:
         try:
-            cert = morandi_step(
-                tower, depth, d_word, e_term, d_cert, residue_hypothesis
-            )
+            return morandi_step(tower, depth, d_word, e_term, d_cert, residue_hypothesis)
         except EngineError as err:
-            attempts[f"depth-{depth}"] = str(err)
+            return str(err)
+
+    # a depth but the last whose value groups fail to meet in the base cannot
+    # hold, so it is peeled only if no depth certifies and its attempt is reported
+    tried: dict[int, Certificate | str] = {}
+    for depth in depths:
+        if depth != depths[-1] and not _peel_may_meet(tower, depth, d_word, e_term):
             continue
-        if cert.ok:
+        cert = tried[depth] = attempt(depth)
+        if isinstance(cert, Certificate) and cert.ok:
             return Certificate(
                 "chain",
                 CERTIFIED,
                 payload={"peel_depth": depth, "factors": len(word.terms)},
                 children=(cert, d_cert),
             )
-        attempts[f"depth-{depth}"] = cert
+    attempts = {f"depth-{d}": tried[d] if d in tried else attempt(d) for d in depths}
     return Certificate(
         "chain",
         NOT_CERTIFIED,
         payload=attempts or {"reason": "no candidate valuation"},
         children=(d_cert,),
     )
+
+
+def _peel_may_meet(tower: FieldTower, depth: int, d_word: SymbolSum, e_term: SymbolTerm) -> bool:
+    """False only if the peel at depth fails on the meet; morandi_step reports an error."""
+    try:
+        d_data = algebra_value_data(d_word, tower, depth)
+        e_data = algebra_value_data(SymbolSum.of(e_term), tower, depth)
+        return _groups_meet_in_base(d_data, e_data)
+    except EngineError:
+        return True
 
 
 # ----------------------------------------------------- value class counts

@@ -39,19 +39,23 @@ WORK_BUDGET = 1 << 24
 
 _MEMO_TABLES: list[dict] = []
 _MISSING = object()
+_KEYWORDS = object()
 
 
 def memoised(fn):
-    """fn answering equal (args, sorted kwargs) once until forget_memos().
+    """fn answering equal arguments once until forget_memos().
 
-    A plain function, so tracers still see each call; exceptions are not stored.
+    A positional call is keyed on its args tuple alone; a call with
+    keywords on (_KEYWORDS, args, sorted kwargs), which no positional
+    call can produce.  A plain function, so tracers still see each call;
+    exceptions are not stored.
     """
     table: dict = {}
     _MEMO_TABLES.append(table)
 
     @functools.wraps(fn)
     def answer(*args, **kwargs):
-        key = (args, tuple(sorted(kwargs.items())))
+        key = (_KEYWORDS, args, tuple(sorted(kwargs.items()))) if kwargs else args
         hit = table.get(key, _MISSING)
         if hit is _MISSING:
             hit = table[key] = fn(*args, **kwargs)

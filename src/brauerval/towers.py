@@ -22,7 +22,7 @@ AmbiguousValuation rather than guessing.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from math import comb, isqrt
 
@@ -573,7 +573,7 @@ def reduce_generator_powers(e: FormalElement, tower: FieldTower) -> FormalElemen
 
 
 def _poly_reduce(
-    coeffs: list[FormalElement], m: FormalElement, p: int
+    coeffs: Sequence[FormalElement], m: FormalElement, p: int
 ) -> list[FormalElement]:
     """Reduce a polynomial in x modulo x^p - x - m (coeffs[k] is deg k)."""
     coeffs = list(coeffs)
@@ -593,6 +593,19 @@ def _power_sum(e: int, p: int) -> int:
     return sum(pow(j, e, p) for j in range(p)) % p
 
 
+@memoised
+def _trace_coefficients(i: int, p: int) -> tuple[FormalElement, ...]:
+    """Coefficients of sum_j (x + j)^i, the prime-field constants
+    comb(i, k) * sum_j j^(i-k) of x^k; every zero is one shared element."""
+    zero = FormalElement.zero(p)
+    out = []
+    for k in range(i + 1):
+        s = _power_sum(i - k, p)
+        c = comb(i, k) * s % p if s else 0
+        out.append(FormalElement.constant(p, c) if c else zero)
+    return tuple(out)
+
+
 def trace_power_oracle(m: FormalElement, i: int, p: int) -> FormalElement:
     """Tr(x^i) for the degree-p extension by x with x^p - x = m.
 
@@ -602,9 +615,7 @@ def trace_power_oracle(m: FormalElement, i: int, p: int) -> FormalElement:
     """
     if i < 0:
         raise UnsupportedConfiguration("trace oracle wants a nonnegative power")
-    # every coefficient of x^k is the prime-field constant comb(i, k) * sum_j j^(i-k)
-    total = [FormalElement.constant(p, comb(i, k) * _power_sum(i - k, p)) for k in range(i + 1)]
-    reduced = _poly_reduce(total, m, p)
+    reduced = _poly_reduce(_trace_coefficients(i, p), m, p)
     if any(not c.is_zero() for c in reduced[1:]):
         raise AssertionError("trace did not reduce into the base field")
     return reduced[0]

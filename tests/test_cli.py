@@ -366,6 +366,26 @@ class TestInputs:
         code, out, err = run(capsys, "counts", "--scenario", str(path))
         assert (code, out, err) == (3, "", f"error: {path}: task counts takes no 'n' line\n")
 
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        cli.build_parser.cache_clear()
+        try:
+            refused = run(capsys, "counts", "--n", "99")
+            # the refused --n of the first call is no input of the second
+            second = run(capsys, "value-groups", "--p", "2")
+        finally:
+            cli.build_parser.cache_clear()
+        assert len(built) == 1
+        assert refused == (3, "", "error: task counts takes no --n\n")
+        assert second == (3, "", "error: task value-groups needs --n\n")
+
     def test_max_work_scenario_line_bounds_char_not_p(self, capsys, tmp_path):
         path = tmp_path / "budget.scn"
         path.write_text(

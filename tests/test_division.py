@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerval import division
+from brauerval.cli import main
 from brauerval.division import (
     CERTIFIED,
     NOT_CERTIFIED,
     REFUTED,
     AlgebraValueData,
+    Certificate,
     SymbolValueData,
     algebra_value_data,
     chain_division,
@@ -37,6 +39,7 @@ from brauerval.errors import (
     UnsupportedConfiguration,
 )
 from brauerval.lattices import Lattice, ValueVector
+from brauerval.scenario import load_scenario
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import (
     ARTIN_SCHREIER,
@@ -602,6 +605,119 @@ class TestPeeling:
         meet = step.get("left_value_group").intersect(step.get("right_value_group"))
         assert meet == Lattice.diagonal([Fraction(1), Fraction(1, 2)])
         assert chain_division(SymbolSum.of(*d_word.terms, e), t).status == NOT_CERTIFIED
+
+
+# --------------------------------------------- peels skipped on the meet
+
+
+def chain_every_depth(
+    word: SymbolSum, tower: FieldTower, hypothesis: str | None = None
+) -> Certificate:
+    """chain_division without the meet pre-check: every candidate depth
+    runs morandi_step in order, until one certifies."""
+    if len(word.terms) == 1:
+        cert = symbol_division(word.terms[0], tower, None, hypothesis)
+        return Certificate("chain", cert.status, payload={"factors": 1}, children=(cert,))
+    e_term = word.terms[-1]
+    d_word = SymbolSum(word.degree, word.terms[:-1])
+    d_cert = chain_every_depth(d_word, tower, hypothesis)
+    if not d_cert.ok:
+        return Certificate(
+            "chain", d_cert.status, payload={"reason": "left part failed"}, children=(d_cert,)
+        )
+    try:
+        depths = peel_depths(e_term, tower)
+    except UnsupportedConfiguration as err:
+        return Certificate(
+            "chain", NOT_CERTIFIED, payload={"reason": str(err)}, children=(d_cert,)
+        )
+    attempts: dict[str, object] = {}
+    for depth in depths:
+        try:
+            cert = division.morandi_step(tower, depth, d_word, e_term, d_cert, hypothesis)
+        except EngineError as err:
+            attempts[f"depth-{depth}"] = str(err)
+            continue
+        if cert.ok:
+            return Certificate(
+                "chain",
+                CERTIFIED,
+                payload={"peel_depth": depth, "factors": len(word.terms)},
+                children=(cert, d_cert),
+            )
+        attempts[f"depth-{depth}"] = cert
+    return Certificate(
+        "chain",
+        NOT_CERTIFIED,
+        payload=attempts or {"reason": "no candidate valuation"},
+        children=(d_cert,),
+    )
+
+
+def fails_on_the_meet_alone(peel: Certificate) -> bool:
+    conditions = dict(peel.payload.get("conditions", {}))
+    return conditions.pop("value-groups-meet-in-base", True) is False and all(
+        conditions.values()
+    )
+
+
+class TestSkippedPeels:
+    @pytest.mark.parametrize("n, p", [(4, 2), (3, 3), (5, 2)])
+    def test_every_member_certificate_equals_the_every_depth_chain(self, n, p):
+        t = standard_tower(n, p)
+        for member in build_family(n, p):
+            # json text, so the order of the keys counts too
+            expected = json.dumps(encode(chain_every_depth(member.word, t)))
+            assert json.dumps(encode(chain_division(member.word, t))) == expected, member.name
+
+    def test_a_peel_that_fails_on_the_meet_is_not_run(self, monkeypatch):
+        t = standard_tower(4, 3)
+        family = build_family(4, 3)
+        peels: list[tuple[int, list[int], Certificate]] = []
+        real = division.morandi_step
+
+        def recording(tower_, depth, d_word, e_term, *rest):
+            cert = real(tower_, depth, d_word, e_term, *rest)
+            peels.append((depth, peel_depths(e_term, tower_), cert))
+            return cert
+
+        monkeypatch.setattr(division, "morandi_step", recording)
+        assert all(chain_every_depth(m.word, t).ok for m in family)
+        every, peels[:] = len(peels), []
+        assert all(chain_division(m.word, t).ok for m in family)
+        # a depth but the last that fails on the meet alone is never peeled
+        assert not [
+            depth
+            for depth, depths, cert in peels
+            if depth != depths[-1] and fails_on_the_meet_alone(cert)
+        ]
+        assert 0 < len(peels) < every
+
+    @pytest.mark.parametrize(
+        "d_algebra, e_algebra",
+        [("[a2^-1, a3^-1)", "[a1^-1, a2)"), ("[a2^-1, a1)", "[a1^-1, a2^-1)")],
+    )
+    def test_a_chain_that_fails_keeps_every_attempt(self, tmp_path, d_algebra, e_algebra):
+        path = tmp_path / "peel.scn"
+        path.write_text(
+            "version 1\ntask custom-scenario\nprime 3\nvariables a1 a2 a3 a4\n"
+            f"algebra D = {d_algebra}\nalgebra E = {e_algebra}\nword D E\n"
+            "expect NotCertified\n",
+            encoding="utf-8",
+        )
+        scenario = load_scenario(str(path))
+        word = scenario.algebras["D"] + scenario.algebras["E"]
+        reference = chain_every_depth(word, scenario.tower)
+        # depth 3 is the first candidate and fails on the meet alone
+        assert list(reference.payload) == ["depth-3", "depth-2"]
+        assert fails_on_the_meet_alone(reference.get("depth-3"))
+        target = tmp_path / "report.json"
+        code = main(
+            ["custom-scenario", "--scenario", str(path), "--format", "json", "--out", str(target)]
+        )
+        assert code == 2
+        report = json.loads(target.read_text(encoding="utf-8"))
+        assert json.dumps(report["certificates"]) == json.dumps([encode(reference)])
 
 
 def members_32() -> list[tuple[str, SymbolSum]]:

@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import types
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from brauerval.errors import (
     ZeroElement,
 )
 from brauerval.lattices import Lattice, ValueVector
-from brauerval.symbols import SymbolSum, SymbolTerm
+from brauerval.symbols import SymbolSum, SymbolTerm, symbol
 from brauerval.towers import (
     ARTIN_SCHREIER,
     PTH_ROOT,
@@ -501,6 +502,19 @@ def test_trace_of_small_powers(p):
     assert trace_power_oracle(m, p, p) == expected
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_trace_coefficients_expand_the_conjugate_sum(p):
+    # the coefficient of x^k in sum_j (x + j)^i, with 0^0 = 1; zeros share one element
+    for i in range(2 * p + 1):
+        coeffs = towers._trace_coefficients(i, p)
+        expected = [
+            FormalElement.constant(p, sum(comb(i, k) * j ** (i - k) for j in range(p)))
+            for k in range(i + 1)
+        ]
+        assert list(coeffs) == expected
+        assert len({id(c) for c in coeffs if c.is_zero()}) == 1
+
+
 def test_trace_rejects_negative_power():
     with pytest.raises(UnsupportedConfiguration):
         trace_power_oracle(mono(3, {"u": -1}), -1, 3)
@@ -564,6 +578,8 @@ def test_norm_closed_form_property(triple):
         (division, division._symbol_value_data),
         (division, division.symbol_division),
         (division, division._residue_extension_certificate),
+        (division, division.residue_tensor_certificate),
+        (towers, towers._trace_coefficients),
     ],
 )
 def test_memoised_functions_stay_plain_functions(module, fn):
@@ -577,7 +593,7 @@ def test_memoised_functions_stay_plain_functions(module, fn):
     "cls",
     [
         FormalElement, GroundField, ExtensionGenerator, FieldTower, ValuationSpec, SymbolTerm,
-        SymbolSum, Lattice, ValueVector,
+        SymbolSum, Lattice, ValueVector, division.AlgebraValueData, division.SymbolValueData,
     ],
 )
 def test_memo_key_dataclasses_compare_every_field(cls):
@@ -595,6 +611,27 @@ def test_equal_inputs_share_one_answer():
     first = value_of(*inputs())
     assert value_of(*inputs()) is first
     assert first == V(F(-1, 3), 2)
+
+
+def test_keyword_calls_get_their_own_memo_keys():
+    # the hypothesis of an inertial symbol over constants decides its verdict
+    t = FieldTower(GroundField(3, frozenset({"a", "b"})), ("u",))
+    term = symbol(3, mono(3, {"a": 1}), mono(3, {"b": 1}))
+    plain = division.symbol_division(term, t)
+    assumed = division.symbol_division(term, t, residue_hypothesis="division")
+    assert (plain.status, assumed.status) == (division.NOT_CERTIFIED, division.CERTIFIED)
+    assert division.symbol_division(term, t, None, "division") == assumed
+    assert division.symbol_division(term, t, residue_hypothesis=None) == plain
+    # no positional call reads the answer stored under a keyword call's key
+    with pytest.raises(TypeError):
+        division.symbol_division(term, t, ("residue_hypothesis", "division"))
+    sizes = [len(table) for table in lattices._MEMO_TABLES]
+    for _ in range(2):
+        with pytest.raises(UnsupportedConfiguration, match="'Division'"):
+            division.symbol_division(term, t, residue_hypothesis="Division")
+        with pytest.raises(UnsupportedConfiguration, match="'Division'"):
+            division.symbol_division(term, t, None, "Division")
+    assert [len(table) for table in lattices._MEMO_TABLES] == sizes
 
 
 def test_failures_are_not_memoised():
