@@ -48,7 +48,10 @@ def memoised(fn):
     A positional call is keyed on its args tuple alone; a call with
     keywords on (_KEYWORDS, args, sorted kwargs), which no positional
     call can produce.  A plain function, so tracers still see each call;
-    exceptions are not stored.
+    exceptions are not stored.  A hit costs the key's hash and, when the
+    arguments are the very objects stored, identity checks only: towers,
+    specs and lattices take their hash once (HashedOnce), and a task
+    gets one spec per (tower, depth) from FieldTower.spec.
     """
     table: dict = {}
     _MEMO_TABLES.append(table)
@@ -62,6 +65,28 @@ def memoised(fn):
         return hit
 
     return answer
+
+
+class HashedOnce:
+    """Mixin for frozen slots dataclasses used as memo keys: hash taken once.
+
+    The hash is the dataclass's own, hash of the tuple of the fields, so
+    set and dict orders do not change.  It is taken on first use, since
+    most lattices are never hashed, and kept in a slot that is not a
+    field, so equality still compares every field.  A class repeats
+    `__hash__ = HashedOnce.__hash__` in its body, or the dataclass
+    decorator replaces it.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 def forget_memos() -> None:
@@ -110,7 +135,9 @@ class ValueVector:
         return ValueVector(tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     @staticmethod
+    @functools.cache
     def zero(dim: int) -> ValueVector:
+        """The origin of Q^dim, one shared vector per dim."""
         return ValueVector((0,) * dim)
 
     @staticmethod
@@ -212,7 +239,7 @@ def _triangular_basis(rows: list[list[int]], n: int) -> list[list[int]] | None:
 
 
 @dataclass(frozen=True, slots=True)
-class Lattice:
+class Lattice(HashedOnce):
     """(1/denominator) times the row span of an integer Hermite basis.
 
     rows is lower triangular with positive diagonal and off-diagonal
@@ -225,6 +252,8 @@ class Lattice:
     dim: int
     denominator: int
     rows: tuple[tuple[int, ...], ...]
+
+    __hash__ = HashedOnce.__hash__
 
     @classmethod
     def integers(cls, dim: int) -> Lattice:

@@ -18,6 +18,11 @@ variable is the most significant coordinate.  An element only gets a
 value when exactly one "active part" realises the minimum, because
 distinct residue-level monomials cannot cancel; anything else raises
 AmbiguousValuation rather than guessing.
+
+Towers and specs are the keys of most memo tables, so a hit must be
+cheap: `FieldTower.spec` gives a task one spec per (tower, depth), and
+towers and specs take their hash once (`HashedOnce`), while equality
+still compares every field.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import (
     UnsupportedConfiguration,
     ZeroElement,
 )
-from .lattices import Lattice, ValueVector, memoised
+from .lattices import HashedOnce, Lattice, ValueVector, memoised
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -94,8 +99,16 @@ class FormalElement:
         return not self.terms
 
     def is_inverse_of(self, other: FormalElement) -> bool:
-        """Whether self * other is 1, without the product: units are single terms."""
-        return len(other.terms) == 1 and self == other.inverse()
+        """Whether self * other is 1, without the product: units are single terms,
+        so both are one term, with negated exponents and inverse coefficients."""
+        if len(self.terms) != 1 or len(other.terms) != 1 or self.char != other.char:
+            return False
+        (m, c), (n, d) = self.terms[0], other.terms[0]
+        return (
+            len(m) == len(n)
+            and all(a == b and e == -f for (a, e), (b, f) in zip(m, n))
+            and c == pow(d, -1, self.char)
+        )
 
     def names(self) -> frozenset[str]:
         return frozenset(n for m, _ in self.terms for n, _ in m)
@@ -235,7 +248,7 @@ class ExtensionGenerator:
 
 
 @dataclass(frozen=True, slots=True)
-class FieldTower:
+class FieldTower(HashedOnce):
     """F_0((vars[0]))...((vars[-1])) with generators adjoined in order.
 
     variables run innermost first.  Each generator may reference ground
@@ -245,6 +258,8 @@ class FieldTower:
     ground: GroundField
     variables: tuple[str, ...]
     generators: tuple[ExtensionGenerator, ...] = ()
+
+    __hash__ = HashedOnce.__hash__
 
     def __post_init__(self) -> None:
         seen = set(self.ground.constants)
@@ -287,15 +302,22 @@ class FieldTower:
         return FieldTower(self.ground, self.variables, self.generators + (gen,))
 
     def spec(self, depth: int | None = None) -> ValuationSpec:
-        return ValuationSpec(self, self.depth if depth is None else depth)
+        """The valuation on the outermost depth variables, all by default."""
+        return self._spec(self.depth if depth is None else depth)
+
+    @memoised
+    def _spec(self, depth: int) -> ValuationSpec:
+        return ValuationSpec(self, depth)
 
 
 @dataclass(frozen=True, slots=True)
-class ValuationSpec:
+class ValuationSpec(HashedOnce):
     """The rank-depth valuation active on the outermost depth variables."""
 
     tower: FieldTower
     depth: int
+
+    __hash__ = HashedOnce.__hash__
 
     def __post_init__(self) -> None:
         if not 0 <= self.depth <= self.tower.depth:

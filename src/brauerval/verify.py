@@ -49,7 +49,7 @@ from .division import (
 from .division import NOT_CERTIFIED as CERT_NOT_CERTIFIED, REFUTED as CERT_REFUTED
 from .errors import EnumerationBound, ScenarioError, UnsupportedConfiguration
 from .lattices import (
-    WORK_BUDGET, Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices,
+    WORK_BUDGET, Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices, memoised,
 )
 from .symbols import (
     WITNESS_ROOT,
@@ -137,8 +137,15 @@ def standard_tower(n: int, p: int) -> FieldTower:
     return FieldTower(GroundField(p), tuple(f"a{i}" for i in range(1, n + 1)))
 
 
+@memoised
 def _var(p: int, i: int, exp: int = 1) -> FormalElement:
     return FormalElement.symbol(p, f"a{i}", exp)
+
+
+@memoised
+def _link(p: int, k: int, j: int) -> SymbolTerm:
+    """[1/a_k, a_j): one shared object per link, so equal family terms are identical."""
+    return symbol(p, _var(p, k, -1), _var(p, j))
 
 
 def _shift_word(n: int, p: int, i: int) -> SymbolSum:
@@ -151,11 +158,7 @@ def _shift_word(n: int, p: int, i: int) -> SymbolSum:
         raise UnsupportedConfiguration(f"index {i} outside 1..{n - 1}")
     others = [k for k in range(1, n) if k != i]
     seq = [n] + others[::-1] + [i]
-    terms = [
-        symbol(p, _var(p, seq[j], -1), _var(p, seq[j + 1]))
-        for j in range(len(seq) - 1)
-    ]
-    return SymbolSum.of(*terms)
+    return SymbolSum.of(*(_link(p, seq[j], seq[j + 1]) for j in range(len(seq) - 1)))
 
 
 def _twist_slot1(n: int, p: int, d: tuple[int, ...], upto: int) -> FormalElement:
@@ -169,16 +172,12 @@ def _twist_word(n: int, p: int, d: tuple[int, ...]) -> SymbolSum:
         raise UnsupportedConfiguration(f"weight vector {d} not admitted")
     if d[-1] != 0:
         head = symbol(p, _twist_slot1(n, p, d, n), _var(p, n - 1))
-        tail = [
-            symbol(p, _var(p, k, -1), _var(p, k - 1)) for k in range(n - 1, 1, -1)
-        ]
-        return SymbolSum.of(head, *tail)
+        return SymbolSum.of(head, *(_link(p, k, k - 1) for k in range(n - 1, 1, -1)))
     if n == 2:
         return SymbolSum.of(symbol(p, _twist_slot1(n, p, d, 1), _var(p, 2)))
     head = symbol(p, _twist_slot1(n, p, d, n - 1), _var(p, n - 2))
-    tail = [symbol(p, _var(p, k, -1), _var(p, k - 1)) for k in range(n - 2, 1, -1)]
-    last = symbol(p, _var(p, 1, -1), _var(p, n))
-    return SymbolSum.of(head, *tail, last)
+    tail = [_link(p, k, k - 1) for k in range(n - 2, 1, -1)]
+    return SymbolSum.of(head, *tail, _link(p, 1, n))
 
 
 def build_family(n: int, p: int) -> tuple[FamilyMember, ...]:
@@ -270,7 +269,7 @@ def verify_value_groups(n: int, p: int) -> Verdict:
         match = data.value_group == expected and e == data.dim == p ** (2 * n - 2)
         ok = ok and match
         rows[f"A{i}"] = (data.value_group, expected, match)
-    meet = shared_value_window(n, p)
+    meet = shared_value_window(tower)
     expected_meet = Lattice.diagonal([Fraction(1, p)] * n)
     meet_ok = meet == expected_meet
     payload = {
@@ -283,9 +282,9 @@ def verify_value_groups(n: int, p: int) -> Verdict:
     return Verdict("value-groups", result, params, payload)
 
 
-def shared_value_window(n: int, p: int) -> Lattice:
-    """Intersection of the shift members' value groups, recomputed."""
-    tower = standard_tower(n, p)
+def shared_value_window(tower: FieldTower) -> Lattice:
+    """Intersection of the shift members' value groups over a standard tower, recomputed."""
+    n, p = tower.depth, tower.char
     meet = None
     for i in range(1, n):
         g = algebra_value_data(_shift_word(n, p, i), tower).value_group
@@ -318,7 +317,7 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     statuses = {m.name: c.status for m, c in zip(family, certs)}
     all_division = all(c.ok for c in certs)
 
-    window = shared_value_window(n, p)
+    window = shared_value_window(tower)
     window_ok = window == Lattice.diagonal([Fraction(1, p)] * n)
 
     twists = [

@@ -230,6 +230,52 @@ class TestExitCodes:
         }
         assert certified == []
 
+    def test_peeled_factor_with_no_tower_variable_is_two(self, capsys, tmp_path):
+        # [a^-1, c) lives over the constants alone, so no partial valuation can peel it
+        path = tmp_path / "constants.scn"
+        path.write_text(
+            "version 1\ntask custom-scenario\nprime 3\nground constants a c\n"
+            "variables a1 a2\nalgebra A = [a1^-1, a2) * [a^-1, c)\nword A\n"
+        )
+        code, out, err = run(capsys, "custom-scenario", "--scenario", str(path), "--format", "json")
+        assert code == 2
+        assert err == ""
+        report = json.loads(out)
+        assert (report["result"], report["exit_code"]) == ("NotCertified", 2)
+        (chain,) = report["certificates"]
+        assert (chain["rule"], chain["status"]) == ("chain", "not-certified")
+        assert chain["payload"] == {"reason": "peeled factor uses no tower variable"}
+        (left,) = chain["children"]
+        assert (left["rule"], left["status"], left["payload"]) == (
+            "chain", "certified", {"factors": 1}
+        )
+
+    def test_a_member_that_is_not_certified_is_two_with_the_census(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "no-common-splitting", "--n", "3", "--p", "2", "--format", "json")
+        assert code == 0
+        verified = json.loads(out)["payload"]
+        failing = verify.build_family(3, 2)[1]
+        real = verify.chain_division
+
+        def failing_one(word, tower, *args):
+            if word == failing.word:
+                return division.Certificate("chain", division.NOT_CERTIFIED, {"reason": "test"})
+            return real(word, tower, *args)
+
+        monkeypatch.setattr(verify, "chain_division", failing_one)
+        code, out, _ = run(capsys, "no-common-splitting", "--n", "3", "--p", "2", "--format", "json")
+        assert code == 2
+        report = json.loads(out)
+        assert (report["result"], report["exit_code"]) == ("NotCertified", 2)
+        payload = report["payload"]
+        assert payload["member_status"] == {
+            name: "not-certified" if name == failing.name else status
+            for name, status in verified["member_status"].items()
+        }
+        # the census is still run and reported in full
+        assert payload == {**verified, "member_status": payload["member_status"]}
+        assert payload["allowed_count"] == 2
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_over_budget_parameters_are_the_task_inputs(self, capsys, fmt):
         code, out, _ = run(

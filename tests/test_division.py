@@ -793,7 +793,7 @@ class TestTraceZeroClasses:
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (4, 2), (3, 3)])
     def test_meet_matches_member_boxes(self, n, p):
         t = standard_tower(n, p)
-        window = shared_value_window(n, p)
+        window = shared_value_window(t)
         members = [
             algebra_value_data(m.word, t)
             for m in build_family(n, p)
@@ -832,7 +832,7 @@ class TestTraceZeroClasses:
         # the census walks the [meet : base] box, not any member's p^(2k) monomials
         n, p = 5, 2
         t = standard_tower(n, p)
-        window = shared_value_window(n, p)
+        window = shared_value_window(t)
         members = [
             algebra_value_data(m.word, t)
             for m in build_family(n, p)

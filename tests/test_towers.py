@@ -643,3 +643,66 @@ def test_failures_are_not_memoised():
     assert [len(table) for table in lattices._MEMO_TABLES] == sizes
     lattices.forget_memos()
     assert not any(lattices._MEMO_TABLES)
+
+
+def test_a_task_gets_one_spec_per_tower_and_depth():
+    gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
+    tower = FieldTower(GroundField(3), ("u", "w"), (gx,))
+    full = tower.spec()
+    assert full is tower.spec() is tower.spec(2)
+    assert tower.spec(1) is tower.spec(1) and tower.spec(1) is not full
+    # an equal tower built again reads the same spec
+    assert FieldTower(GroundField(3), ("u", "w"), (gx,)).spec(1) is tower.spec(1)
+    lattices.forget_memos()
+    fresh = tower.spec()
+    assert fresh is not full and fresh == full
+    with pytest.raises(EngineError):
+        tower.spec(3)
+
+
+def _field_tuple_hash(x) -> int:
+    return hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+def test_memo_keys_hash_as_the_tuple_of_their_fields():
+    gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
+    towers_ = [
+        FieldTower(GroundField(2), ("u",)),
+        FieldTower(GroundField(3, frozenset({"a"})), ("u", "w"), (gx,)),
+    ]
+    specs = [t.spec(d) for t in towers_ for d in range(t.depth + 1)]
+    lats = [
+        Lattice.integers(2),
+        Lattice.diagonal([F(1, 3), F(1, 9)]),
+        Lattice.integers(3).extended((V(F(1, 2), F(1, 4), 0),)),
+    ]
+    for x in towers_ + specs + lats:
+        # taken once: the first hash and every later one are the formula's
+        assert hash(x) == _field_tuple_hash(x) == hash(x)
+        twin = dataclasses.replace(x)
+        assert twin == x and twin is not x and hash(twin) == hash(x)
+
+
+def _inverse_by_construction(x: FormalElement, y: FormalElement) -> bool:
+    """The inverse test as first written: build y's inverse and compare."""
+    return len(y.terms) == 1 and x == y.inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_triples(), st.integers(1, 4))
+def test_inverse_test_matches_the_built_inverse(triple, k):
+    a, b, c = triple
+    pairs = [(a, b), (b, c), (c, a), (a.scale(k), a)]
+    for e in (a, b):
+        if len(e.terms) == 1:
+            inv = e.inverse()
+            pairs += [(inv, e), (inv.scale(k), e), (inv + c, e), (e, inv.scale(k)), (inv, e * c)]
+    for x, y in pairs:
+        assert x.is_inverse_of(y) == _inverse_by_construction(x, y)
+        assert y.is_inverse_of(x) == _inverse_by_construction(y, x)
+
+
+def test_inverse_test_needs_one_characteristic():
+    u = FormalElement.symbol(3, "u")
+    assert not FormalElement.symbol(5, "u", -1).is_inverse_of(u)
+    assert FormalElement.symbol(3, "u", -1).is_inverse_of(u)

@@ -240,6 +240,16 @@ class TestNoCommonSplitting:
             chain_division(w, tower)
         assert [profile(w) for w in words] == cold
 
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 3), (5, 2)])
+    def test_equal_link_symbols_are_one_object(self, n, p):
+        # every term but a twist member's head is a link [1/a_k, a_j), built once per
+        # task, so memo keys holding equal links compare by identity
+        links = [
+            t for m in build_family(n, p)
+            for t in (m.word.terms if m.kind == "shift" else m.word.terms[1:])
+        ]
+        assert len({id(t) for t in links}) == len(set(links)) < len(links)
+
     def test_allowed_classes_32_frozen(self):
         v = verify_no_common_splitting(3, 2)
         assert v.get("allowed_classes") == (
