@@ -24,6 +24,7 @@ composite generators of value v(a)/p^2 that refine the value group.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import prod
 
@@ -782,8 +783,7 @@ def _peel_may_meet(tower: FieldTower, depth: int, d_word: SymbolSum, e_term: Sym
 
 
 def trace_zero_value_classes(
-    members: list[AlgebraValueData] | tuple[AlgebraValueData, ...],
-    window: Lattice,
+    members: Iterable[AlgebraValueData], window: Lattice
 ) -> frozenset[ValueVector]:
     """Value classes available to trace-zero elements of every member.
 
@@ -801,16 +801,21 @@ def trace_zero_value_classes(
     That precondition and base <= W are checked first; the census raises
     when either fails, since the meet would then differ from the boxes.
     To bound the census by the members alone, pass one member's H_m as W.
+
+    members may be any iterable, a generator included: it is consumed
+    once, in order, and no member is kept after its turn.  The base group
+    is read from the first member; only the distinct H_m and the excluded
+    classes are held.
     """
-    if not members:
-        raise UnsupportedConfiguration("the class census needs at least one member")
-    base = members[0].base_group
-    if not window.contains_lattice(base):
-        raise NonContainment("the window does not contain the base group")
+    base: Lattice | None = None
     groups: set[Lattice] = set()
     excluded: set[ValueVector] = set()
     for data in members:
-        if data.base_group != base:
+        if base is None:
+            base = data.base_group
+            if not window.contains_lattice(base):
+                raise NonContainment("the window does not contain the base group")
+        elif data.base_group != base:
             raise UnsupportedConfiguration("the members do not share one base group")
         values = data.natural_values()
         if any(data.degree % base.order_of_class(v) for v in values):
@@ -819,6 +824,8 @@ def trace_zero_value_classes(
             )
         groups.add(base.extended(values))
         excluded.add(excluded_trace_class(data))
+    if base is None:
+        raise UnsupportedConfiguration("the class census needs at least one member")
     meet = window
     for group in groups:
         meet = meet.intersect(group)

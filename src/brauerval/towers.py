@@ -433,9 +433,13 @@ def value_of(element: FormalElement, spec: ValuationSpec) -> ValueVector:
 def residue_of(element: FormalElement, spec: ValuationSpec) -> FormalElement:
     """Image in the residue field of an element of value at least 0.
 
-    Keeps the terms of value exactly 0; such a term must have an empty
-    active part, since any unit built from active variables would need
-    its residue taken by hand.
+    Keeps the terms of value exactly 0.  Such a term has an empty active
+    part: generator_value lets a generator carry a nonzero value only if
+    that value has order p modulo the group of the variables and the
+    generators before it, so in a monomial whose generator exponents lie
+    in (-p, p) the last active generator's part is outside that group and
+    the value cannot be 0; with no active generator, the variables' unit
+    values are independent.
     """
     if element.is_zero():
         return element
@@ -448,9 +452,7 @@ def residue_of(element: FormalElement, spec: ValuationSpec) -> FormalElement:
             raise UnsupportedConfiguration("element has negative value, no residue")
         if v == zero:
             if part:
-                raise UnsupportedConfiguration(
-                    "unit with a nontrivial active part has no formal residue"
-                )
+                raise AssertionError(f"unit {m} has the nontrivial active part {part}")
             kept[m] = c
     return FormalElement._normal(element.char, kept)
 

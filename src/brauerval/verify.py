@@ -305,6 +305,11 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     p^(n-1)-1 classes a common degree-p^(n-1) splitting field would
     need.  At (n, p) = (2, 2) the count equals the bound, so nothing
     follows and the verdict is Inconclusive.
+
+    Besides the family's words and the memo tables, the task holds one
+    status per member and the census's distinct groups and excluded
+    classes: a member's certificate tree is dropped once its status is
+    read, and the twists' value data reach the census one at a time.
     """
     params = {"n": n, "p": p}
     family = build_family(n, p)
@@ -313,16 +318,15 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
         raise EnumerationBound("class-work", division.MAX_CLASS_WORK, p**n)
     tower = standard_tower(n, p)
 
-    certs = [chain_division(m.word, tower) for m in family]
-    statuses = {m.name: c.status for m, c in zip(family, certs)}
-    all_division = all(c.ok for c in certs)
+    # twist names can collide for p > 10, so the verdict reads every member's status
+    status_list = [chain_division(m.word, tower).status for m in family]
+    statuses = dict(zip((m.name for m in family), status_list))
+    all_division = all(status == CERTIFIED for status in status_list)
 
     window = shared_value_window(tower)
     window_ok = window == Lattice.diagonal([Fraction(1, p)] * n)
 
-    twists = [
-        algebra_value_data(m.word, tower) for m in family if m.kind == "twist"
-    ]
+    twists = (algebra_value_data(m.word, tower) for m in family if m.kind == "twist")
     allowed = trace_zero_value_classes(twists, window)
     count = len(allowed)
     needed = p ** (n - 1) - 1

@@ -276,6 +276,24 @@ class TestExitCodes:
         assert payload == {**verified, "member_status": payload["member_status"]}
         assert payload["allowed_count"] == 2
 
+    @pytest.mark.parametrize(
+        "status,result,code",
+        [(division.NOT_CERTIFIED, "NotCertified", 2), (division.REFUTED, "Refuted", 1)],
+    )
+    def test_a_shift_member_that_is_not_certified_reports_its_word(
+        self, capsys, monkeypatch, status, result, code
+    ):
+        stub = division.Certificate("chain", status, {"reason": "test"})
+        monkeypatch.setattr(verify, "chain_division", lambda word, tower, *args: stub)
+        got, out, err = run(capsys, "shift", "--n", "3", "--p", "2", "--i", "1", "--format", "json")
+        assert (got, err) == (code, "")
+        report = json.loads(out)
+        assert (report["result"], report["exit_code"]) == (result, code)
+        assert report["payload"] == {"word": "[a3^-1, a2) + [a2^-1, a1)"}
+        assert report["certificates"] == [
+            {"rule": "chain", "status": status, "payload": {"reason": "test"}, "children": []}
+        ]
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_over_budget_parameters_are_the_task_inputs(self, capsys, fmt):
         code, out, _ = run(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -855,6 +856,43 @@ class TestTraceZeroClasses:
         assert raised.value.payload == {
             "budget": "class-work", "max_work": box - 1, "estimated_work": box
         }
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3), (5, 2)])
+    def test_a_generator_gives_the_census_of_a_tuple(self, n, p):
+        t = standard_tower(n, p)
+        window = shared_value_window(t)
+        twists = [m.word for m in build_family(n, p) if m.kind == "twist"]
+        expected = trace_zero_value_classes(
+            tuple(algebra_value_data(w, t) for w in twists), window
+        )
+        pulled = []
+
+        def stream():
+            for w in twists:
+                pulled.append(w)
+                yield algebra_value_data(w, t)
+
+        assert trace_zero_value_classes(stream(), window) == expected
+        assert pulled == twists
+
+    @pytest.mark.parametrize("empty", [(), [], iter(()), (x for x in ())])
+    def test_an_empty_census_is_refused(self, empty):
+        window = Lattice.diagonal([Fraction(1, 2)] * 2)
+        with pytest.raises(
+            UnsupportedConfiguration, match="^the class census needs at least one member$"
+        ):
+            trace_zero_value_classes(empty, window)
+
+    @pytest.mark.parametrize("as_stream", [False, True])
+    def test_a_member_over_another_base_is_refused(self, as_stream):
+        t = tower(2, "a1", "a2")
+        data = algebra_value_data(word(2, ({"a2": -1}, {"a1": 1})), t)
+        other = dataclasses.replace(data, base_group=Lattice.diagonal([Fraction(1, 2), 1]))
+        members = (data, other, data)
+        with pytest.raises(
+            UnsupportedConfiguration, match="^the members do not share one base group$"
+        ):
+            trace_zero_value_classes(iter(members) if as_stream else members, own_group(data))
 
     def test_window_must_contain_base(self):
         t = tower(2, "a1", "a2")

@@ -403,6 +403,34 @@ def test_fundamental_equality_at_every_depth(recipe):
         assert index * p**residual == p ** len(tower.generators)
 
 
+@settings(max_examples=60, deadline=None)
+@given(adjoin_recipes())
+@example(CUBE_OF_D)
+def test_a_unit_monomial_has_no_active_part(recipe):
+    """residue_of's assertion: at every depth a value-0 monomial with
+    generator exponents in (-p, p) has no active generator, so its active
+    part is empty.  Every such monomial is built: the generator part has
+    an integral value exactly when the active variables can cancel it."""
+    tower = build_by_adjoin(recipe)
+    p = tower.char
+    names = [g.name for g in tower.generators]
+    for depth in range(tower.depth + 1):
+        spec = tower.spec(depth)
+        try:
+            values = [generator_value(spec, name) for name in names]
+        except EngineError:
+            assert depth < tower.depth
+            continue
+        for exps in itertools.product(range(1 - p, p), repeat=len(names)):
+            total = sum((v.scale(e) for v, e in zip(values, exps)), ValueVector.zero(depth))
+            if total.den != 1:
+                continue
+            assert all(e == 0 or v.is_zero() for v, e in zip(values, exps))
+            cancel = dict(zip(spec.active_variables, (-a for a in total.nums)))
+            unit = mono(p, {**dict(zip(names, exps)), **cancel})
+            assert residue_of(unit, spec) == unit
+
+
 def test_rebase_pth_root():
     t = adjoin(
         tower3("u", "w"), "g", ARTIN_SCHREIER, mono(3, {"u": -1, "w": -1})

@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import brauerval.verify as verify_mod
 from brauerval.errors import EnumerationBound, UnsupportedConfiguration
-from brauerval.division import algebra_value_data, chain_division
+from brauerval import division
+from brauerval.division import (
+    CERTIFIED,
+    AlgebraValueData,
+    algebra_value_data,
+    chain_division,
+    trace_zero_value_classes,
+)
 from brauerval.lattices import Lattice, ValueVector, enumerate_overlattices, forget_memos
 from brauerval.symbols import SymbolSum, symbol
 from brauerval.towers import FormalElement
@@ -249,6 +257,75 @@ class TestNoCommonSplitting:
             for t in (m.word.terms if m.kind == "shift" else m.word.terms[1:])
         ]
         assert len({id(t) for t in links}) == len(set(links)) < len(links)
+
+    def test_member_certificates_are_dropped_before_the_census(self, monkeypatch):
+        class StandIn:
+            status, ok = CERTIFIED, True
+
+        live = weakref.WeakSet()
+        seen = []
+
+        def certify(word, tower, *args):
+            cert = StandIn()
+            live.add(cert)
+            return cert
+
+        def census(members, window):
+            seen.append(len(live))
+            return trace_zero_value_classes(members, window)
+
+        monkeypatch.setattr(verify_mod, "chain_division", certify)
+        monkeypatch.setattr(verify_mod, "trace_zero_value_classes", census)
+        v = verify_no_common_splitting(4, 2)
+        assert (v.result, v.get("allowed_count"), v.get("family_size")) == (VERIFIED, 4, 14)
+        assert seen == [0]
+
+    def test_a_failed_member_under_a_shared_name_is_not_certified(self, monkeypatch):
+        # at p = 11 the twists (1,0,10) and (10,1,0) are both named B1010: the first
+        # fails, and the verdict must see it though member_status keeps the second
+        first, second = [m for m in build_family(3, 11) if m.name == "B1010"]
+        certified = division.Certificate("chain", division.CERTIFIED, {})
+        failed = division.Certificate("chain", division.NOT_CERTIFIED, {})
+        monkeypatch.setattr(
+            verify_mod,
+            "chain_division",
+            lambda word, tower, *args: failed if word == first.word else certified,
+        )
+        window = Lattice.diagonal([Fraction(1, 11)] * 3)
+        monkeypatch.setattr(verify_mod, "shared_value_window", lambda tower: window)
+        monkeypatch.setattr(verify_mod, "trace_zero_value_classes", lambda members, w: frozenset())
+        v = verify_no_common_splitting(3, 11)
+        assert v.get("member_status")["B1010"] == division.CERTIFIED
+        assert v.result == NOT_CERTIFIED
+
+    def test_the_census_holds_one_twist_value_data_at_a_time(self, monkeypatch):
+        # a twist's value data is built when the census asks for it; while the
+        # next is built, the census may still hold the one it just folded
+        class Tracked(AlgebraValueData):
+            pass
+
+        live = weakref.WeakSet()
+        seen = []
+
+        def value_data(*args):
+            data = algebra_value_data(*args)
+            data = Tracked(**{f.name: getattr(data, f.name) for f in dataclasses.fields(data)})
+            live.add(data)
+            return data
+
+        def census(members, window):
+            def watched():
+                for data in members:
+                    seen.append(len(live))
+                    yield data
+
+            return trace_zero_value_classes(watched(), window)
+
+        monkeypatch.setattr(verify_mod, "algebra_value_data", value_data)
+        monkeypatch.setattr(verify_mod, "trace_zero_value_classes", census)
+        v = verify_no_common_splitting(4, 2)
+        assert (v.result, v.get("allowed_count")) == (VERIFIED, 4)
+        assert len(seen) == 12 and max(seen) <= 2
 
     def test_allowed_classes_32_frozen(self):
         v = verify_no_common_splitting(3, 2)
