@@ -99,14 +99,26 @@ class SymbolValueData:
     slot2_residual: bool
 
 
+class _DerivedGroups:
+    """Slots, not fields, that keep AlgebraValueData's derived group and index."""
+
+    __slots__ = ("_value_group", "_ram_index")
+
+
 @dataclass(frozen=True, slots=True)
-class AlgebraValueData:
+class AlgebraValueData(_DerivedGroups):
     """Joint value data of a tensor word at one partial valuation.
 
     When slot1 of factor i is reciprocal to slot2 of some factor j,
     x_i - 1/y_j has p-th power x_i, so its value v(slot1_i)/p^2
     replaces v(x_i) = v(slot1_i)/p in the monomial basis.
     refined_values lists the 2k generator values so refined, in order.
+
+    value_group and ram_index follow from the fields; each is built on
+    its first read and kept in a slot that is not a field, so equality
+    and hashing still cover exactly the inputs, and data that is never
+    asked for its group (the class census reads natural values only)
+    never builds one.
     """
 
     degree: int
@@ -114,16 +126,30 @@ class AlgebraValueData:
     factors: tuple[SymbolValueData, ...]
     base_group: Lattice
     refined_values: tuple[ValueVector, ...]
-    value_group: Lattice
 
     @property
     def dim(self) -> int:
         return self.degree ** (2 * len(self.factors))
 
     @property
+    def value_group(self) -> Lattice:
+        """The base group grown by the refined values."""
+        try:
+            return self._value_group
+        except AttributeError:
+            group = self.base_group.extended(self.refined_values)
+            object.__setattr__(self, "_value_group", group)
+            return group
+
+    @property
     def ram_index(self) -> int:
-        """[value_group : base_group], answered once per pair of groups by index_over."""
-        return self.value_group.index_over(self.base_group)
+        """[value_group : base_group]."""
+        try:
+            return self._ram_index
+        except AttributeError:
+            index = self.value_group.index_over(self.base_group)
+            object.__setattr__(self, "_ram_index", index)
+            return index
 
     def natural_values(self) -> tuple[ValueVector, ...]:
         """Values of the plain x_i, y_i generators, no refinement."""
@@ -169,7 +195,6 @@ def algebra_value_data(
         )
     }
     p = spec.tower.char
-    base = spec.value_group()
     refined = tuple(
         v
         for i, f in enumerate(factors)
@@ -179,9 +204,8 @@ def algebra_value_data(
         degree=p,
         depth=spec.depth,
         factors=factors,
-        base_group=base,
+        base_group=spec.value_group(),
         refined_values=refined,
-        value_group=base.extended(refined),
     )
 
 

@@ -333,12 +333,6 @@ class ValuationSpec(HashedOnce):
     def inactive_variables(self) -> tuple[str, ...]:
         return self.tower.variables[: self.tower.depth - self.depth]
 
-    def variable_value(self, name: str) -> ValueVector:
-        active = self.active_variables
-        if name in active:
-            return ValueVector.unit(self.depth, active.index(name))
-        return ValueVector.zero(self.depth)
-
     @memoised
     def value_group(self) -> Lattice:
         return Lattice.integers(self.depth).extended(
@@ -375,11 +369,21 @@ def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
 def _term_value_and_active(
     spec: ValuationSpec, m: Monomial, gens: dict[str, ExtensionGenerator]
 ) -> tuple[ValueVector, Monomial]:
-    p = spec.tower.char
-    total = ValueVector.zero(spec.depth)
+    """Value of one monomial and its active part, the factors of nonzero value.
+
+    An active variable's exponent is its coordinate, so variables add
+    integers in place; only generators, whose values may be fractions,
+    add value vectors.
+    """
+    tower = spec.tower
+    p = tower.char
+    variables = tower.variables
+    inactive = tower.depth - spec.depth
+    nums = [0] * spec.depth
+    generated: ValueVector | None = None
     active: list[tuple[str, int]] = []
     for name, exp in m:
-        if name in spec.tower.ground.constants:
+        if name in tower.ground.constants:
             continue
         if name in gens:
             if not -p < exp < p:
@@ -387,13 +391,20 @@ def _term_value_and_active(
                     f"power {name}^{exp} is not reduced modulo the degree-p relation"
                 )
             v = generator_value(spec, name)
-        elif name in spec.tower.variables:
-            v = spec.variable_value(name)
+            if not v.is_zero():
+                v = v.scale(exp)
+                generated = v if generated is None else generated + v
+                active.append((name, exp))
+        elif name in variables:
+            i = variables.index(name) - inactive
+            if i >= 0:
+                nums[i] += exp
+                active.append((name, exp))
         else:
             raise UnsupportedConfiguration(f"unknown name {name!r} in element")
-        if not v.is_zero():
-            total = total + v.scale(exp)
-            active.append((name, exp))
+    total = ValueVector(tuple(nums))
+    if generated is not None:
+        total = total + generated
     return total, tuple(sorted(active))
 
 

@@ -184,6 +184,9 @@ def build_family(n: int, p: int) -> tuple[FamilyMember, ...]:
     """All n-2+p^n-p^(n-2) members over the standard tower, shift
     members first, then the twists in the order of their weight vectors.
 
+    A twist is named B and its weights, each padded with zeros to the
+    width of p-1, so distinct members have distinct names.
+
     The shift members run over 2 <= i <= n-1 only: the weight vector
     (0,...,0,1) already produces the i=1 word, so it stays in the twist
     list and is not added twice.
@@ -192,10 +195,11 @@ def build_family(n: int, p: int) -> tuple[FamilyMember, ...]:
     members = [
         FamilyMember(f"A{i}", "shift", _shift_word(n, p, i)) for i in range(2, n)
     ]
+    width = len(str(p - 1))
     for d in itertools.product(range(p), repeat=n):
         if d[-2:] == (0, 0):
             continue
-        name = "B" + "".join(str(x) for x in d)
+        name = "B" + "".join(f"{x:0{width}}" for x in d)
         members.append(FamilyMember(name, "twist", _twist_word(n, p, d)))
     assert len(members) == family_size_formula(n, p)
     return tuple(members)
@@ -318,10 +322,8 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
         raise EnumerationBound("class-work", division.MAX_CLASS_WORK, p**n)
     tower = standard_tower(n, p)
 
-    # twist names can collide for p > 10, so the verdict reads every member's status
-    status_list = [chain_division(m.word, tower).status for m in family]
-    statuses = dict(zip((m.name for m in family), status_list))
-    all_division = all(status == CERTIFIED for status in status_list)
+    statuses = {m.name: chain_division(m.word, tower).status for m in family}
+    all_division = all(status == CERTIFIED for status in statuses.values())
 
     window = shared_value_window(tower)
     window_ok = window == Lattice.diagonal([Fraction(1, p)] * n)

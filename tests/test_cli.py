@@ -276,6 +276,13 @@ class TestExitCodes:
         assert payload == {**verified, "member_status": payload["member_status"]}
         assert payload["allowed_count"] == 2
 
+    def test_every_member_of_a_large_prime_family_has_a_status(self, capsys):
+        # at (2,13) unpadded twist names collided: 168 members, 165 statuses
+        code, out, _ = run(capsys, "no-common-splitting", "--n", "2", "--p", "13", "--format", "json")
+        payload = json.loads(out)["payload"]
+        assert code == 0
+        assert len(payload["member_status"]) == payload["family_size"] == 168
+
     @pytest.mark.parametrize(
         "status,result,code",
         [(division.NOT_CERTIFIED, "NotCertified", 2), (division.REFUTED, "Refuted", 1)],

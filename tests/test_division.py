@@ -607,6 +607,21 @@ class TestPeeling:
         assert meet == Lattice.diagonal([Fraction(1), Fraction(1, 2)])
         assert chain_division(SymbolSum.of(*d_word.terms, e), t).status == NOT_CERTIFIED
 
+    def test_a_root_and_an_artin_schreier_residue_that_are_not_reciprocal(self):
+        # over F_3((w))((u)) at depth 1, D = [u^-1, w) leaves the root residue w and
+        # E = [w^2, u) the Artin-Schreier residue w^2, which is not 1/w
+        t = tower(3, "w", "u")
+        d_word = word(3, ({"u": -1}, {"w": 1}))
+        e = symbol(3, mono(3, {"w": 2}), mono(3, {"u": 1}))
+        step = morandi_step(t, 1, d_word, e, chain_division(d_word, t))
+        residue = step.find("residue-tensor")
+        assert (residue.status, residue.payload) == (
+            NOT_CERTIFIED, {"reason": "residues are not reciprocal"}
+        )
+        assert step.get("conditions")["residue-tensor-division"] is False
+        assert step.status == NOT_CERTIFIED
+        assert chain_division(SymbolSum.of(*d_word.terms, e), t).status == NOT_CERTIFIED
+
 
 # --------------------------------------------- peels skipped on the meet
 
@@ -823,7 +838,6 @@ class TestTraceZeroClasses:
             factors=(factor,),
             base_group=base,
             refined_values=(factor.as_value, factor.root_value),
-            value_group=Lattice.diagonal([Fraction(1, p * p), Fraction(1, p)]),
         )
         assert base.order_of_class(data.natural_values()[0]) == p * p
         with pytest.raises(UnsupportedConfiguration, match="order"):

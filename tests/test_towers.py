@@ -431,6 +431,77 @@ def test_a_unit_monomial_has_no_active_part(recipe):
             assert residue_of(unit, spec) == unit
 
 
+def _oracle_variable_value(spec: ValuationSpec, name: str) -> ValueVector:
+    active = spec.active_variables
+    if name in active:
+        return ValueVector.unit(spec.depth, active.index(name))
+    return ValueVector.zero(spec.depth)
+
+
+def _oracle_term_value_and_active(spec, m, gens):
+    """The value and active part of a monomial, factor by factor: one value
+    vector per factor, scaled and added with a gcd each time."""
+    p = spec.tower.char
+    total = ValueVector.zero(spec.depth)
+    active: list[tuple[str, int]] = []
+    for name, exp in m:
+        if name in spec.tower.ground.constants:
+            continue
+        if name in gens:
+            if not -p < exp < p:
+                raise UnsupportedConfiguration(
+                    f"power {name}^{exp} is not reduced modulo the degree-p relation"
+                )
+            v = generator_value(spec, name)
+        elif name in spec.tower.variables:
+            v = _oracle_variable_value(spec, name)
+        else:
+            raise UnsupportedConfiguration(f"unknown name {name!r} in element")
+        if not v.is_zero():
+            total = total + v.scale(exp)
+            active.append((name, exp))
+    return total, tuple(sorted(active))
+
+
+# tower names, names a recipe may leave undefined, and one that is never defined
+KERNEL_NAMES = ("u1", "u2", "u3", "x0", "x1", "x2", "a", "b")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the kernel and the oracle must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    adjoin_recipes(),
+    st.lists(
+        st.dictionaries(st.sampled_from(KERNEL_NAMES), st.integers(-6, 6), max_size=5),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(CUBE_OF_D, [{}, {"w": 3, "t": 1}, {"w": -2, "d": 1}, {"d": 1, "w": 1}])
+@example(
+    (2, ("u1", "u2"), ("a",), [("x0", ARTIN_SCHREIER, [({"u1": -1}, 1)])]),
+    [{"x0": -2}, {"x0": 2}, {"x0": 1, "u2": 3}, {"x0": -1, "a": 1}, {"b": 1, "x0": 2}],
+)
+def test_monomial_kernel_matches_the_oracle_at_every_depth(recipe, monomials):
+    """value_of's and residue_of's kernel against the factor-by-factor oracle:
+    the same value and active part, or the same error, at every depth.
+    Exponents up to 6 put generator powers outside (-p, p) for p = 2, 3."""
+    tower = build_by_adjoin(recipe)
+    gens = {g.name: g for g in tower.generators}
+    for depth in range(tower.depth + 1):
+        spec = tower.spec(depth)
+        for exps in monomials:
+            m = towers._merge_monomial(list(exps.items()))
+            got = _outcome(towers._term_value_and_active, spec, m, gens)
+            assert got == _outcome(_oracle_term_value_and_active, spec, m, gens)
+
+
 def test_rebase_pth_root():
     t = adjoin(
         tower3("u", "w"), "g", ARTIN_SCHREIER, mono(3, {"u": -1, "w": -1})

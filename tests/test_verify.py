@@ -281,9 +281,11 @@ class TestNoCommonSplitting:
         assert seen == [0]
 
     def test_a_failed_member_under_a_shared_name_is_not_certified(self, monkeypatch):
-        # at p = 11 the twists (1,0,10) and (10,1,0) are both named B1010: the first
-        # fails, and the verdict must see it though member_status keeps the second
-        first, second = [m for m in build_family(3, 11) if m.name == "B1010"]
+        # at p = 11 the twists (1,0,10) and (10,1,0) were both named B1010, and
+        # member_status kept one status; the first fails, and the verdict and the
+        # report must both see it beside the second's
+        by_word = {m.word: m for m in build_family(3, 11)}
+        first, second = (by_word[verify_mod._twist_word(3, 11, d)] for d in [(1, 0, 10), (10, 1, 0)])
         certified = division.Certificate("chain", division.CERTIFIED, {})
         failed = division.Certificate("chain", division.NOT_CERTIFIED, {})
         monkeypatch.setattr(
@@ -295,8 +297,17 @@ class TestNoCommonSplitting:
         monkeypatch.setattr(verify_mod, "shared_value_window", lambda tower: window)
         monkeypatch.setattr(verify_mod, "trace_zero_value_classes", lambda members, w: frozenset())
         v = verify_no_common_splitting(3, 11)
-        assert v.get("member_status")["B1010"] == division.CERTIFIED
+        assert (first.name, second.name) == ("B010010", "B100100")
+        status = v.get("member_status")
+        assert (status[first.name], status[second.name]) == (
+            division.NOT_CERTIFIED, division.CERTIFIED
+        )
         assert v.result == NOT_CERTIFIED
+
+    @pytest.mark.parametrize("n,p", [(3, 11), (2, 13)])
+    def test_members_have_distinct_names(self, n, p):
+        names = [m.name for m in build_family(n, p)]
+        assert len(set(names)) == len(names) == family_size_formula(n, p)
 
     def test_the_census_holds_one_twist_value_data_at_a_time(self, monkeypatch):
         # a twist's value data is built when the census asks for it; while the
@@ -326,6 +337,51 @@ class TestNoCommonSplitting:
         v = verify_no_common_splitting(4, 2)
         assert (v.result, v.get("allowed_count")) == (VERIFIED, 4)
         assert len(seen) == 12 and max(seen) <= 2
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3)])
+    def test_the_census_builds_no_refined_value_group(self, monkeypatch, n, p):
+        # the census reads natural values only, so no twist's value data is ever
+        # asked for the value group its refined values generate, nor grows one
+        twists, read, grown, in_census = [], [], [], []
+        group, extended = AlgebraValueData.value_group, Lattice.extended
+
+        def census(members, window):
+            def kept():
+                for data in members:
+                    twists.append(data)
+                    yield data
+
+            in_census.append(True)
+            try:
+                return trace_zero_value_classes(kept(), window)
+            finally:
+                in_census.clear()
+
+        def reading(data):
+            read.append(data)
+            return group.fget(data)
+
+        def growing(lattice, values):
+            if in_census:
+                grown.append(values)
+            return extended(lattice, values)
+
+        monkeypatch.setattr(verify_mod, "trace_zero_value_classes", census)
+        monkeypatch.setattr(AlgebraValueData, "value_group", property(reading))
+        monkeypatch.setattr(Lattice, "extended", growing)
+        v = verify_no_common_splitting(n, p)
+        assert v.result == VERIFIED
+        assert len(twists) == p**n - p ** (n - 2)
+        # member certification and the window read groups, through ram_index too
+        assert read
+        assert {id(data) for data in twists}.isdisjoint(id(data) for data in read)
+        # reciprocal slot pairs make most twists' refined values differ from their
+        # natural values, which the census does grow the base by
+        refined = {data.refined_values for data in twists} - {
+            data.natural_values() for data in twists
+        }
+        assert len(refined) > len(twists) // 2
+        assert refined.isdisjoint(grown)
 
     def test_allowed_classes_32_frozen(self):
         v = verify_no_common_splitting(3, 2)
