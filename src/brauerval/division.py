@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .errors import (
@@ -99,14 +100,8 @@ class SymbolValueData:
     slot2_residual: bool
 
 
-class _DerivedGroups:
-    """Slots, not fields, that keep AlgebraValueData's derived group and index."""
-
-    __slots__ = ("_value_group", "_ram_index")
-
-
-@dataclass(frozen=True, slots=True)
-class AlgebraValueData(_DerivedGroups):
+@dataclass(frozen=True)
+class AlgebraValueData:
     """Joint value data of a tensor word at one partial valuation.
 
     When slot1 of factor i is reciprocal to slot2 of some factor j,
@@ -115,10 +110,8 @@ class AlgebraValueData(_DerivedGroups):
     refined_values lists the 2k generator values so refined, in order.
 
     value_group and ram_index follow from the fields; each is built on
-    its first read and kept in a slot that is not a field, so equality
-    and hashing still cover exactly the inputs, and data that is never
-    asked for its group (the class census reads natural values only)
-    never builds one.
+    its first read and then kept, so data that is never asked for its
+    group (the class census reads natural values only) never builds one.
     """
 
     degree: int
@@ -131,25 +124,15 @@ class AlgebraValueData(_DerivedGroups):
     def dim(self) -> int:
         return self.degree ** (2 * len(self.factors))
 
-    @property
+    @cached_property
     def value_group(self) -> Lattice:
         """The base group grown by the refined values."""
-        try:
-            return self._value_group
-        except AttributeError:
-            group = self.base_group.extended(self.refined_values)
-            object.__setattr__(self, "_value_group", group)
-            return group
+        return self.base_group.extended(self.refined_values)
 
-    @property
+    @cached_property
     def ram_index(self) -> int:
         """[value_group : base_group]."""
-        try:
-            return self._ram_index
-        except AttributeError:
-            index = self.value_group.index_over(self.base_group)
-            object.__setattr__(self, "_ram_index", index)
-            return index
+        return self.value_group.index_over(self.base_group)
 
     def natural_values(self) -> tuple[ValueVector, ...]:
         """Values of the plain x_i, y_i generators, no refinement."""
@@ -539,7 +522,7 @@ def _over_extension_certificate(
 def residue_tensor_certificate(
     spec: ValuationSpec,
     d_residual: tuple[str, FormalElement] | None,
-    e_data: AlgebraValueData,
+    e_term: SymbolTerm,
     residue_hypothesis: str | None = None,
 ) -> Certificate:
     """Certify that the residue algebras tensor to a division ring.
@@ -548,10 +531,12 @@ def residue_tensor_certificate(
     a trivial side, a reciprocal Artin-Schreier/root pair combining to
     a field of degree p^2 over the residue field, a root rebased to a
     Laurent variable followed by a shift and value independence, and a
-    fully residual symbol handled recursively.
+    fully residual symbol handled recursively.  E's value data is
+    built here from e_term, so no memo key holds value data.
     """
     p = spec.tower.char
     res_tower = residue_tower(spec)
+    e_data = algebra_value_data(SymbolSum.of(e_term), spec.tower, spec.depth)
     e_slots = [(kind, rbar) for _, kind, rbar in _residual_slots(e_data, spec)]
     slots = ([d_residual] if d_residual else []) + e_slots
 
@@ -689,7 +674,7 @@ def morandi_step(
 
     conditions["value-groups-meet-in-base"] = _groups_meet_in_base(d_data, e_data)
 
-    r_cert = residue_tensor_certificate(spec, d_residual, e_data, residue_hypothesis)
+    r_cert = residue_tensor_certificate(spec, d_residual, e_term, residue_hypothesis)
     children.append(r_cert)
     conditions["residue-tensor-division"] = r_cert.ok
 
@@ -737,7 +722,12 @@ def chain_division(
     tower: FieldTower,
     residue_hypothesis: str | None = None,
 ) -> Certificate:
-    """Certify a whole tensor word as division, peeling right to left."""
+    """Certify a whole tensor word as division, peeling right to left.
+
+    The last factor is peeled at each of its peel_depths in order, and
+    the first peel that certifies is kept; when none does, every attempt,
+    a certificate or an error, is reported under depth-d.
+    """
     _require_hypothesis(residue_hypothesis)
     if not word.terms:
         raise ZeroElement("an empty tensor word cannot be division")
@@ -764,43 +754,27 @@ def chain_division(
             children=(d_cert,),
         )
 
-    def attempt(depth: int) -> Certificate | str:
-        try:
-            return morandi_step(tower, depth, d_word, e_term, d_cert, residue_hypothesis)
-        except EngineError as err:
-            return str(err)
-
-    # a depth but the last whose value groups fail to meet in the base cannot
-    # hold, so it is peeled only if no depth certifies and its attempt is reported
-    tried: dict[int, Certificate | str] = {}
+    attempts: dict[str, Certificate | str] = {}
     for depth in depths:
-        if depth != depths[-1] and not _peel_may_meet(tower, depth, d_word, e_term):
+        try:
+            cert = morandi_step(tower, depth, d_word, e_term, d_cert, residue_hypothesis)
+        except EngineError as err:
+            attempts[f"depth-{depth}"] = str(err)
             continue
-        cert = tried[depth] = attempt(depth)
-        if isinstance(cert, Certificate) and cert.ok:
+        if cert.ok:
             return Certificate(
                 "chain",
                 CERTIFIED,
                 payload={"peel_depth": depth, "factors": len(word.terms)},
                 children=(cert, d_cert),
             )
-    attempts = {f"depth-{d}": tried[d] if d in tried else attempt(d) for d in depths}
+        attempts[f"depth-{depth}"] = cert
     return Certificate(
         "chain",
         NOT_CERTIFIED,
         payload=attempts or {"reason": "no candidate valuation"},
         children=(d_cert,),
     )
-
-
-def _peel_may_meet(tower: FieldTower, depth: int, d_word: SymbolSum, e_term: SymbolTerm) -> bool:
-    """False only if the peel at depth fails on the meet; morandi_step reports an error."""
-    try:
-        d_data = algebra_value_data(d_word, tower, depth)
-        e_data = algebra_value_data(SymbolSum.of(e_term), tower, depth)
-        return _groups_meet_in_base(d_data, e_data)
-    except EngineError:
-        return True
 
 
 # ----------------------------------------------------- value class counts
@@ -906,8 +880,9 @@ def trace_profile(tower: FieldTower, rhs: FormalElement) -> TraceProfile:
         diff = value_of(tr, spec) - gen_value.scale(i)
         if best is None or diff < best:
             best = diff
+    # Newton's identities give Tr(x^(p-1)) = -1 for every p, so i = p - 1 sets best
     if best is None:
-        raise UnsupportedConfiguration("all small traces vanished")
+        raise AssertionError("the trace of x^(p-1) vanished")
     return TraceProfile(
         minimum=best,
         closed_form=gen_value.scale(-(p - 1)),

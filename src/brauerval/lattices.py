@@ -140,12 +140,6 @@ class ValueVector:
         """The origin of Q^dim, one shared vector per dim."""
         return ValueVector((0,) * dim)
 
-    @staticmethod
-    def unit(dim: int, index: int) -> ValueVector:
-        if not 0 <= index < dim:
-            raise DimensionMismatch(f"unit index {index} outside dimension {dim}")
-        return ValueVector(tuple(1 if i == index else 0 for i in range(dim)))
-
     @property
     def dim(self) -> int:
         return len(self.nums)

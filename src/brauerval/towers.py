@@ -326,10 +326,6 @@ class ValuationSpec(HashedOnce):
             )
 
     @property
-    def active_variables(self) -> tuple[str, ...]:
-        return self.tower.variables[self.tower.depth - self.depth :]
-
-    @property
     def inactive_variables(self) -> tuple[str, ...]:
         return self.tower.variables[: self.tower.depth - self.depth]
 
@@ -356,7 +352,7 @@ def generator_value(spec: ValuationSpec, name: str) -> ValueVector:
     index = next(i for i, g in enumerate(tower.generators) if g.name == name)
     gen = tower.generators[index]
     below = FieldTower(tower.ground, tower.variables, tower.generators[:index])
-    sub = ValuationSpec(below, spec.depth)
+    sub = below.spec(spec.depth)
     v = value_of(gen.rhs, sub)
     if v.is_zero():
         return v
@@ -483,7 +479,7 @@ def residue_tower(spec: ValuationSpec) -> FieldTower:
         if not generator_value(spec, g.name).is_zero():
             continue
         below = FieldTower(tower.ground, tower.variables, tower.generators[:i])
-        rhs_bar = residue_of(g.rhs, ValuationSpec(below, spec.depth))
+        rhs_bar = residue_of(g.rhs, below.spec(spec.depth))
         just = _residue_degree_p_justification(out, g.name, rhs_bar, g.kind)
         out = out.with_generator(ExtensionGenerator(g.name, g.kind, rhs_bar, just))
     return out

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerval import division
+from brauerval import division, lattices
 from brauerval.cli import main
 from brauerval.division import (
     CERTIFIED,
@@ -41,7 +41,7 @@ from brauerval.errors import (
 )
 from brauerval.lattices import Lattice, ValueVector
 from brauerval.scenario import load_scenario
-from brauerval.symbols import SymbolSum, symbol
+from brauerval.symbols import SymbolSum, normal_form, symbol
 from brauerval.towers import (
     ARTIN_SCHREIER,
     PTH_ROOT,
@@ -289,6 +289,19 @@ class TestMemberValueGroups:
 # -------------------------------------------------------- division routes
 
 
+# the residue extension of a unit slot whose residue is 1
+RESIDUE_ONE_IS_NOT_DEGREE_P = {
+    "rule": "residue-extension",
+    "status": NOT_CERTIFIED,
+    "payload": {
+        "kind": PTH_ROOT,
+        "rhs": "1",
+        "reason": "cannot certify that the residual equation has degree p",
+    },
+    "children": [],
+}
+
+
 class TestSymbolRoutes:
     def test_value_independence_route(self):
         t = tower(2, "a1", "a2")
@@ -347,6 +360,74 @@ class TestSymbolRoutes:
         term = symbol(3, mono(3, {"a": 1}), FormalElement.constant(3, 2))
         cert = symbol_division(term, t, residue_hypothesis="division")
         assert cert.status == REFUTED
+
+    def test_a_residue_symbol_normal_form_refuses_is_not_called_split(self):
+        # over F_3((c))((t)) at depth 1 both slots of [c^-1, 1 + c) are units, and
+        # normal_form refuses the residue symbol's non-monomial slot 1 + c, so the
+        # inertial route descends to F_3((c)); there 1 + c has residue 1, whose
+        # p-th root gives no degree-p extension
+        t = tower(3, "c", "t")
+        term = symbol(3, mono(3, {"c": -1}), FormalElement.one(3) + mono(3, {"c": 1}))
+        with pytest.raises(EngineError):
+            normal_form(SymbolSum.of(term))
+        cert = symbol_division(term, t, 1)
+        assert encode(cert) == {
+            "rule": "symbol-division",
+            "status": NOT_CERTIFIED,
+            "payload": {
+                "route": "inertial",
+                "value_group": {"denominator": 1, "rows": [[1]]},
+                "ramification_index": 1,
+                "residue_degree": 9,
+            },
+            "children": [
+                {
+                    "rule": "symbol-division",
+                    "status": NOT_CERTIFIED,
+                    "payload": {
+                        "route": "semiramified",
+                        "value_group": {"denominator": 3, "rows": [[1]]},
+                        "ramification_index": 3,
+                        "residue_degree": 3,
+                    },
+                    "children": [RESIDUE_ONE_IS_NOT_DEGREE_P],
+                }
+            ],
+        }
+
+    def test_a_residue_extension_that_is_not_degree_p(self, tmp_path):
+        # over F_3((c))((t)), [t^-1, 1 + c) is semiramified, and the residue 1 of
+        # 1 + c gives no degree-p extension: the scenario is NotCertified, exit 2
+        t = tower(3, "c", "t")
+        term = symbol(3, mono(3, {"t": -1}), FormalElement.one(3) + mono(3, {"c": 1}))
+        cert = symbol_division(term, t)
+        assert encode(cert) == {
+            "rule": "symbol-division",
+            "status": NOT_CERTIFIED,
+            "payload": {
+                "route": "semiramified",
+                "value_group": {"denominator": 3, "rows": [[3, 0], [0, 1]]},
+                "ramification_index": 3,
+                "residue_degree": 3,
+            },
+            "children": [RESIDUE_ONE_IS_NOT_DEGREE_P],
+        }
+        path = tmp_path / "residue-one.scn"
+        path.write_text(
+            "version 1\ntask custom-scenario\nprime 3\nvariables c t\n"
+            "algebra D = [t^-1, 1 + c)\nword D\nexpect NotCertified\n",
+            encoding="utf-8",
+        )
+        target = tmp_path / "report.json"
+        code = main(
+            ["custom-scenario", "--scenario", str(path), "--format", "json", "--out", str(target)]
+        )
+        report = json.loads(target.read_text(encoding="utf-8"))
+        assert (code, report["result"], report["payload"]["division_status"]) == (
+            2, "NotCertified", NOT_CERTIFIED
+        )
+        chain = {"rule": "chain", "status": NOT_CERTIFIED, "payload": {"factors": 1}}
+        assert report["certificates"] == [chain | {"children": [encode(cert)]}]
 
 
 class TestResidueOverExtension:
@@ -622,52 +703,25 @@ class TestPeeling:
         assert step.status == NOT_CERTIFIED
         assert chain_division(SymbolSum.of(*d_word.terms, e), t).status == NOT_CERTIFIED
 
+    def test_no_memo_key_holds_value_data(self):
+        # the residue-tensor answer is keyed on E's term, so no table keeps a
+        # word's value data alive, nor hashes it
+        def leaves(key):
+            if isinstance(key, tuple):
+                for part in key:
+                    yield from leaves(part)
+            else:
+                yield key
 
-# --------------------------------------------- peels skipped on the meet
+        lattices.forget_memos()
+        t = standard_tower(4, 3)
+        assert all(chain_division(m.word, t).ok for m in build_family(4, 3))
+        keys = [key for table in lattices._MEMO_TABLES for key in table]
+        assert keys
+        assert not any(isinstance(leaf, AlgebraValueData) for key in keys for leaf in leaves(key))
 
 
-def chain_every_depth(
-    word: SymbolSum, tower: FieldTower, hypothesis: str | None = None
-) -> Certificate:
-    """chain_division without the meet pre-check: every candidate depth
-    runs morandi_step in order, until one certifies."""
-    if len(word.terms) == 1:
-        cert = symbol_division(word.terms[0], tower, None, hypothesis)
-        return Certificate("chain", cert.status, payload={"factors": 1}, children=(cert,))
-    e_term = word.terms[-1]
-    d_word = SymbolSum(word.degree, word.terms[:-1])
-    d_cert = chain_every_depth(d_word, tower, hypothesis)
-    if not d_cert.ok:
-        return Certificate(
-            "chain", d_cert.status, payload={"reason": "left part failed"}, children=(d_cert,)
-        )
-    try:
-        depths = peel_depths(e_term, tower)
-    except UnsupportedConfiguration as err:
-        return Certificate(
-            "chain", NOT_CERTIFIED, payload={"reason": str(err)}, children=(d_cert,)
-        )
-    attempts: dict[str, object] = {}
-    for depth in depths:
-        try:
-            cert = division.morandi_step(tower, depth, d_word, e_term, d_cert, hypothesis)
-        except EngineError as err:
-            attempts[f"depth-{depth}"] = str(err)
-            continue
-        if cert.ok:
-            return Certificate(
-                "chain",
-                CERTIFIED,
-                payload={"peel_depth": depth, "factors": len(word.terms)},
-                children=(cert, d_cert),
-            )
-        attempts[f"depth-{depth}"] = cert
-    return Certificate(
-        "chain",
-        NOT_CERTIFIED,
-        payload=attempts or {"reason": "no candidate valuation"},
-        children=(d_cert,),
-    )
+# ------------------------------------------------------------ failed chains
 
 
 def fails_on_the_meet_alone(peel: Certificate) -> bool:
@@ -677,38 +731,7 @@ def fails_on_the_meet_alone(peel: Certificate) -> bool:
     )
 
 
-class TestSkippedPeels:
-    @pytest.mark.parametrize("n, p", [(4, 2), (3, 3), (5, 2)])
-    def test_every_member_certificate_equals_the_every_depth_chain(self, n, p):
-        t = standard_tower(n, p)
-        for member in build_family(n, p):
-            # json text, so the order of the keys counts too
-            expected = json.dumps(encode(chain_every_depth(member.word, t)))
-            assert json.dumps(encode(chain_division(member.word, t))) == expected, member.name
-
-    def test_a_peel_that_fails_on_the_meet_is_not_run(self, monkeypatch):
-        t = standard_tower(4, 3)
-        family = build_family(4, 3)
-        peels: list[tuple[int, list[int], Certificate]] = []
-        real = division.morandi_step
-
-        def recording(tower_, depth, d_word, e_term, *rest):
-            cert = real(tower_, depth, d_word, e_term, *rest)
-            peels.append((depth, peel_depths(e_term, tower_), cert))
-            return cert
-
-        monkeypatch.setattr(division, "morandi_step", recording)
-        assert all(chain_every_depth(m.word, t).ok for m in family)
-        every, peels[:] = len(peels), []
-        assert all(chain_division(m.word, t).ok for m in family)
-        # a depth but the last that fails on the meet alone is never peeled
-        assert not [
-            depth
-            for depth, depths, cert in peels
-            if depth != depths[-1] and fails_on_the_meet_alone(cert)
-        ]
-        assert 0 < len(peels) < every
-
+class TestFailedChains:
     @pytest.mark.parametrize(
         "d_algebra, e_algebra",
         [("[a2^-1, a3^-1)", "[a1^-1, a2)"), ("[a2^-1, a1)", "[a1^-1, a2^-1)")],
@@ -723,17 +746,19 @@ class TestSkippedPeels:
         )
         scenario = load_scenario(str(path))
         word = scenario.algebras["D"] + scenario.algebras["E"]
-        reference = chain_every_depth(word, scenario.tower)
-        # depth 3 is the first candidate and fails on the meet alone
-        assert list(reference.payload) == ["depth-3", "depth-2"]
-        assert fails_on_the_meet_alone(reference.get("depth-3"))
+        chain = chain_division(word, scenario.tower)
+        assert chain.status == NOT_CERTIFIED
+        # every candidate depth is peeled in order; depth 3 fails on the meet alone
+        assert list(chain.payload) == ["depth-3", "depth-2"]
+        assert fails_on_the_meet_alone(chain.get("depth-3"))
+        assert not chain.get("depth-2").ok
         target = tmp_path / "report.json"
         code = main(
             ["custom-scenario", "--scenario", str(path), "--format", "json", "--out", str(target)]
         )
         assert code == 2
         report = json.loads(target.read_text(encoding="utf-8"))
-        assert json.dumps(report["certificates"]) == json.dumps([encode(reference)])
+        assert json.dumps(report["certificates"]) == json.dumps([encode(chain)])
 
 
 def members_32() -> list[tuple[str, SymbolSum]]:

@@ -173,7 +173,7 @@ def test_variable_values_innermost_first():
 def test_partial_depth_values_and_residues():
     t = tower3("a1", "a2")
     spec = t.spec(1)
-    assert spec.active_variables == ("a2",)
+    assert spec.inactive_variables == ("a1",)
     assert value_of(mono(3, {"a1": -5}), spec) == V(0)
     assert value_of(mono(3, {"a1": -5, "a2": 1}), spec) == V(1)
     assert residue_of(mono(3, {"a1": 1}) + mono(3, {"a2": 1}), spec) == mono(
@@ -426,15 +426,16 @@ def test_a_unit_monomial_has_no_active_part(recipe):
             if total.den != 1:
                 continue
             assert all(e == 0 or v.is_zero() for v, e in zip(values, exps))
-            cancel = dict(zip(spec.active_variables, (-a for a in total.nums)))
+            active = tower.variables[tower.depth - depth :]
+            cancel = dict(zip(active, (-a for a in total.nums)))
             unit = mono(p, {**dict(zip(names, exps)), **cancel})
             assert residue_of(unit, spec) == unit
 
 
 def _oracle_variable_value(spec: ValuationSpec, name: str) -> ValueVector:
-    active = spec.active_variables
+    active = spec.tower.variables[spec.tower.depth - spec.depth :]
     if name in active:
-        return ValueVector.unit(spec.depth, active.index(name))
+        return ValueVector(tuple(int(v == name) for v in active))
     return ValueVector.zero(spec.depth)
 
 
@@ -602,6 +603,18 @@ def test_trace_of_small_powers(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_trace_of_the_last_small_power_is_minus_one(p):
+    # Newton's identities give Tr(x^(p-1)) = -1 for every m, so trace_profile's
+    # loop over the powers i < p always finds a nonzero trace
+    for m in (
+        mono(p, {"u": -3, "w": 2}, p - 1) + mono(p, {"w": -1}),
+        FormalElement.one(p) + mono(p, {"u": 1}),
+        FormalElement.zero(p),
+    ):
+        assert trace_power_oracle(m, p - 1, p) == FormalElement.constant(p, -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_trace_coefficients_expand_the_conjugate_sum(p):
     # the coefficient of x^k in sum_j (x + j)^i, with 0^0 = 1; zeros share one element
     for i in range(2 * p + 1):
@@ -744,7 +757,7 @@ def test_failures_are_not_memoised():
     assert not any(lattices._MEMO_TABLES)
 
 
-def test_a_task_gets_one_spec_per_tower_and_depth():
+def test_a_task_gets_one_spec_per_tower_and_depth(monkeypatch):
     gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
     tower = FieldTower(GroundField(3), ("u", "w"), (gx,))
     full = tower.spec()
@@ -757,6 +770,25 @@ def test_a_task_gets_one_spec_per_tower_and_depth():
     assert fresh is not full and fresh == full
     with pytest.raises(EngineError):
         tower.spec(3)
+    # x has value 0 at depth 1 and below, so residue_tower re-reads its rhs over
+    # the tower below x, as generator_value does: both take that tower's one spec
+    built = []
+    checked = ValuationSpec.__post_init__
+
+    def recording(spec):
+        checked(spec)
+        built.append(spec)
+
+    monkeypatch.setattr(ValuationSpec, "__post_init__", recording)
+    lattices.forget_memos()
+    below = FieldTower(GroundField(3), ("u", "w"))
+    for depth in range(tower.depth + 1):
+        residue_tower(tower.spec(depth))
+        value_of(mono(3, {"x": 1, "w": 1}), tower.spec(depth))
+    assert len(set(built)) == len(built)
+    under_x = [spec for spec in built if spec.tower == below]
+    assert sorted(spec.depth for spec in under_x) == list(range(tower.depth + 1))
+    assert all(below.spec(spec.depth) is spec for spec in under_x)
 
 
 def _field_tuple_hash(x) -> int:

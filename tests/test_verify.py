@@ -63,8 +63,8 @@ def char_not_p_oracle(n: int, p: int) -> dict:
     combination; the witness pair is the first (k, l) with a 2x2 minor
     that is nonzero mod p; the index is [L : Z^n].
     """
-    units = [ValueVector.unit(n, k) for k in range(n)]
     zn = Lattice.integers(n)
+    units = [ValueVector(row) for row in zn.rows]
 
     def read(lat: Lattice) -> tuple[int, tuple[int, int] | None]:
         coords = []
@@ -359,7 +359,7 @@ class TestNoCommonSplitting:
 
         def reading(data):
             read.append(data)
-            return group.fget(data)
+            return group.func(data)
 
         def growing(lattice, values):
             if in_census:
