@@ -160,6 +160,21 @@ def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData
     )
 
 
+@memoised
+def _one_symbol_data(term: SymbolTerm, spec: ValuationSpec) -> AlgebraValueData:
+    """Value data of the word [term] under spec, for the peel, the symbol's own
+    certificate and the residue tensor alike: its group is built once per task.
+    One factor has no reciprocal slot pair, so no value is refined."""
+    f = _symbol_value_data(term, spec)
+    return AlgebraValueData(
+        degree=spec.tower.char,
+        depth=spec.depth,
+        factors=(f,),
+        base_group=spec.value_group(),
+        refined_values=(f.as_value, f.root_value),
+    )
+
+
 def algebra_value_data(
     word: SymbolSum, tower: FieldTower, depth: int | None = None
 ) -> AlgebraValueData:
@@ -302,7 +317,7 @@ def symbol_division(
                 "reason": "slot1 has positive value, the equation splits",
             },
         )
-    data = algebra_value_data(SymbolSum.of(term), tower, spec.depth)
+    data = _one_symbol_data(term, spec)
     p = data.degree
     residual = _residual_slots(data, spec)
 
@@ -536,7 +551,7 @@ def residue_tensor_certificate(
     """
     p = spec.tower.char
     res_tower = residue_tower(spec)
-    e_data = algebra_value_data(SymbolSum.of(e_term), spec.tower, spec.depth)
+    e_data = _one_symbol_data(e_term, spec)
     e_slots = [(kind, rbar) for _, kind, rbar in _residual_slots(e_data, spec)]
     slots = ([d_residual] if d_residual else []) + e_slots
 
@@ -641,7 +656,7 @@ def morandi_step(
     spec = tower.spec(depth)
     p = tower.char
     d_data = algebra_value_data(d_word, tower, depth)
-    e_data = algebra_value_data(SymbolSum.of(e_term), tower, depth)
+    e_data = _one_symbol_data(e_term, spec)
 
     residual = _residual_slots(d_data, spec)
     if len(residual) > 1:

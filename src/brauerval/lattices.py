@@ -7,6 +7,9 @@ the handful of operations the verification layer needs: growing a known
 group by new values (extended: every value group is Z^n or a base group
 plus a few values), containment, intersection, index, duals and
 exhaustive enumeration of the overlattices of Z^n of bounded exponent.
+A basis is grown one integer row at a time (an incremental Hermite form,
+Cohen, A Course in Computational Algebraic Number Theory, 2.4), so
+extending a group inserts only the new values into the basis it has.
 The enumeration walks each dual S = L* as an upper Hermite form, whose
 scaled inverse transpose is already a triangular basis of L.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -202,34 +206,27 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _triangular_basis(rows: list[list[int]], n: int) -> list[list[int]] | None:
-    """Rows spanning the same lattice, row i on columns 0..i with a positive
-    diagonal entry and nothing below it reduced; None if rank < n."""
-    work = [list(r) for r in rows if any(r)]
-    result: list[list[int]] = [[]] * n
-    for col in range(n - 1, -1, -1):
-        pivot: list[int] | None = None
-        rest: list[list[int]] = []
-        for r in work:
-            if r[col] == 0:
-                rest.append(r)
-                continue
-            if pivot is None:
-                pivot = r
-                continue
-            a, b = pivot[col], r[col]
-            g, x, y = _xgcd(a, b)
-            # the 2x2 transform [[x, y], [-b//g, a//g]] has determinant 1
-            new_p = [x * u + y * v for u, v in zip(pivot, r)]
-            new_r = [(a // g) * v - (b // g) * u for u, v in zip(pivot, r)]
-            pivot = new_p
-            if any(new_r):
-                rest.append(new_r)
+def _insert(basis: list[Sequence[int] | None], row: Sequence[int]) -> None:
+    """Grow a partial lower triangular basis by one integer row, in place.
+
+    basis[c], when set, is zero after column c and positive at c.  The
+    row is combined into the pivot of each of its nonzero columns, last
+    column first, by a determinant-1 transform that clears its entry
+    there; the first column it reaches that has no pivot takes the row.
+    """
+    for col in range(len(row) - 1, -1, -1):
+        b = row[col]
+        if b == 0:
+            continue
+        pivot = basis[col]
         if pivot is None:
-            return None
-        result[col] = pivot if pivot[col] > 0 else [-u for u in pivot]
-        work = rest
-    return result
+            basis[col] = row if b > 0 else [-u for u in row]
+            return
+        a = pivot[col]
+        g, x, y = _xgcd(a, b)
+        # the 2x2 transform [[x, y], [-b//g, a//g]] has determinant 1
+        basis[col] = [x * u + y * v for u, v in zip(pivot, row)]
+        row = [(a // g) * v - (b // g) * u for u, v in zip(pivot, row)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,8 +253,10 @@ class Lattice(HashedOnce):
 
     @classmethod
     def _from_integer_rows(cls, dim: int, denominator: int, rows: list[list[int]]) -> Lattice:
-        basis = _triangular_basis(rows, dim)
-        if basis is None:
+        basis: list[Sequence[int] | None] = [None] * dim
+        for row in rows:
+            _insert(basis, row)
+        if any(r is None for r in basis):
             raise UnsupportedConfiguration("generators do not span the full dimension")
         return cls._from_triangular(dim, denominator, basis)
 
@@ -285,7 +284,11 @@ class Lattice(HashedOnce):
 
     @memoised
     def extended(self, values: tuple[ValueVector, ...]) -> Lattice:
-        """self + <values> by one Hermite form, or self itself if every value is zero."""
+        """self + <values>, or self itself if every value is zero.
+
+        self's rows are already a triangular basis, so only the values are
+        inserted into it and the base rows are not eliminated again.
+        """
         for v in values:
             if v.dim != self.dim:
                 raise DimensionMismatch(f"value dimension {v.dim}, lattice {self.dim}")
@@ -294,9 +297,10 @@ class Lattice(HashedOnce):
             return self
         den = lcm(self.denominator, *(v.den for v in values))
         s = den // self.denominator
-        rows = [[x * s for x in r] for r in self.rows]
-        rows += [[a * (den // v.den) for a in v.nums] for v in values]
-        return Lattice._from_integer_rows(self.dim, den, rows)
+        basis = list(self.rows) if s == 1 else [[x * s for x in r] for r in self.rows]
+        for v in values:
+            _insert(basis, [a * (den // v.den) for a in v.nums])
+        return Lattice._from_triangular(self.dim, den, basis)
 
     def scaled_coords(self, vec: ValueVector) -> tuple[list[int], int]:
         """Integers a and m > 0 with a/m the coefficients of vec in the basis.

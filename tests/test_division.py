@@ -210,6 +210,58 @@ class TestValueData:
         assert f.slot1_residual  # u is inactive at depth 1
         assert f.root_value == ValueVector.of(Fraction(1, 2))
 
+    def test_one_symbol_data_is_one_object_per_task(self, monkeypatch):
+        # a peeled factor is read by its peel, its own certificate and the
+        # residue tensor, and each read gets the same value data
+        answers: dict = {}
+        one_symbol = division._one_symbol_data
+
+        def recorded(term, spec):
+            data = one_symbol(term, spec)
+            answers.setdefault((term, spec), []).append(data)
+            return data
+
+        monkeypatch.setattr(division, "_one_symbol_data", recorded)
+        lattices.forget_memos()
+        t = standard_tower(4, 3)
+        assert all(chain_division(m.word, t).ok for m in build_family(4, 3))
+        assert any(len(seen) > 1 for seen in answers.values())
+        assert all(data is seen[0] for seen in answers.values() for data in seen)
+        # the same value data a fresh build gives
+        for (term, spec), seen in answers.items():
+            assert seen[0] == algebra_value_data(SymbolSum.of(term), spec.tower, spec.depth)
+
+    def test_a_peeled_symbols_group_is_grown_once(self, monkeypatch):
+        grown = []
+        extended = Lattice.extended
+
+        def growing(lattice, values):
+            grown.append((lattice, values))
+            return extended(lattice, values)
+
+        monkeypatch.setattr(Lattice, "extended", growing)
+        lattices.forget_memos()
+        t = tower(2, "a1", "a2", "a3")
+        w = word(2, ({"a3": -1}, {"a1": 1}), ({"a1": -1}, {"a2": 1}))
+        cert = chain_division(w, t)
+        assert cert.ok
+        e_data = division._one_symbol_data(w.terms[-1], t.spec(cert.get("peel_depth")))
+        # the peel reads E's group and index, and E's own certificate its group
+        assert cert.find("peel").get("right_value_group") is e_data.value_group
+        assert grown.count((e_data.base_group, e_data.refined_values)) == 1
+
+    def test_forget_memos_empties_the_one_symbol_table(self):
+        t = tower(3, "u", "w")
+        term = word(3, ({"u": -1}, {"w": 1})).terms[0]
+        spec = t.spec()
+        first = division._one_symbol_data(term, spec)
+        assert division._one_symbol_data(term, spec) is first
+        table = next(tb for tb in lattices._MEMO_TABLES if tb.get((term, spec)) is first)
+        lattices.forget_memos()
+        assert not table
+        again = division._one_symbol_data(term, spec)
+        assert again == first and again is not first
+
 
 class TestIndependence:
     def test_single_symbol_totally_ramified(self):
@@ -481,6 +533,37 @@ class TestResidueOverExtension:
             assert tensor.get("field_trace_value") == ValueVector.of(w, Fraction(0))
             assert tensor.get("field_trace_value") < tensor.get("algebra_trace_value")
 
+
+    def test_an_extension_that_is_not_degree_p_leaves_the_tensor_not_certified(self):
+        # over F_3((c))((t)) at depth 1, D = [t^-1, 1 + c) keeps the root residue
+        # 1 + c, whose own residue 1 gives no degree-p extension of F_3((c)), and
+        # both slots of E = [c^-1, c^2) are units.  Only a direct peel reaches this:
+        # D is not division, so chain_division stops at the left part
+        t = tower(3, "c", "t")
+        left = symbol(3, mono(3, {"t": -1}), FormalElement.one(3) + mono(3, {"c": 1}))
+        right = symbol(3, mono(3, {"c": -1}), mono(3, {"c": 2}))
+        d_cert = symbol_division(left, t)
+        step = morandi_step(t, 1, SymbolSum.of(left), right, d_cert)
+        ext = RESIDUE_ONE_IS_NOT_DEGREE_P | {
+            "payload": RESIDUE_ONE_IS_NOT_DEGREE_P["payload"] | {"rhs": "1 + c"}
+        }
+        assert encode(step.find("residue-tensor")) == {
+            "rule": "residue-tensor",
+            "status": NOT_CERTIFIED,
+            "payload": {
+                "shape": "residue-symbol-over-extension",
+                "extension_kind": PTH_ROOT,
+                "extension_rhs": "1 + c",
+                "residue_symbol": "[c^-1, c^2)",
+                "reason": "extension is not certified degree p",
+            },
+            "children": [ext],
+        }
+        assert step.get("conditions")["residue-tensor-division"] is False
+        assert step.status == NOT_CERTIFIED
+        chain = chain_division(SymbolSum.of(left, right), t)
+        assert chain.payload == {"reason": "left part failed"}
+        assert chain.children == (chain_division(SymbolSum.of(left), t),)
 
 class TestPinnedResidueRoutes:
     # No benchmark scenario reaches these routes: the hypothesis verdicts

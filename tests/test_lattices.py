@@ -24,6 +24,7 @@ from brauerval.lattices import (
     Lattice,
     ValueVector,
     _pivot_columns_mod_p,
+    _xgcd,
     enumerate_overlattices,
     forget_memos,
     overlattice_count,
@@ -375,6 +376,101 @@ def test_hermite_reduction_conditions_hold():
 def test_diagonal_rejects_rank_deficiency():
     with pytest.raises(UnsupportedConfiguration):
         Lattice.diagonal([F(1, 2), 0])
+
+
+# ------------------------------------- the row insertion against a sweep
+
+
+def _triangular_basis(rows: list[list[int]], n: int) -> list[list[int]] | None:
+    """Rows spanning the same lattice, row i on columns 0..i with a positive
+    diagonal entry and nothing below it reduced; None if rank < n."""
+    work = [list(r) for r in rows if any(r)]
+    result: list[list[int]] = [[]] * n
+    for col in range(n - 1, -1, -1):
+        pivot: list[int] | None = None
+        rest: list[list[int]] = []
+        for r in work:
+            if r[col] == 0:
+                rest.append(r)
+                continue
+            if pivot is None:
+                pivot = r
+                continue
+            a, b = pivot[col], r[col]
+            g, x, y = _xgcd(a, b)
+            # the 2x2 transform [[x, y], [-b//g, a//g]] has determinant 1
+            new_p = [x * u + y * v for u, v in zip(pivot, r)]
+            new_r = [(a // g) * v - (b // g) * u for u, v in zip(pivot, r)]
+            pivot = new_p
+            if any(new_r):
+                rest.append(new_r)
+        if pivot is None:
+            return None
+        result[col] = pivot if pivot[col] > 0 else [-u for u in pivot]
+        work = rest
+    return result
+
+
+def sweep_oracle(dim: int, den: int, rows: list[list[int]]) -> Lattice:
+    """(1/den) * span(rows) in canonical form, by one column sweep over every row."""
+    basis = _triangular_basis(rows, dim)
+    if basis is None:
+        raise UnsupportedConfiguration("generators do not span the full dimension")
+    return Lattice._from_triangular(dim, den, basis)
+
+
+def outcome(build):
+    """build()'s lattice, or the message of the UnsupportedConfiguration it raises."""
+    try:
+        return build()
+    except UnsupportedConfiguration as err:
+        return str(err)
+
+
+@st.composite
+def rows_over_a_denominator(draw):
+    """dim 1-5, a denominator, and 0-7 integer rows with negative and zero entries
+    (all-zero rows too), so full rank and rank-deficient inputs both occur."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
+    entry = st.integers(min_value=-9, max_value=9)
+    row = st.one_of(st.just([0] * dim), st.lists(entry, min_size=dim, max_size=dim))
+    return dim, den, draw(st.lists(row, max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_over_a_denominator())
+def test_row_insertion_matches_the_sweep(case):
+    dim, den, rows = case
+    want = outcome(lambda: sweep_oracle(dim, den, rows))
+    assert outcome(lambda: Lattice._from_integer_rows(dim, den, rows)) == want
+
+
+@st.composite
+def lattice_and_values(draw):
+    """A full-rank lattice of dim 1-5 and 0-4 values over mixed denominators,
+    some of them zero."""
+    dim, den, rows = draw(rows_over_a_denominator())
+    # the scaled unit rows keep the base full rank
+    units = [[den if i == j else 0 for j in range(dim)] for i in range(dim)]
+    lat = sweep_oracle(dim, den, rows + units)
+    nums = st.lists(st.integers(min_value=-9, max_value=9), min_size=dim, max_size=dim)
+    value = st.builds(ValueVector.canonical, nums, st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9]))
+    zero = st.just(ValueVector.zero(dim))
+    return lat, tuple(draw(st.lists(st.one_of(value, zero), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_and_values())
+def test_extended_inserts_values_as_the_sweep_would(case):
+    lat, values = case
+    forget_memos()
+    den = lcm(lat.denominator, *(v.den for v in values))
+    rows = [[x * (den // lat.denominator) for x in r] for r in lat.rows]
+    rows += [[a * (den // v.den) for a in v.nums] for v in values]
+    assert lat.extended(values) == sweep_oracle(lat.dim, den, rows)
+    zeros = tuple(v for v in values if v.is_zero())
+    assert lat.extended(zeros) is lat
 
 
 # ----------------------------------------------------- coords and indices

@@ -294,6 +294,26 @@ def test_ambiguous_value_of_raw_difference():
         value_of(mono(3, {"x": 1}) + mono(3, {"x": -2, "u": -1}, 2), spec)
 
 
+def test_an_ambiguous_residual_rhs_is_refused_as_not_degree_p():
+    # a hand-built F_3((u))((w)) with x^3 - x = u^-1 and y^3 - y = x + 2 u^-1 x^-2:
+    # at depth 1 both generators are residual, and over the residue tower
+    # F_3((u))(x) the two terms of y's rhs share the value -1/3 with different
+    # active parts, so y's degree-p justification reads no value and refuses
+    gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
+    rhs = mono(3, {"x": 1}) + mono(3, {"x": -2, "u": -1}, 2)
+    gy = ExtensionGenerator("y", ARTIN_SCHREIER, rhs, "ramified")
+    below = tower3("u", "w", gens=(gx,))
+    with pytest.raises(AmbiguousValuation):
+        value_of(rhs, residue_tower(below.spec(1)).spec())
+    with pytest.raises(
+        UnsupportedConfiguration, match="^cannot certify that the residual equation has degree p$"
+    ):
+        residue_tower(tower3("u", "w", gens=(gx, gy)).spec(1))
+    # adjoin reads the same tie at full depth, so no adjoin-built tower gets here
+    with pytest.raises(AmbiguousValuation):
+        adjoin(below, "y", ARTIN_SCHREIER, rhs)
+
+
 def test_unit_with_active_part_has_no_formal_residue():
     # x * y would be a unit with a nontrivial active part, but the hand-built
     # pair never gets that far: y's rhs value 1 lies in p times x's value group
@@ -688,6 +708,7 @@ def test_norm_closed_form_property(triple):
         (lattices, Lattice.extended),
         (lattices, Lattice.index_over),
         (division, division._symbol_value_data),
+        (division, division._one_symbol_data),
         (division, division.symbol_division),
         (division, division._residue_extension_certificate),
         (division, division.residue_tensor_certificate),
