@@ -27,7 +27,7 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import gcd
 
 from .errors import (
     EngineError,
@@ -109,20 +109,41 @@ class AlgebraValueData:
     replaces v(x_i) = v(slot1_i)/p in the monomial basis.
     refined_values lists the 2k generator values so refined, in order.
 
-    value_group and ram_index follow from the fields; each is built on
-    its first read and then kept, so data that is never asked for its
-    group (the class census reads natural values only) never builds one.
+    refined_values, value_group and ram_index follow from the fields;
+    each is built on its first read and then kept, so data that is never
+    asked for its group (the class census reads natural values only)
+    never pairs a slot nor builds a group.
     """
 
     degree: int
     depth: int
     factors: tuple[SymbolValueData, ...]
     base_group: Lattice
-    refined_values: tuple[ValueVector, ...]
 
     @property
     def dim(self) -> int:
         return self.degree ** (2 * len(self.factors))
+
+    @cached_property
+    def refined_values(self) -> tuple[ValueVector, ...]:
+        """The natural values, v(slot1_i)/p^2 in place of v(x_i) for each paired i."""
+        zero = ValueVector.zero(self.depth)
+        factors = self.factors
+        paired = {
+            i
+            for i, fi in enumerate(factors)
+            if fi.slot1_value < zero
+            and any(
+                i != j and fi.term.slot1.is_inverse_of(fj.term.slot2)
+                for j, fj in enumerate(factors)
+            )
+        }
+        p = self.degree
+        return tuple(
+            v
+            for i, f in enumerate(factors)
+            for v in (f.slot1_value / (p * p) if i in paired else f.as_value, f.root_value)
+        )
 
     @cached_property
     def value_group(self) -> Lattice:
@@ -163,15 +184,12 @@ def _symbol_value_data(term: SymbolTerm, spec: ValuationSpec) -> SymbolValueData
 @memoised
 def _one_symbol_data(term: SymbolTerm, spec: ValuationSpec) -> AlgebraValueData:
     """Value data of the word [term] under spec, for the peel, the symbol's own
-    certificate and the residue tensor alike: its group is built once per task.
-    One factor has no reciprocal slot pair, so no value is refined."""
-    f = _symbol_value_data(term, spec)
+    certificate and the residue tensor alike: its group is built once per task."""
     return AlgebraValueData(
         degree=spec.tower.char,
         depth=spec.depth,
-        factors=(f,),
+        factors=(_symbol_value_data(term, spec),),
         base_group=spec.value_group(),
-        refined_values=(f.as_value, f.root_value),
     )
 
 
@@ -181,43 +199,11 @@ def algebra_value_data(
     if not word.terms:
         raise ZeroElement("an empty tensor word has no value data")
     spec = tower.spec(depth)
-    factors = tuple(_symbol_value_data(t, spec) for t in word.terms)
-    zero = ValueVector.zero(spec.depth)
-    paired = {
-        i
-        for i, fi in enumerate(factors)
-        if fi.slot1_value < zero
-        and any(
-            i != j and fi.term.slot1.is_inverse_of(fj.term.slot2)
-            for j, fj in enumerate(factors)
-        )
-    }
-    p = spec.tower.char
-    refined = tuple(
-        v
-        for i, f in enumerate(factors)
-        for v in (f.slot1_value / (p * p) if i in paired else f.as_value, f.root_value)
-    )
     return AlgebraValueData(
-        degree=p,
+        degree=spec.tower.char,
         depth=spec.depth,
-        factors=factors,
+        factors=tuple(_symbol_value_data(t, spec) for t in word.terms),
         base_group=spec.value_group(),
-        refined_values=refined,
-    )
-
-
-def class_representative(base: Lattice, vec: ValueVector) -> ValueVector:
-    """Canonical representative of vec modulo base, inside the unit box.
-
-    With vec = sum (a_i/m) b_i over the basis b_i = rows[i]/denominator,
-    the representative keeps each coefficient mod 1: sum (a_i % m) b_i / m.
-    """
-    nums, m = base.scaled_coords(vec)
-    reduced = [a % m for a in nums]
-    return ValueVector.canonical(
-        [sum(a * row[j] for a, row in zip(reduced, base.rows)) for j in range(base.dim)],
-        m * base.denominator,
     )
 
 
@@ -805,63 +791,96 @@ def trace_zero_value_classes(
     withholds the class of that one monomial from its monomial classes.
 
     Every natural generator value has order dividing p modulo the base
-    group, so the box of monomials x^s y^t with exponents below p
-    reaches every class of H_m = base + <natural values of member m>:
-    the monomial classes of m are exactly H_m/base.  The classes shared
-    by all members inside the window W are therefore
-    (W meet H_1 meet ... meet H_k)/base minus the members' excluded
-    classes, found from one lattice meet instead of one box per member.
-    That precondition and base <= W are checked first; the census raises
-    when either fails, since the meet would then differ from the boxes.
-    To bound the census by the members alone, pass one member's H_m as W.
+    group, so its class has coordinates in F_p over the basis of
+    (1/p)base, and the box of monomials x^s y^t with exponents below p
+    reaches exactly the F_p-span of member m's natural values.  The
+    classes shared by all members inside the window W are therefore the
+    meet of (W meet (1/p)base)/base with every member's span, minus the
+    members' excluded classes: the null space mod p of the stacked
+    annihilators of those spans, found by elimination instead of one box
+    per member.  That precondition and base <= W are checked first; the
+    census raises when either fails, since the meet would then differ
+    from the boxes.  To bound the census by the members alone, pass one
+    member's base + <natural values> as W.
 
     members may be any iterable, a generator included: it is consumed
     once, in order, and no member is kept after its turn.  The base group
-    is read from the first member; only the distinct H_m and the excluded
-    classes are held.
+    and p are read from the first member; only the distinct annihilators
+    of the spans and the excluded classes, as coordinate tuples, are held.
     """
     base: Lattice | None = None
-    groups: set[Lattice] = set()
-    excluded: set[ValueVector] = set()
+    coords: dict[ValueVector, tuple[int, ...]] = {}
+
+    def coords_mod_p(v: ValueVector) -> tuple[int, ...]:
+        c = coords.get(v)
+        if c is None:
+            nums, m = base.scaled_coords(v)
+            if p % (m // gcd(m, *nums)):
+                raise UnsupportedConfiguration(
+                    "a natural value has order other than 1 or p modulo the base group"
+                )
+            c = coords[v] = tuple(a * p // m % p for a in nums)
+        return c
+
+    annihilators: set[tuple[tuple[int, ...], ...]] = set()
+    excluded: set[tuple[int, ...]] = set()
     for data in members:
         if base is None:
-            base = data.base_group
+            base, p = data.base_group, data.degree
             if not window.contains_lattice(base):
                 raise NonContainment("the window does not contain the base group")
         elif data.base_group != base:
             raise UnsupportedConfiguration("the members do not share one base group")
-        values = data.natural_values()
-        if any(data.degree % base.order_of_class(v) for v in values):
-            raise UnsupportedConfiguration(
-                "a natural value has order other than 1 or p modulo the base group"
-            )
-        groups.add(base.extended(values))
-        excluded.add(excluded_trace_class(data))
+        span = [coords_mod_p(v) for v in data.natural_values()]
+        annihilators.add(_null_space_mod_p(span, base.dim, p))
+        # the x_i values are the even places of the natural values
+        excluded.add(tuple((p - 1) * sum(col) % p for col in zip(*span[::2])))
     if base is None:
         raise UnsupportedConfiguration("the class census needs at least one member")
-    meet = window
-    for group in groups:
-        meet = meet.intersect(group)
-    # both Hermite bases are lower triangular, so the box of diagonal
-    # ratios over the meet's basis covers every class of meet/base
-    ratios = [
-        (b[i] * meet.denominator) // (m[i] * base.denominator)
-        for i, (b, m) in enumerate(zip(base.rows, meet.rows))
-    ]
-    work = prod(ratios)
+    # (1/p)base: base's rows over p times its denominator, reduced by their common factor
+    fine = Lattice._from_triangular(base.dim, p * base.denominator, list(map(list, base.rows)))
+    low = window.intersect(fine)
+    in_window = [coords_mod_p(ValueVector.canonical(row, low.denominator)) for row in low.rows]
+    annihilators.add(_null_space_mod_p(in_window, base.dim, p))
+    meet = _null_space_mod_p([row for ann in annihilators for row in ann], base.dim, p)
+    work = p ** len(meet)
     if work > MAX_CLASS_WORK:
         raise EnumerationBound("class-work", MAX_CLASS_WORK, work)
-    classes = set()
-    for coeffs in itertools.product(*(range(r) for r in ratios)):
-        nums = [sum(c * row[j] for c, row in zip(coeffs, meet.rows)) for j in range(base.dim)]
-        classes.add(class_representative(base, ValueVector.canonical(nums, meet.denominator)))
-    return frozenset(classes - excluded)
+    classes = []
+    for coeffs in itertools.product(range(p), repeat=len(meet)):
+        c = tuple(sum(k * b[j] for k, b in zip(coeffs, meet)) % p for j in range(base.dim))
+        if c not in excluded:
+            nums = [sum(a * row[j] for a, row in zip(c, base.rows)) for j in range(base.dim)]
+            classes.append(ValueVector.canonical(nums, p * base.denominator))
+    return frozenset(classes)
 
 
-def excluded_trace_class(data: AlgebraValueData) -> ValueVector:
-    """Class of the unique monomial with nonzero reduced trace."""
-    vec = sum((f.as_value for f in data.factors), ValueVector.zero(data.depth))
-    return class_representative(data.base_group, vec.scale(data.degree - 1))
+def _null_space_mod_p(
+    rows: list[tuple[int, ...]], dim: int, p: int
+) -> tuple[tuple[int, ...], ...]:
+    """A basis of {x in F_p^dim : r.x = 0 for every row r}, rows with entries
+    in range(p): one vector per free column of the rows' reduced echelon
+    form, so equal row spans give equal bases."""
+    echelon: dict[int, list[int]] = {}  # pivot column -> row with a 1 there, 0 at other pivots
+    for row in rows:
+        v = list(row)
+        for lead, b in echelon.items():
+            if f := v[lead]:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        for k, b in echelon.items():
+            if f := b[lead]:
+                echelon[k] = [(x - f * y) % p for x, y in zip(b, v)]
+        echelon[lead] = v
+    return tuple(
+        tuple(1 if j == free else -echelon[j][free] % p if j in echelon else 0 for j in range(dim))
+        for free in range(dim)
+        if free not in echelon
+    )
 
 
 # ------------------------------------------------------- trace invariants

@@ -302,18 +302,20 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     Pipeline: every member is division-certified; the window lattice
     (the intersection of the shift value groups) is recomputed and
     pinned to (1/p)Z^n; the trace-zero classes the twist members share
-    inside the window W are (W meet every H_m)/Z^n minus the members'
-    excluded classes, H_m spanned by member m's natural values, which
-    the order-p precondition of trace_zero_value_classes makes equal to
-    the per-member monomial boxes; the count must fall short of the
+    inside the window W are the classes of W meet (1/p)Z^n whose
+    coordinates mod p lie in every member's span, the F_p-span of its
+    natural values, minus the members' excluded classes; the order-p
+    precondition of trace_zero_value_classes makes each span equal to
+    the member's monomial box; the count must fall short of the
     p^(n-1)-1 classes a common degree-p^(n-1) splitting field would
     need.  At (n, p) = (2, 2) the count equals the bound, so nothing
     follows and the verdict is Inconclusive.
 
     Besides the family's words and the memo tables, the task holds one
-    status per member and the census's distinct groups and excluded
-    classes: a member's certificate tree is dropped once its status is
-    read, and the twists' value data reach the census one at a time.
+    status per member and the census's distinct spans mod p and excluded
+    coordinate tuples: a member's certificate tree is dropped once its
+    status is read, and the twists' value data reach the census one at a
+    time.
     """
     params = {"n": n, "p": p}
     family = build_family(n, p)

@@ -185,6 +185,19 @@ class TestExitCodes:
             "budget": "class-work", "max_work": 1_000_000, "estimated_work": 1009**2
         }
 
+    def test_lemma72_class_work_ends_before_the_trace_loop(self, capsys, monkeypatch):
+        # the 1009^2 classes of [1/c, 1/d) are over budget, so the task ends
+        # before trace_profile's loop over the powers below p starts
+        def no_trace(*args):
+            raise AssertionError("trace_profile ran")
+
+        monkeypatch.setattr(verify, "trace_profile", no_trace)
+        code, out, err = run(capsys, "lemma72", "--part", "1", "--p", "1009", "--format", "json")
+        assert (code, err) == (2, "")
+        report = json.loads(out)
+        assert report["result"] == "Inconclusive"
+        assert report["payload"]["budget"] == "class-work"
+
     def test_class_work_overrun_inside_a_peel_is_two_with_a_report(self, capsys, tmp_path):
         # peeling E off D certifies [c^-1, d^-1) by its 1009^2 value classes, which
         # end the task: no failed peel may stand in for the overrun

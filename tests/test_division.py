@@ -23,8 +23,6 @@ from brauerval.division import (
     SymbolValueData,
     algebra_value_data,
     chain_division,
-    class_representative,
-    excluded_trace_class,
     independence_division,
     morandi_step,
     peel_depths,
@@ -59,6 +57,7 @@ from brauerval.verify import (
     standard_tower,
     verify_no_common_splitting,
 )
+from census_oracle import class_representative, excluded_trace_class, lattice_meet_census
 from report_oracle import encode
 
 
@@ -190,6 +189,29 @@ class TestValueData:
         assert expected == ValueVector.of(Fraction(-1, p * p), 0)
         assert data.refined_values[0] == expected
         assert data.value_group == Lattice.integers(2).extended(data.refined_values)
+
+    @pytest.mark.parametrize(
+        "p, pairs, expected",
+        [
+            # both cross pairs reciprocal: both x values refined
+            (3, (({"w": -1}, {"u": 1}), ({"u": -1}, {"w": 1})),
+             ((0, Fraction(-1, 9)), (Fraction(1, 3), 0), (Fraction(-1, 9), 0), (0, Fraction(1, 3)))),
+            # only factor 1's slot1 u^-1 meets a reciprocal slot2
+            (3, (({"w": -1}, {"u": 1}), ({"u": -1}, {"w": 2})),
+             ((0, Fraction(-1, 3)), (Fraction(1, 3), 0), (Fraction(-1, 9), 0), (0, Fraction(2, 3)))),
+            *(
+                (p, (({"u": -1}, {"w": 1}), ({"w": -1}, {"u": 1})),
+                 ((Fraction(-1, p * p), 0), (0, Fraction(1, p)),
+                  (0, Fraction(-1, p * p)), (Fraction(1, p), 0)))
+                for p in (2, 3, 5)
+            ),
+        ],
+    )
+    def test_refined_values_follow_the_pair_rule_on_first_read(self, p, pairs, expected):
+        data = algebra_value_data(word(p, *pairs), tower(p, "u", "w"))
+        assert "refined_values" not in vars(data)
+        assert data.refined_values == tuple(ValueVector.of(*v) for v in expected)
+        assert vars(data)["refined_values"] is data.refined_values
 
     def test_positive_slot1_rejected(self):
         t = tower(3, "u")
@@ -928,6 +950,20 @@ class TestTraceZeroClasses:
         )
         assert trace_zero_value_classes(members, window) == expected
 
+    @pytest.mark.parametrize(
+        "n,p", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3), (3, 5)]
+    )
+    def test_census_mod_p_matches_the_lattice_meet(self, n, p):
+        t = standard_tower(n, p)
+        members = [algebra_value_data(m.word, t) for m in build_family(n, p) if m.kind == "twist"]
+        # the shared window, one that cuts classes, and each twist alone in its own group
+        for window in (shared_value_window(t), Lattice.diagonal([Fraction(1, p)] + [1] * (n - 1))):
+            expected = lattice_meet_census(members, window)
+            assert trace_zero_value_classes(members, window) == expected
+        for data in members:
+            window = own_group(data)
+            assert trace_zero_value_classes([data], window) == lattice_meet_census([data], window)
+
     def test_order_p_squared_value_rejected(self):
         p = 3
         base = Lattice.integers(2)
@@ -940,13 +976,7 @@ class TestTraceZeroClasses:
             slot1_residual=False,
             slot2_residual=False,
         )
-        data = AlgebraValueData(
-            degree=p,
-            depth=2,
-            factors=(factor,),
-            base_group=base,
-            refined_values=(factor.as_value, factor.root_value),
-        )
+        data = AlgebraValueData(degree=p, depth=2, factors=(factor,), base_group=base)
         assert base.order_of_class(data.natural_values()[0]) == p * p
         with pytest.raises(UnsupportedConfiguration, match="order"):
             trace_zero_value_classes([data], own_group(data))

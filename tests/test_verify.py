@@ -340,10 +340,13 @@ class TestNoCommonSplitting:
 
     @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3)])
     def test_the_census_builds_no_refined_value_group(self, monkeypatch, n, p):
-        # the census reads natural values only, so no twist's value data is ever
-        # asked for the value group its refined values generate, nor grows one
-        twists, read, grown, in_census = [], [], [], []
-        group, extended = AlgebraValueData.value_group, Lattice.extended
+        # the census reads natural values only, as coordinates mod p: no twist's
+        # value data is asked for its refined values or the group they generate,
+        # and no lattice is grown per twist, at most one to meet the window
+        twists, read, refined_read, grown, in_census = [], [], [], [], []
+        group, refined, extended = (
+            AlgebraValueData.value_group, AlgebraValueData.refined_values, Lattice.extended
+        )
 
         def census(members, window):
             def kept():
@@ -361,6 +364,10 @@ class TestNoCommonSplitting:
             read.append(data)
             return group.func(data)
 
+        def refining(data):
+            refined_read.append(data)
+            return refined.func(data)
+
         def growing(lattice, values):
             if in_census:
                 grown.append(values)
@@ -368,20 +375,23 @@ class TestNoCommonSplitting:
 
         monkeypatch.setattr(verify_mod, "trace_zero_value_classes", census)
         monkeypatch.setattr(AlgebraValueData, "value_group", property(reading))
+        monkeypatch.setattr(AlgebraValueData, "refined_values", property(refining))
         monkeypatch.setattr(Lattice, "extended", growing)
         v = verify_no_common_splitting(n, p)
         assert v.result == VERIFIED
         assert len(twists) == p**n - p ** (n - 2)
-        # member certification and the window read groups, through ram_index too
-        assert read
-        assert {id(data) for data in twists}.isdisjoint(id(data) for data in read)
+        # member certification and the window read groups and refined values
+        assert read and refined_read
+        twist_ids = {id(data) for data in twists}
+        assert twist_ids.isdisjoint(id(data) for data in read)
+        assert twist_ids.isdisjoint(id(data) for data in refined_read)
+        assert len(grown) <= 1
         # reciprocal slot pairs make most twists' refined values differ from their
-        # natural values, which the census does grow the base by
-        refined = {data.refined_values for data in twists} - {
+        # natural values, so reading them would have paired slots
+        paired = {refined.func(data) for data in twists} - {
             data.natural_values() for data in twists
         }
-        assert len(refined) > len(twists) // 2
-        assert refined.isdisjoint(grown)
+        assert len(paired) > len(twists) // 2
 
     def test_allowed_classes_32_frozen(self):
         v = verify_no_common_splitting(3, 2)
