@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import sys
 import time
 
@@ -67,9 +66,13 @@ def _inputs(args: argparse.Namespace, scenario: Scenario | None) -> list[object]
         if value is None and scenario is not None:
             value = given.get(key, scenario.prime if key == "p" else None)
         if value is None:
-            value = inspect.signature(verifier).parameters[key].default
-            if value is inspect.Parameter.empty:
+            # the parameter's default, read without inspect (slow to import)
+            fn = getattr(verifier, "__wrapped__", verifier)
+            defaults = fn.__defaults__ or ()
+            at = fn.__code__.co_varnames.index(key) - fn.__code__.co_argcount + len(defaults)
+            if at < 0:
                 raise ScenarioError(f"task {args.task} needs {_flag(key)}")
+            value = defaults[at]
         values.append(value)
     return values
 

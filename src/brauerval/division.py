@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -36,7 +35,7 @@ from .errors import (
     UnsupportedConfiguration,
     ZeroElement,
 )
-from .lattices import Lattice, ValueVector
+from .lattices import Lattice, ValueVector, record
 from .symbols import SymbolSum, SymbolTerm, normal_form, symbol
 from .towers import (
     ARTIN_SCHREIER,
@@ -62,13 +61,13 @@ REFUTED = "refuted"
 MAX_CLASS_WORK = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Certificate:
     """One checked inference: rule name, verdict, evidence, children."""
 
     rule: str
     status: str
-    payload: dict[str, object] = field(default_factory=dict)
+    payload: dict[str, object] = {}
     children: tuple[Certificate, ...] = ()
 
     @property
@@ -88,7 +87,7 @@ class Certificate:
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SymbolValueData:
     """Values of the two generators of one symbol under one valuation."""
 
@@ -100,7 +99,7 @@ class SymbolValueData:
     slot2_residual: bool
 
 
-@dataclass(frozen=True)
+@record(slots=False)
 class AlgebraValueData:
     """Joint value data of a tensor word at one partial valuation.
 
@@ -886,7 +885,7 @@ def _null_space_mod_p(
 # ------------------------------------------------------- trace invariants
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceProfile:
     """Trace valuation profile of a degree-p Artin-Schreier generator.
 

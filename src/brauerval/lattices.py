@@ -30,7 +30,6 @@ import functools
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -71,14 +70,75 @@ def memoised(fn):
     return answer
 
 
-class HashedOnce:
-    """Mixin for frozen slots dataclasses used as memo keys: hash taken once.
+class FrozenRecordError(AttributeError):
+    """An assignment to, or deletion of, a field of a frozen record."""
 
-    The hash is the dataclass's own, hash of the tuple of the fields, so
+
+def _refuse(self, name, *value):
+    raise FrozenRecordError(f"cannot assign to or delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen=True, slots=True):
+    """Class decorator writing what dataclass(frozen=True, slots=True) writes.
+
+    The fields are the class's own annotations, in order; a class
+    attribute is a default, and a dict default is copied per instance.
+    One exec compiles __init__ (calling __post_init__ if the class has
+    one), __eq__, __hash__ (unless the body sets one), __repr__ and the
+    __getstate__/__setstate__ of pickle and copy, all on the field tuple,
+    whose names are __match_args__.  A frozen record refuses assignment,
+    a mutable one is unhashable.  With slots the class is rebuilt with a
+    slot per field; without, instances keep a __dict__ (cached_property).
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, slots=slots)
+    own = cls.__dict__
+    names = tuple(own.get("__annotations__", ()))
+    namespace = {"_set": object.__setattr__, **{f"_d_{n}": own[n] for n in names if n in own}}
+    params, body = ["self"], []
+    for name in names:
+        default, value = f"_d_{name}", name
+        params.append(f"{name}={default}" if default in namespace else name)
+        if isinstance(namespace.get(default), dict):
+            value = f"dict({name}) if {name} is {default} else {name}"
+        body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    fields = "".join(f"self.{name}," for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    restore = "; ".join(f"_set(self, {name!r}, state[{i}])" for i, name in enumerate(names))
+    methods = {"__match_args__": names}
+    exec("\n".join([
+        f"def __init__({', '.join(params)}):", *(f"    {line}" for line in body),
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({fields}) == ({fields.replace('self.', 'other.')})",
+        "    return NotImplemented",
+        f'def __repr__(self): return f"{{self.__class__.__qualname__}}({shown})"',
+        f"def __hash__(self): return hash(({fields}))",
+        f"def __getstate__(self): return ({fields})",
+        f"def __setstate__(self, state): {restore}",
+    ]), namespace, methods)
+    if frozen:
+        methods.update(__setattr__=_refuse, __delattr__=_refuse)
+    else:
+        methods["__hash__"] = None
+    # the class is made anew, its body's own methods kept over generated ones
+    kept = {k: v for k, v in own.items() if k not in names and k not in ("__dict__", "__weakref__")}
+    kept = {**methods, **kept, "__qualname__": cls.__qualname__}
+    if slots:
+        kept["__slots__"] = names
+    return type(cls)(cls.__name__, cls.__bases__, kept)
+
+
+class HashedOnce:
+    """Mixin for frozen slots records used as memo keys: hash taken once.
+
+    The hash is the record's own, hash of the tuple of the fields, so
     set and dict orders do not change.  It is taken on first use, since
     most lattices are never hashed, and kept in a slot that is not a
     field, so equality still compares every field.  A class repeats
-    `__hash__ = HashedOnce.__hash__` in its body, or the dataclass
+    `__hash__ = HashedOnce.__hash__` in its body, or the record
     decorator replaces it.
     """
 
@@ -88,7 +148,7 @@ class HashedOnce:
         try:
             return self._hash
         except AttributeError:
-            h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
+            h = hash(tuple(getattr(self, name) for name in self.__match_args__))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -114,7 +174,7 @@ def _ordered(op):
     return compare
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ValueVector:
     """The point nums/den of Q^n, compared last coordinate first.
 
@@ -229,13 +289,13 @@ def _insert(basis: list[Sequence[int] | None], row: Sequence[int]) -> None:
         row = [(a // g) * v - (b // g) * u for u, v in zip(pivot, row)]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lattice(HashedOnce):
     """(1/denominator) times the row span of an integer Hermite basis.
 
     rows is lower triangular with positive diagonal and off-diagonal
     entries reduced mod the diagonal below them, and gcd(denominator,
-    all entries) == 1, so equal lattices compare equal as dataclasses.
+    all entries) == 1, so equal lattices compare equal as records.
     Construct through the classmethods; the raw constructor performs no
     normalisation.
     """

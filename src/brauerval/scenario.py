@@ -32,10 +32,10 @@ CLI refuses one the task does not take.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .division import HYPOTHESIS_STATUS
 from .errors import EngineError, ScenarioError, UnsupportedConfiguration
+from .lattices import record
 from .symbols import WITNESS_ROOT, RewriteChain, RewriteStep, SymbolSum, SymbolTerm, symbol
 from .towers import (
     KINDS,
@@ -55,16 +55,16 @@ _GENERATOR = re.compile(
 )
 
 
-@dataclass
+@record(frozen=False, slots=False)
 class Scenario:
     """What a scenario file says; the parser fills it in line by line."""
 
     path: str
     task: str | None = None
     prime: int | None = None
-    params: dict[str, int] = field(default_factory=dict)
+    params: dict[str, int] = {}
     tower: FieldTower | None = None
-    algebras: dict[str, SymbolSum] = field(default_factory=dict)
+    algebras: dict[str, SymbolSum] = {}
     word: tuple[str, ...] = ()
     hypothesis: str | None = None
     chain: RewriteChain | None = None

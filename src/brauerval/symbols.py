@@ -14,10 +14,8 @@ factors, p-th power factors) against the chain's tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedConfiguration, ZeroElement
-from .lattices import _pivot_columns_mod_p
+from .lattices import _pivot_columns_mod_p, record
 from .towers import (
     PTH_ROOT,
     FieldTower,
@@ -40,7 +38,7 @@ REWRITE_RULES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SymbolTerm:
     """One symbol [slot1, slot2) of the given degree (the prime p)."""
 
@@ -60,7 +58,7 @@ class SymbolTerm:
         return f"[{self.slot1}, {self.slot2})"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SymbolSum:
     """A formal sum of symbols of one common degree, order preserved."""
 
@@ -139,7 +137,7 @@ def scalar_power(s: SymbolSum, k: int) -> SymbolSum:
 # ------------------------------------------------------------- rewriting
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RewriteStep:
     """One certified identity applied to one sum of symbols.
 
@@ -160,7 +158,7 @@ class RewriteStep:
             raise UnsupportedConfiguration(f"unknown rewrite rule {self.rule!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RewriteChain:
     """A start class and the steps that transform it, over one tower."""
 

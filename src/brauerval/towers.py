@@ -28,7 +28,6 @@ still compares every field.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from math import comb, isqrt
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     UnsupportedConfiguration,
     ZeroElement,
 )
-from .lattices import HashedOnce, Lattice, ValueVector, memoised
+from .lattices import HashedOnce, Lattice, ValueVector, memoised, record
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -55,7 +54,7 @@ def _merge_monomial(entries: list[tuple[str, int]]) -> Monomial:
     return tuple(sorted((n, e) for n, e in acc.items() if e != 0))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FormalElement:
     """Sum of coeff * monomial over the prime field F_char.
 
@@ -201,7 +200,7 @@ def artin_schreier_image(e: FormalElement) -> FormalElement:
     return e.pow_p() - e
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroundField:
     """Residue-level base field F_0.
 
@@ -220,7 +219,7 @@ class GroundField:
             raise UnsupportedConfiguration("ground characteristic must be a prime p >= 2")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExtensionGenerator:
     """A certified degree-p element adjoined on top of a tower.
 
@@ -247,7 +246,7 @@ class ExtensionGenerator:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FieldTower(HashedOnce):
     """F_0((vars[0]))...((vars[-1])) with generators adjoined in order.
 
@@ -310,7 +309,7 @@ class FieldTower(HashedOnce):
         return ValuationSpec(self, depth)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ValuationSpec(HashedOnce):
     """The rank-depth valuation active on the outermost depth variables."""
 

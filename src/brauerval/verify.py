@@ -28,10 +28,8 @@ takes, in order.  INPUTS names every integer input any task takes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import TYPE_CHECKING
 
 from . import division
 from .division import (
@@ -50,6 +48,7 @@ from .division import NOT_CERTIFIED as CERT_NOT_CERTIFIED, REFUTED as CERT_REFUT
 from .errors import EnumerationBound, ScenarioError, UnsupportedConfiguration
 from .lattices import (
     WORK_BUDGET, Lattice, ValueVector, _pivot_columns_mod_p, enumerate_overlattices, memoised,
+    record,
 )
 from .symbols import (
     WITNESS_ROOT,
@@ -72,6 +71,7 @@ from .towers import (
     is_prime,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from .scenario import Scenario
 
@@ -87,14 +87,14 @@ EXIT_CODES = {VERIFIED: 0, REFUTED: 1, INCONCLUSIVE: 2, NOT_CERTIFIED: 2}
 RESULT_OF_STATUS = {CERTIFIED: VERIFIED, CERT_REFUTED: REFUTED, CERT_NOT_CERTIFIED: NOT_CERTIFIED}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Verdict:
     """Result of one verifier run, with everything needed to re-check it."""
 
     task: str
     result: str
-    parameters: dict[str, object] = field(default_factory=dict)
-    payload: dict[str, object] = field(default_factory=dict)
+    parameters: dict[str, object] = {}
+    payload: dict[str, object] = {}
     certificates: tuple[Certificate, ...] = ()
 
     def __post_init__(self) -> None:
@@ -109,7 +109,7 @@ class Verdict:
         return EXIT_CODES[self.result]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FamilyMember:
     name: str
     kind: str  # "shift" or "twist"

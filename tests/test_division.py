@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -58,6 +57,7 @@ from brauerval.verify import (
     verify_no_common_splitting,
 )
 from census_oracle import class_representative, excluded_trace_class, lattice_meet_census
+from record_samples import replaced
 from report_oracle import encode
 
 
@@ -1039,7 +1039,7 @@ class TestTraceZeroClasses:
     def test_a_member_over_another_base_is_refused(self, as_stream):
         t = tower(2, "a1", "a2")
         data = algebra_value_data(word(2, ({"a2": -1}, {"a1": 1})), t)
-        other = dataclasses.replace(data, base_group=Lattice.diagonal([Fraction(1, 2), 1]))
+        other = replaced(data, base_group=Lattice.diagonal([Fraction(1, 2), 1]))
         members = (data, other, data)
         with pytest.raises(
             UnsupportedConfiguration, match="^the members do not share one base group$"

@@ -69,3 +69,18 @@ def test_cli_needs_nothing_outside_the_standard_library():
     loaded = set(done.stdout.split())
     assert "brauerval" in loaded
     assert loaded - {"brauerval"} <= set(sys.stdlib_module_names), loaded
+
+
+def test_cli_start_up_loads_no_code_generation_or_introspection_module():
+    # every CLI process pays for what importing the CLI loads; records are built
+    # without dataclasses, and a verifier's defaults are read without inspect
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", NEWLY_LOADED],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "brauerval" in loaded
+    unwanted = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "copy"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)

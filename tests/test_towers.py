@@ -7,7 +7,6 @@ any frozen constant below is trusted.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import types
 from fractions import Fraction
@@ -44,6 +43,7 @@ from brauerval.towers import (
     trace_power_oracle,
     value_of,
 )
+from record_samples import fields, replaced, sample_records
 
 F = Fraction
 V = ValueVector.of
@@ -731,8 +731,19 @@ def test_memoised_functions_stay_plain_functions(module, fn):
 )
 def test_memo_key_dataclasses_compare_every_field(cls):
     # equal keys must mean equal inputs, and a key must never change
-    assert cls.__dataclass_params__.frozen
-    assert all(f.compare for f in dataclasses.fields(cls))
+    x = sample_records()[cls]
+    state = fields(x)
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+    twin = cls.__new__(cls)
+    twin.__setstate__(state)
+    assert twin == x and x == twin
+    for at in range(len(state)):
+        # each field in turn changed to a value no other instance holds
+        twin = cls.__new__(cls)
+        twin.__setstate__(state[:at] + (object(),) + state[at + 1 :])
+        assert twin != x and x != twin
 
 
 def test_equal_inputs_share_one_answer():
@@ -812,10 +823,6 @@ def test_a_task_gets_one_spec_per_tower_and_depth(monkeypatch):
     assert all(below.spec(spec.depth) is spec for spec in under_x)
 
 
-def _field_tuple_hash(x) -> int:
-    return hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
-
-
 def test_memo_keys_hash_as_the_tuple_of_their_fields():
     gx = ExtensionGenerator("x", ARTIN_SCHREIER, mono(3, {"u": -1}), "ramified")
     towers_ = [
@@ -830,8 +837,8 @@ def test_memo_keys_hash_as_the_tuple_of_their_fields():
     ]
     for x in towers_ + specs + lats:
         # taken once: the first hash and every later one are the formula's
-        assert hash(x) == _field_tuple_hash(x) == hash(x)
-        twin = dataclasses.replace(x)
+        assert hash(x) == hash(fields(x)) == hash(x)
+        twin = replaced(x)
         assert twin == x and twin is not x and hash(twin) == hash(x)
 
 

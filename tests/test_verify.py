@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import weakref
 from fractions import Fraction
@@ -39,6 +38,7 @@ from brauerval.verify import (
     verify_shift_lemma,
     verify_value_groups,
 )
+from record_samples import fields, replaced
 from report_oracle import encode
 
 
@@ -320,7 +320,7 @@ class TestNoCommonSplitting:
 
         def value_data(*args):
             data = algebra_value_data(*args)
-            data = Tracked(**{f.name: getattr(data, f.name) for f in dataclasses.fields(data)})
+            data = Tracked(*fields(data))
             live.add(data)
             return data
 
@@ -533,12 +533,8 @@ class TestExample73:
 
         def tampered(p):
             chain = real(p)
-            bad = dataclasses.replace(
-                chain.steps[1], witness=FormalElement.symbol(p, "X", 1, 1)
-            )
-            return dataclasses.replace(
-                chain, steps=chain.steps[:1] + (bad,) + chain.steps[2:]
-            )
+            bad = replaced(chain.steps[1], witness=FormalElement.symbol(p, "X", 1, 1))
+            return replaced(chain, steps=chain.steps[:1] + (bad,) + chain.steps[2:])
 
         monkeypatch.setattr(verify_mod, "_vanishing_chain_shift", tampered)
         v = verify_example73(1, 3)
