@@ -19,6 +19,8 @@ tensor to a division ring.  The candidate partial valuations drop the
 variables up to the innermost (then up to the outermost) variable of
 the peeled factor; reciprocal slot pairs across factors contribute
 composite generators of value v(a)/p^2 that refine the value group.
+A peel reads the remaining word only through that value data, and is
+memoised on it, so words that agree at the partial valuation share it.
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ def symbol_division(
         )
 
     if len(residual) == 1:
-        _, kind, rbar = residual[0]
+        kind, rbar = residual[0]
         f = data.factors[0]
         ramified_value = f.root_value if kind == ARTIN_SCHREIER else f.as_value
         res_cert = _residue_extension_certificate(residue_tower(spec), rbar, kind)
@@ -341,7 +343,7 @@ def symbol_division(
         )
 
     # both slots are units: the question descends to the residue field
-    res_term = symbol(p, *(rbar for _, _, rbar in residual))
+    res_term = symbol(p, *(rbar for _, rbar in residual))
     try:
         split = normal_form(SymbolSum.of(res_term)).is_zero_sum()
     except EngineError:
@@ -400,8 +402,8 @@ def _hypothesis_verdict(
 
 def _residual_slots(
     data: AlgebraValueData, spec: ValuationSpec
-) -> list[tuple[int, str, FormalElement]]:
-    """(factor index, extension kind, residue) of every slot of value 0.
+) -> tuple[tuple[str, FormalElement], ...]:
+    """(extension kind, residue) of every slot of value 0, factor by factor.
 
     A residual slot1 defines an Artin-Schreier extension of the residue
     field, a residual slot2 a p-th root one, slot1 listed first.  A lone
@@ -410,8 +412,8 @@ def _residual_slots(
     its failure first.
     """
     slots = [
-        (i, kind, slot)
-        for i, f in enumerate(data.factors)
+        (kind, slot)
+        for f in data.factors
         for kind, slot, residual in (
             (ARTIN_SCHREIER, f.term.slot1, f.slot1_residual),
             (PTH_ROOT, f.term.slot2, f.slot2_residual),
@@ -420,7 +422,7 @@ def _residual_slots(
     ]
     if len(slots) == 1:
         residue_tower(spec)
-    return [(i, kind, residue_of(slot, spec)) for i, kind, slot in slots]
+    return tuple((kind, residue_of(slot, spec)) for kind, slot in slots)
 
 
 def _plain_variable(element: FormalElement, tower: FieldTower) -> str | None:
@@ -537,8 +539,8 @@ def residue_tensor_certificate(
     p = spec.tower.char
     res_tower = residue_tower(spec)
     e_data = _one_symbol_data(e_term, spec)
-    e_slots = [(kind, rbar) for _, kind, rbar in _residual_slots(e_data, spec)]
-    slots = ([d_residual] if d_residual else []) + e_slots
+    e_slots = _residual_slots(e_data, spec)
+    slots = ((d_residual,) if d_residual else ()) + e_slots
 
     if not slots:
         return Certificate("residue-tensor", CERTIFIED, payload={"shape": "both-trivial"})
@@ -616,13 +618,6 @@ def residue_tensor_certificate(
     )
 
 
-def _groups_meet_in_base(d_data: AlgebraValueData, e_data: AlgebraValueData) -> bool:
-    """D, E contain the base: they meet in it iff [D+E : base] = [D : base][E : base],
-    and D+E is D grown by E's refined values, since E is the base grown by them."""
-    joint = d_data.value_group.extended(e_data.refined_values).index_over(d_data.base_group)
-    return joint == d_data.ram_index * e_data.ram_index
-
-
 def morandi_step(
     tower: FieldTower,
     depth: int,
@@ -631,19 +626,43 @@ def morandi_step(
     d_division: Certificate,
     residue_hypothesis: str | None = None,
 ) -> Certificate:
-    """One peel: D tensor E is division when every condition certifies.
+    """One peel of e_term off the word d_word at depth, by peel_certificate.
 
-    Conditions: D is division (given), D is defectless at this
-    valuation, E is division at it, the two value groups meet in the
-    base group, and the residue algebras tensor to a division ring.
+    The peel reads D only through its value data at this depth: its
+    refined values and the residues of its residual slots.  Those are
+    read here, in the order whose first failure a failed chain reports
+    (the spec, D's value data, E's, D's residues), and the peel is keyed
+    on them, so family members that differ only in coordinates this
+    depth drops share one peel.
     """
     _require_hypothesis(residue_hypothesis)
     spec = tower.spec(depth)
-    p = tower.char
     d_data = algebra_value_data(d_word, tower, depth)
-    e_data = _one_symbol_data(e_term, spec)
-
+    _one_symbol_data(e_term, spec)
     residual = _residual_slots(d_data, spec)
+    return peel_certificate(
+        spec, d_data.refined_values, residual, e_term, d_division.ok, residue_hypothesis
+    )
+
+
+@memoised
+def peel_certificate(
+    spec: ValuationSpec,
+    refined_values: tuple[ValueVector, ...],
+    residual: tuple[tuple[str, FormalElement], ...],
+    e_term: SymbolTerm,
+    left_division: bool,
+    residue_hypothesis: str | None = None,
+) -> Certificate:
+    """D tensor E is division when every condition certifies.
+
+    D is a word with these refined values, two per symbol, and these
+    residual slots (kind, residue) at spec; left_division says whether D
+    is division.  Conditions: D is division, D is defectless at this
+    valuation, E is division at it, the two value groups meet in the
+    base group, and the residue algebras tensor to a division ring.
+    """
+    depth = spec.depth
     if len(residual) > 1:
         return Certificate(
             "peel",
@@ -653,26 +672,33 @@ def morandi_step(
                 "reason": "more than one residual slot on the left factor",
             },
         )
-    conditions = {"left-division": d_division.ok}
+    p = spec.tower.char
+    conditions = {"left-division": left_division}
     children: list[Certificate] = []
 
-    if residual:
-        _, kind, rbar = residual[0]
+    d_residual = residual[0] if residual else None
+    if d_residual:
+        kind, rbar = d_residual
         f_cert = _residue_extension_certificate(residue_tower(spec), rbar, kind)
         children.append(f_cert)
         f_d = p if f_cert.ok else 1
-        d_residual = (kind, rbar)
     else:
         f_d = 1
-        d_residual = None
-    left_ram = d_data.ram_index
-    conditions["left-defectless"] = left_ram * f_d == d_data.dim
+    base = spec.value_group()
+    left_group = base.extended(refined_values)
+    left_ram = left_group.index_over(base)
+    left_dim = p ** len(refined_values)
+    conditions["left-defectless"] = left_ram * f_d == left_dim
 
-    e_cert = symbol_division(e_term, tower, depth, residue_hypothesis)
+    e_cert = symbol_division(e_term, spec.tower, depth, residue_hypothesis)
     children.append(e_cert)
     conditions["right-division"] = e_cert.ok
 
-    conditions["value-groups-meet-in-base"] = _groups_meet_in_base(d_data, e_data)
+    # D, E contain the base: they meet in it iff [D+E : base] = [D : base][E : base],
+    # and D+E is D grown by E's refined values, since E is the base grown by them
+    e_data = _one_symbol_data(e_term, spec)
+    joint = left_group.extended(e_data.refined_values).index_over(base)
+    conditions["value-groups-meet-in-base"] = joint == left_ram * e_data.ram_index
 
     r_cert = residue_tensor_certificate(spec, d_residual, e_term, residue_hypothesis)
     children.append(r_cert)
@@ -685,10 +711,10 @@ def morandi_step(
         payload={
             "depth": depth,
             "conditions": conditions,
-            "left_value_group": d_data.value_group,
+            "left_value_group": left_group,
             "left_ramification_index": left_ram,
             "left_residue_degree": f_d,
-            "left_dimension": d_data.dim,
+            "left_dimension": left_dim,
             "right_value_group": e_data.value_group,
         },
         children=tuple(children),

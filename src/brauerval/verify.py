@@ -314,8 +314,9 @@ def verify_no_common_splitting(n: int, p: int) -> Verdict:
     Besides the family's words and the memo tables, the task holds one
     status per member and the census's distinct spans mod p and excluded
     coordinate tuples: a member's certificate tree is dropped once its
-    status is read, and the twists' value data reach the census one at a
-    time.
+    status is read, save its peel subtrees, which stay in the peel memo
+    until the task ends for the members that agree at a peel's depth,
+    and the twists' value data reach the census one at a time.
     """
     params = {"n": n, "p": p}
     family = build_family(n, p)

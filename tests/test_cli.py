@@ -6,7 +6,9 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -509,6 +511,28 @@ class TestOutput:
             capsys, "no-common-splitting", "--n", "3", "--p", "2", "--format", "json"
         )
         assert first == second
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            "no-common-splitting --n 4 --p 3",
+            "char-not-p --n 3 --p 3",
+            "custom-scenario --scenario scenarios/custom-two-factor-p3.scn",
+        ],
+    )
+    def test_json_report_does_not_depend_on_the_hash_seed(self, task):
+        # members share peels and set-ordered answers, so a report made in a
+        # fresh interpreter under another string hash must keep its bytes
+        reports = [
+            subprocess.run(
+                [sys.executable, "-m", "brauerval", *task.split(), "--format", "json"],
+                capture_output=True, cwd=ROOT, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed},
+            )
+            for seed in ("0", "1")
+        ]
+        assert all(done.returncode == 0 for done in reports), reports[0].stderr
+        assert reports[0].stdout == reports[1].stdout
 
     @pytest.mark.parametrize("task", sorted(GOLDEN_DIGESTS))
     def test_json_report_matches_golden_digest(self, capsys, monkeypatch, task):

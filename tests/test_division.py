@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 from fractions import Fraction
@@ -716,6 +717,42 @@ class TestPeeling:
         with pytest.raises(EnumerationBound):
             chain_division(w, t)
 
+    def test_a_peel_reads_the_right_factor_before_the_left_residues(self):
+        # at depth 1 over F_3((a1))((a2))((a3)) both slots of D = [a2^-1, a1) are
+        # units, and E = [a3 a2^-1, a2) splits: E's failure is the attempt
+        # recorded, not the left factor's two residual slots
+        t = tower(3, "a1", "a2", "a3")
+        w = word(3, ({"a2": -1}, {"a1": 1}), ({"a3": 1, "a2": -1}, {"a2": 1}))
+        d_word, e = SymbolSum.of(w.terms[0]), w.terms[1]
+        f = algebra_value_data(d_word, t, 1).factors[0]
+        assert f.slot1_residual and f.slot2_residual
+        split = "slot1 has positive value, the symbol splits at this valuation"
+        assert chain_division(w, t).payload == {"depth-1": split}
+        with pytest.raises(UnsupportedConfiguration, match=split):
+            morandi_step(t, 1, d_word, e, chain_division(d_word, t))
+        peels = inspect.getclosurevars(division.peel_certificate).nonlocals["table"]
+        assert not peels
+
+    def test_a_peel_that_raises_is_computed_again(self, monkeypatch):
+        t = tower(2, "a1", "a2", "a3")
+        d_word = word(2, ({"a3": -1}, {"a1": 1}))
+        e = symbol(2, mono(2, {"a1": -1}), mono(2, {"a2": 1}))
+        d_cert = chain_division(d_word, t)
+        calls = []
+
+        def right_fails(*args):
+            calls.append(args)
+            raise UnsupportedConfiguration("no verdict for the right factor")
+
+        monkeypatch.setattr(division, "symbol_division", right_fails)
+        for _ in range(2):
+            with pytest.raises(UnsupportedConfiguration, match="right factor"):
+                morandi_step(t, 2, d_word, e, d_cert)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        step = morandi_step(t, 2, d_word, e, d_cert)
+        assert step.ok and morandi_step(t, 2, d_word, e, d_cert) is step
+
     def test_b_first_family_uses_outer_drop(self):
         t = tower(2, "a1", "a2", "a3")
         w = word(2, ({"a3": -1}, {"a2": 1}), ({"a2": -1}, {"a1": 1}))
@@ -777,6 +814,9 @@ class TestPeeling:
             "value-groups-meet-in-base",
             "residue-tensor-division",
         ]
+        # the same peel under a left factor that is not division
+        refused = morandi_step(t, 2, d_word, e, Certificate("chain", NOT_CERTIFIED))
+        assert refused.get("conditions")["left-division"] is False and not refused.ok
 
 
     def test_value_groups_meeting_above_the_base_block_the_peel(self):
@@ -785,7 +825,7 @@ class TestPeeling:
         d_word = word(2, ({"a3": -1}, {"a1": 1}))
         e = symbol(2, mono(2, {"a3": -1}), mono(2, {"a2": 1}))
         step = morandi_step(t, 2, d_word, e, chain_division(d_word, t))
-        conditions = step.get("conditions")
+        conditions = dict(step.get("conditions"))
         assert conditions.pop("value-groups-meet-in-base") is False
         assert all(conditions.values())
         assert step.status == NOT_CERTIFIED
@@ -807,10 +847,16 @@ class TestPeeling:
         assert step.get("conditions")["residue-tensor-division"] is False
         assert step.status == NOT_CERTIFIED
         assert chain_division(SymbolSum.of(*d_word.terms, e), t).status == NOT_CERTIFIED
+        # D = [u^-1, w^-2) has D's values at depth 1 but the reciprocal residue
+        # 1/w^2, so the same task gives it a peel of its own
+        d_word = word(3, ({"u": -1}, {"w": -2}))
+        twin = morandi_step(t, 1, d_word, e, chain_division(d_word, t))
+        assert twin.get("left_value_group") == step.get("left_value_group")
+        assert twin.find("residue-tensor").get("shape") == "composite-field"
 
     def test_no_memo_key_holds_value_data(self):
-        # the residue-tensor answer is keyed on E's term, so no table keeps a
-        # word's value data alive, nor hashes it
+        # the residue tensor is keyed on E's term and the peel on what it reads of
+        # D's value data, so no table keeps a word's value data alive, nor hashes it
         def leaves(key):
             if isinstance(key, tuple):
                 for part in key:

@@ -712,6 +712,7 @@ def test_norm_closed_form_property(triple):
         (division, division.symbol_division),
         (division, division._residue_extension_certificate),
         (division, division.residue_tensor_certificate),
+        (division, division.peel_certificate),
         (towers, towers._trace_coefficients),
     ],
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import weakref
 from fractions import Fraction
@@ -216,9 +217,14 @@ class TestNoCommonSplitting:
         assert v.get("needed_for_common_field") == p ** (n - 1) - 1
         assert all(status == "certified" for status in v.get("member_status").values())
 
-    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3), (5, 2)])
-    def test_member_certificates_are_the_same_cold_and_warm(self, n, p):
-        # memoised answers shared between members must not change any tree
+    # (n, p): (peels run, distinct peels) over the whole family in one task
+    PEELS = {(4, 2): (50, 20), (3, 3): (43, 11), (5, 2): (151, 47), (4, 3): (276, 52),
+             (3, 5): (221, 29)}
+
+    @pytest.mark.parametrize("n,p", list(PEELS))
+    def test_member_certificates_are_the_same_cold_and_warm(self, n, p, monkeypatch):
+        # memoised answers shared between members, a whole peel among them when
+        # two members agree at its depth, must not change any tree
         tower = standard_tower(n, p)
         words = [m.word for m in build_family(n, p)]
         cold = []
@@ -226,8 +232,18 @@ class TestNoCommonSplitting:
             forget_memos()
             cold.append(encode(chain_division(w, tower)))
         forget_memos()
+        peels = inspect.getclosurevars(division.peel_certificate).nonlocals["table"]
+        run = []
+        step = division.morandi_step
+
+        def counted(*args):
+            run.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(division, "morandi_step", counted)
         warm = [encode(chain_division(w, tower)) for w in words]
         assert warm == cold
+        assert (len(run), len(peels)) == self.PEELS[n, p]
 
     @pytest.mark.parametrize("n,p", [(4, 2), (3, 3), (5, 2)])
     def test_member_value_data_is_the_same_cold_and_warm(self, n, p):
